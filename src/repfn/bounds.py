@@ -123,24 +123,15 @@ def check_cardinality_bound(
         c = max(1, max_rep)
     if c < 1:
         raise ValueError("cap c must be a positive integer")
-    rhs = isqrt(c * m)
-    if max_rep > c:
-        return BoundReport(
-            claim_id=ClaimId.CARDINALITY,
-            lhs=a.card,
-            rhs=rhs,
-            status=CheckStatus.NOT_APPLICABLE,
-            slack=None,
-            note=f"hypothesis max R <= {c} not met (max R = {max_rep})",
-            extra={"c": c, "max_rep": max_rep},
-        )
-    holds = a.card * a.card <= c * m
-    return BoundReport(
-        claim_id=ClaimId.CARDINALITY,
-        lhs=a.card,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=rhs - a.card,
+    return _chain_report(
+        ClaimId.CARDINALITY,
+        a.card,
+        isqrt(c * m),
+        lower=False,
+        applicable=max_rep <= c,
+        cap=c,
+        max_rep=max_rep,
+        holds=a.card * a.card <= c * m,
         note="decided as |A|^2 <= c*m in integers; rhs is floor(sqrt(c*m))",
         extra={"c": c, "max_rep": max_rep},
     )
@@ -150,98 +141,67 @@ def _spectrum_count(profile: RepProfile, i: int) -> int:
     return sum(1 for c in profile.counts if c == i)
 
 
-def check_s0_lower(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
-    """|S_0| >= m/4 - sqrt(5m), under max representation count <= 5."""
+# Spectrum claims |S_i| >= or <= a bound with one sqrt term, under max R <=
+# cap.  A row holds the level i, the cap, whether the bound is a lower one,
+# k and the linear form x(m, |S_i|) such that the claim holds iff x <= 0 or
+# x^2 <= k*m, the bound's text, and the rational enclosure of the bound that
+# the report shows as rhs.
+_SPECTRUM_CLAIMS = {
+    ClaimId.S0_LOWER: (
+        0, 5, True, 80, lambda m, s: m - 4 * s, "m/4 - sqrt(5m)",
+        lambda m: Fraction(m, 4) - ceil_sqrt(5 * m),
+    ),
+    ClaimId.S2_UPPER: (
+        2, 5, False, 180, lambda m, s: 2 * s - m, "m/2 + 3*sqrt(5m)",
+        lambda m: Fraction(m, 2) + 3 * ceil_sqrt(5 * m),
+    ),
+    ClaimId.S4_UPPER: (
+        4, 7, False, 112, lambda m, s: 4 * s - 3 * m - 3, "3m/4 + sqrt(7m) + 3/4",
+        lambda m: Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4),
+    ),
+}
+
+
+def _spectrum_claim(
+    claim_id: ClaimId, a: GroupSubset, profile: RepProfile | None, **extra: Fraction
+) -> BoundReport:
+    level, cap, lower, k, form, bound, enclosure = _SPECTRUM_CLAIMS[claim_id]
     profile = _profile_of(a, profile)
     m = a.group.order
-    s0 = _spectrum_count(profile, 0)
-    rhs = Fraction(m, 4) - ceil_sqrt(5 * m)
-    comparison_floor = Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1
-    extra = {
-        "max_rep": profile.max_rep,
-        # Earlier known floor (7/32)m - sqrt(10m)/2 - 1, shown for comparison
-        # only; the check asserts nothing about it.
-        "comparison_floor": comparison_floor,
-    }
-    if profile.max_rep > 5:
-        return BoundReport(
-            claim_id=ClaimId.S0_LOWER,
-            lhs=s0,
-            rhs=rhs,
-            status=CheckStatus.NOT_APPLICABLE,
-            slack=None,
-            note=f"hypothesis max R <= 5 not met (max R = {profile.max_rep})",
-            extra=extra,
-        )
-    d = m - 4 * s0
-    holds = d <= 0 or d * d <= 80 * m
-    return BoundReport(
-        claim_id=ClaimId.S0_LOWER,
-        lhs=s0,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=s0 - rhs,
-        note="decided by squared forms; rhs is a rational lower enclosure of m/4 - sqrt(5m)",
-        extra=extra,
+    s = _spectrum_count(profile, level)
+    x = form(m, s)
+    return _chain_report(
+        claim_id,
+        s,
+        enclosure(m),
+        lower=lower,
+        applicable=profile.max_rep <= cap,
+        cap=cap,
+        max_rep=profile.max_rep,
+        holds=x <= 0 or x * x <= k * m,
+        note=f"decided by squared forms; rhs is a rational {'lower' if lower else 'upper'} "
+        f"enclosure of {bound}",
+        extra={"max_rep": profile.max_rep, **extra},
     )
+
+
+def check_s0_lower(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
+    """|S_0| >= m/4 - sqrt(5m), under max representation count <= 5."""
+    m = a.group.order
+    # Earlier known floor (7/32)m - sqrt(10m)/2 - 1, shown for comparison
+    # only; the check asserts nothing about it.
+    comparison_floor = Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1
+    return _spectrum_claim(ClaimId.S0_LOWER, a, profile, comparison_floor=comparison_floor)
 
 
 def check_s2_upper(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
     """|S_2| <= m/2 + 3*sqrt(5m), under max representation count <= 5."""
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    s2 = _spectrum_count(profile, 2)
-    rhs = Fraction(m, 2) + 3 * ceil_sqrt(5 * m)
-    if profile.max_rep > 5:
-        return BoundReport(
-            claim_id=ClaimId.S2_UPPER,
-            lhs=s2,
-            rhs=rhs,
-            status=CheckStatus.NOT_APPLICABLE,
-            slack=None,
-            note=f"hypothesis max R <= 5 not met (max R = {profile.max_rep})",
-            extra={"max_rep": profile.max_rep},
-        )
-    e = 2 * s2 - m
-    holds = e <= 0 or e * e <= 180 * m
-    return BoundReport(
-        claim_id=ClaimId.S2_UPPER,
-        lhs=s2,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=rhs - s2,
-        note="decided by squared forms; rhs is a rational upper enclosure of m/2 + 3*sqrt(5m)",
-        extra={"max_rep": profile.max_rep},
-    )
+    return _spectrum_claim(ClaimId.S2_UPPER, a, profile)
 
 
 def check_s4_upper(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
     """|S_4| <= 3m/4 + sqrt(7m) + 3/4, under max representation count <= 7."""
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    s4 = _spectrum_count(profile, 4)
-    rhs = Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4)
-    if profile.max_rep > 7:
-        return BoundReport(
-            claim_id=ClaimId.S4_UPPER,
-            lhs=s4,
-            rhs=rhs,
-            status=CheckStatus.NOT_APPLICABLE,
-            slack=None,
-            note=f"hypothesis max R <= 7 not met (max R = {profile.max_rep})",
-            extra={"max_rep": profile.max_rep},
-        )
-    f = 4 * s4 - 3 * m - 3
-    holds = f <= 0 or f * f <= 112 * m
-    return BoundReport(
-        claim_id=ClaimId.S4_UPPER,
-        lhs=s4,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=rhs - s4,
-        note="decided by squared forms; rhs is a rational upper enclosure of 3m/4 + sqrt(7m) + 3/4",
-        extra={"max_rep": profile.max_rep},
-    )
+    return _spectrum_claim(ClaimId.S4_UPPER, a, profile)
 
 
 def check_theorem_bounds(
@@ -259,14 +219,20 @@ def check_theorem_bounds(
 def _chain_report(
     claim_id: ClaimId,
     lhs: int,
-    rhs: int,
+    rhs: int | Fraction,
     *,
     lower: bool,
     applicable: bool,
     cap: int,
     max_rep: int,
     note: str,
+    holds: bool | None = None,
+    extra: dict | None = None,
 ) -> BoundReport:
+    """One report; holds, when given, is the exact decision (a squared form
+    where rhs is only an enclosure), otherwise lhs is compared with rhs."""
+    if extra is None:
+        extra = {"max_rep": max_rep}
     if not applicable:
         return BoundReport(
             claim_id=claim_id,
@@ -275,9 +241,10 @@ def _chain_report(
             status=CheckStatus.NOT_APPLICABLE,
             slack=None,
             note=f"hypothesis max R <= {cap} not met (max R = {max_rep})",
-            extra={"max_rep": max_rep},
+            extra=extra,
         )
-    holds = lhs >= rhs if lower else lhs <= rhs
+    if holds is None:
+        holds = lhs >= rhs if lower else lhs <= rhs
     return BoundReport(
         claim_id=claim_id,
         lhs=lhs,
@@ -285,7 +252,7 @@ def _chain_report(
         status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
         slack=lhs - rhs if lower else rhs - lhs,
         note=note,
-        extra={"max_rep": max_rep},
+        extra=extra,
     )
 
 

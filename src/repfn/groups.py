@@ -202,18 +202,22 @@ class GroupSubset:
 
 def subset_from_json_dict(data: dict) -> GroupSubset:
     """Parse the JSON set format; extra keys are ignored so report documents
-    that embed a set round-trip unchanged."""
+    that embed a set round-trip unchanged.  orders and elements must be lists
+    of JSON integers; floats, strings and booleans are rejected."""
     try:
         orders = data["orders"]
         elems = data["elements"]
     except (KeyError, TypeError) as exc:
         raise ValueError("set document needs 'orders' and 'elements'") from exc
-    group = Group(tuple(int(x) for x in orders))
-    prev = -1
-    for e in elems:
-        if int(e) <= prev:
-            raise ValueError("element indices must be strictly increasing")
-        prev = int(e)
+    # Exact integers only: int() would truncate 7.9, read "123" as digits
+    # and true as 1, silently changing the set.
+    if not (isinstance(orders, list) and isinstance(elems, list)) or any(
+        type(x) is not int for x in orders + elems
+    ):
+        raise ValueError("'orders' and 'elements' must be JSON lists of integers")
+    group = Group(tuple(orders))
+    if any(b <= a for a, b in zip(elems, elems[1:])):
+        raise ValueError("element indices must be strictly increasing")
     return GroupSubset.from_elements(group, elems)
 
 

@@ -134,26 +134,23 @@ def rep_profile(
     method: str = "auto",
     cross_check: bool = False,
 ) -> "RepProfile":
-    """Dispatch between the exact routes.  method: auto | naive | fast."""
-    if method == "naive":
-        profile = rep_profile_naive(a, b)
-        if cross_check:
-            fast = rep_profile_fast(a, b)
-            if fast.counts != profile.counts:
-                raise VerificationError("baseline disagrees with packed convolution")
-        return profile
-    if method == "fast":
-        return rep_profile_fast(a, b, cross_check=cross_check)
+    """Dispatch between the exact routes.  method: auto | naive | fast.
+
+    auto packs groups of order >= FAST_ORDER_THRESHOLD and enumerates pairs
+    below it; cross_check recomputes through the other route and compares.
+    """
     if method == "auto":
-        if a.group.order >= FAST_ORDER_THRESHOLD:
-            return rep_profile_fast(a, b, cross_check=cross_check)
-        profile = rep_profile_naive(a, b)
-        if cross_check:
-            fast = rep_profile_fast(a, b)
-            if fast.counts != profile.counts:
-                raise VerificationError("baseline disagrees with packed convolution")
-        return profile
-    raise ValueError(f"unknown method {method!r}")
+        method = "fast" if a.group.order >= FAST_ORDER_THRESHOLD else "naive"
+    if method == "naive":
+        engine, other = rep_profile_naive, rep_profile_fast
+    elif method == "fast":
+        engine, other = rep_profile_fast, rep_profile_naive
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    profile = engine(a, b)
+    if cross_check and other(a, b).counts != profile.counts:
+        raise VerificationError("pair enumeration and packed convolution disagree")
+    return profile
 
 
 def rep_diff_profile(

@@ -1,9 +1,13 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-The exact path is a depth-first branch and bound over subsets of Z_m with
-incremental representation counters, a lazy coverage-infeasibility prune and
+Both paths share one incremental counter core, _Counts, which keeps the
+representation counts of a subset of Z_m together with its number of
+uncovered elements and its excess over the cap r as members are added and
+removed.  The exact path is a depth-first branch and bound over subsets of
+Z_m on that core, with a lazy coverage-infeasibility prune and
 translation/reflection symmetry reduction; it can prove UNSAT.  The heuristic
-path is a seeded local search that only ever claims verified upper bounds.
+path is a seeded local search on the same core that only ever claims
+verified upper bounds.
 Every SAT or heuristic result carries a certificate re-checked through the
 pair-enumeration profile, never through the search's own counters.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -106,22 +111,91 @@ class _BudgetExceeded(Exception):
     pass
 
 
+class _Counts:
+    """Incremental representation counts of a subset A of Z_m, shared by the
+    exact and the heuristic search.
+
+    R[g] = R_{A,A}(g); uncovered is #{g : R[g] = 0}; excess is the sum of
+    max(0, R[g] - r); members lists A in ascending order and is_member[e]
+    tells whether e is in A.  add(e) creates the pairs (a, e) and (e, a) for
+    each member a plus the single pair (e, e); remove(e) takes exactly those
+    away, so any add/remove sequence leaves the counts of the resulting set.
+    """
+
+    def __init__(self, m: int, r: int):
+        self.m = m
+        self.r = r
+        self.R = [0] * m
+        self.uncovered = m
+        self.excess = 0
+        self.members: list[int] = []
+        self.is_member = [False] * m
+
+    def add(self, e: int) -> None:
+        m, r, R = self.m, self.r, self.R
+        uncovered, excess = self.uncovered, self.excess
+        for a in self.members:
+            g = (a + e) % m
+            c = R[g]
+            if c == 0:
+                uncovered -= 1
+            c += 2
+            R[g] = c
+            if c > r:
+                excess += 2 if c > r + 1 else 1
+        g = (2 * e) % m
+        c = R[g]
+        if c == 0:
+            uncovered -= 1
+        c += 1
+        R[g] = c
+        if c > r:
+            excess += 1
+        self.uncovered, self.excess = uncovered, excess
+        insort(self.members, e)
+        self.is_member[e] = True
+
+    def remove(self, e: int) -> None:
+        members = self.members
+        del members[bisect_left(members, e)]
+        self.is_member[e] = False
+        m, r, R = self.m, self.r, self.R
+        uncovered, excess = self.uncovered, self.excess
+        for a in members:
+            g = (a + e) % m
+            c = R[g]
+            if c > r:
+                excess -= 2 if c > r + 1 else 1
+            c -= 2
+            R[g] = c
+            if c == 0:
+                uncovered += 1
+        g = (2 * e) % m
+        c = R[g]
+        if c > r:
+            excess -= 1
+        c -= 1
+        R[g] = c
+        if c == 0:
+            uncovered += 1
+        self.uncovered, self.excess = uncovered, excess
+
+
 class _ExactSearch:
     """DFS over subsets of Z_m in ascending element order, include branch
-    first.  Counters: R[g] is the representation count of the current partial
-    set; P[g] is the number of ordered pairs over still-available elements
+    first.  counts holds the representation counts of the current partial
+    set; every node on the search path has excess 0, so an include that
+    leaves excess > 0 is a max_rep prune and is undone by counts.remove.
+    P[g] is the number of ordered pairs over still-available elements
     (members plus undecided) summing to g, so P[g] = 0 with R[g] = 0 proves
     the branch dead."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.m = cfg.m
-        self.r = cfg.r
-        self.R = [0] * cfg.m
+        self.counts = _Counts(cfg.m, cfg.r)
         self.P = [cfg.m] * cfg.m
         self.avail = [True] * cfg.m
-        self.members: list[int] = []
-        self.uncovered = cfg.m
         self.nodes = 0
         self.prunes = {"max_rep": 0, "coverage": 0, "reflection": 0}
         self.deadline = (
@@ -135,32 +209,8 @@ class _ExactSearch:
             self.nodes = 1
             self.witness = [0]
             return True
-        self._apply_include(0)
+        self.counts.add(0)
         return self._dfs(1)
-
-    # R updates: adding e creates pairs (a,e) and (e,a) for each prior member
-    # plus the single pair (e,e).
-    def _apply_include(self, e: int) -> list[tuple[int, int]]:
-        changes: list[tuple[int, int]] = []
-        m = self.m
-        for a in self.members:
-            self._bump((a + e) % m, 2, changes)
-        self._bump((2 * e) % m, 1, changes)
-        self.members.append(e)
-        return changes
-
-    def _bump(self, g: int, d: int, changes: list[tuple[int, int]]) -> None:
-        if self.R[g] == 0:
-            self.uncovered -= 1
-        self.R[g] += d
-        changes.append((g, d))
-
-    def _undo_include(self, changes: list[tuple[int, int]]) -> None:
-        self.members.pop()
-        for g, d in reversed(changes):
-            self.R[g] -= d
-            if self.R[g] == 0:
-                self.uncovered += 1
 
     def _apply_exclude(self, e: int) -> list[tuple[int, int]]:
         self.avail[e] = False
@@ -183,9 +233,9 @@ class _ExactSearch:
         self.avail[e] = True
 
     def _verify_counters(self) -> None:
-        subset = GroupSubset.from_elements(Group.cyclic(self.m), self.members)
+        subset = GroupSubset.from_elements(Group.cyclic(self.m), self.counts.members)
         expected = rep_profile_naive(subset).counts
-        if tuple(self.R) != expected:
+        if tuple(self.counts.R) != expected:
             raise VerificationError("incremental counters diverged from the profile")
 
     def _dfs(self, e: int) -> bool:
@@ -200,8 +250,9 @@ class _ExactSearch:
             raise _BudgetExceeded
         if self.check_rng is not None and self.check_rng.random() < self.cfg.counter_check:
             self._verify_counters()
-        if self.uncovered == 0:
-            self.witness = list(self.members)
+        counts = self.counts
+        if counts.uncovered == 0:
+            self.witness = list(counts.members)
             return True
         if e == self.m:
             return False
@@ -209,23 +260,24 @@ class _ExactSearch:
         # Include branch first.  Reflection reduction: once the smallest
         # nonzero member a1 is fixed, a canonical witness (the better of A
         # and -A) satisfies a1 + max(A) <= m, so larger elements are barred.
-        a1 = self.members[1] if len(self.members) > 1 else None
+        members = counts.members
+        a1 = members[1] if len(members) > 1 else None
         if self.cfg.reflection and a1 is not None and a1 + e > self.m:
             self.prunes["reflection"] += 1
         else:
-            changes = self._apply_include(e)
-            capped = any(self.R[g] > self.r for g, _ in changes)
-            if capped:
+            counts.add(e)
+            if counts.excess > 0:
                 self.prunes["max_rep"] += 1
                 ok = False
             else:
                 ok = self._dfs(e + 1)
-            self._undo_include(changes)
+            counts.remove(e)
             if ok:
                 return True
 
         ex = self._apply_exclude(e)
-        dead = any(self.P[g] == 0 and self.R[g] == 0 for g, _ in ex)
+        R = counts.R
+        dead = any(self.P[g] == 0 and R[g] == 0 for g, _ in ex)
         if dead:
             self.prunes["coverage"] += 1
             ok = False
@@ -381,7 +433,9 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
 
 class _LocalSearch:
     """One worker: hill-climb with sideways moves and periodic restarts over
-    the lexicographic objective (uncovered, max count, excess over r, |A|)."""
+    the lexicographic objective (uncovered, max count, excess over r, |A|).
+    Moves update the shared counter core in place and a rejected move is
+    undone by the inverse add/remove, so only max(R) costs O(m) per move."""
 
     def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
         self.m = m
@@ -389,53 +443,12 @@ class _LocalSearch:
         self.rng = rng
         self.pool = pool
         self.restarts = 0
-        self.in_set = [False] * m
-        self.members: set[int] = set()
-        self.R = [0] * m
-        self.uncovered = m
+        self.counts = _Counts(m, r)
         self.best: tuple[tuple[int, int, int, int], tuple[int, ...]] | None = None
 
-    def _reset(self, elems: Iterable[int]) -> None:
-        m = self.m
-        self.in_set = [False] * m
-        self.members = set()
-        self.R = [0] * m
-        self.uncovered = m
-        for e in elems:
-            self._add(e)
-
-    def _add(self, e: int) -> None:
-        m = self.m
-        for a in self.members:
-            g = (a + e) % m
-            if self.R[g] == 0:
-                self.uncovered -= 1
-            self.R[g] += 2
-        g = (2 * e) % m
-        if self.R[g] == 0:
-            self.uncovered -= 1
-        self.R[g] += 1
-        self.members.add(e)
-        self.in_set[e] = True
-
-    def _remove(self, e: int) -> None:
-        self.members.discard(e)
-        self.in_set[e] = False
-        m = self.m
-        for a in self.members:
-            g = (a + e) % m
-            self.R[g] -= 2
-            if self.R[g] == 0:
-                self.uncovered += 1
-        g = (2 * e) % m
-        self.R[g] -= 1
-        if self.R[g] == 0:
-            self.uncovered += 1
-
     def _objective(self) -> tuple[int, int, int, int]:
-        max_rep = max(self.R) if self.m else 0
-        excess = sum(c - self.r for c in self.R if c > self.r)
-        return (self.uncovered, max_rep, excess, len(self.members))
+        counts = self.counts
+        return (counts.uncovered, max(counts.R), counts.excess, len(counts.members))
 
     def _restart(self) -> None:
         base = self.pool[self.restarts % len(self.pool)]
@@ -443,11 +456,13 @@ class _LocalSearch:
         if base is None:
             size = max(1, min(self.m, _isqrt_ceil(2 * self.m)))
             base = self.rng.sample(range(self.m), size)
-        self._reset(base)
+        self.counts = _Counts(self.m, self.r)
+        for e in base:
+            self.counts.add(e)
 
     def _record(self, obj: tuple[int, int, int, int]) -> None:
         if obj[0] == 0 and (self.best is None or obj < self.best[0]):
-            self.best = (obj, tuple(sorted(self.members)))
+            self.best = (obj, tuple(self.counts.members))
 
     def run(self, moves: int) -> None:
         self._restart()
@@ -460,41 +475,43 @@ class _LocalSearch:
                 self._restart()
                 cur = self._objective()
                 self._record(cur)
-            card = len(self.members)
+            counts = self.counts
+            members, is_member = counts.members, counts.is_member
+            card = len(members)
             roll = rng.random()
             if card == 0:
                 kind = "add"
             elif card == m:
                 kind = "remove"
-            elif self.uncovered > 0:
+            elif counts.uncovered > 0:
                 kind = "add" if roll < 0.6 else ("swap" if roll < 0.9 else "remove")
             else:
                 kind = "remove" if roll < 0.4 else ("swap" if roll < 0.9 else "add")
             if kind == "add":
                 e = rng.randrange(m)
-                while self.in_set[e]:
+                while is_member[e]:
                     e = rng.randrange(m)
-                self._add(e)
-                undo = (("remove", e),)
+                counts.add(e)
+                undo = ((counts.remove, e),)
             elif kind == "remove":
-                e = rng.choice(sorted(self.members))
-                self._remove(e)
-                undo = (("add", e),)
+                e = rng.choice(members)
+                counts.remove(e)
+                undo = ((counts.add, e),)
             else:
-                out_e = rng.choice(sorted(self.members))
+                out_e = rng.choice(members)
                 in_e = rng.randrange(m)
-                while self.in_set[in_e]:
+                while is_member[in_e]:
                     in_e = rng.randrange(m)
-                self._remove(out_e)
-                self._add(in_e)
-                undo = (("remove", in_e), ("add", out_e))
+                counts.remove(out_e)
+                counts.add(in_e)
+                undo = ((counts.remove, in_e), (counts.add, out_e))
             cand = self._objective()
             if cand <= cur:
                 cur = cand
                 self._record(cur)
             else:
                 for op, e in undo:
-                    (self._add if op == "add" else self._remove)(e)
+                    op(e)
 
 
 def heuristic_upper_bound(cfg: SearchConfig) -> SearchOutcome:
@@ -513,13 +530,8 @@ def heuristic_upper_bound(cfg: SearchConfig) -> SearchOutcome:
     pool = _seed_pool(m)
     notes = ["restart seed pool: random draws" + ("" if len(pool) == 1 else " plus the perfect difference set")]
 
-    full_profile = rep_profile_naive(GroupSubset.full(Group.cyclic(m)))
-    full_obj = (
-        0,
-        full_profile.max_rep,
-        sum(c - cfg.r for c in full_profile.counts if c > cfg.r),
-        m,
-    )
+    # The full group has R(g) = m at every g, so its objective is closed form.
+    full_obj = (0, m, m * max(0, m - cfg.r), m)
     # (objective, worker index) ordering makes the merge deterministic; the
     # full-group fallback ranks behind any worker's find of equal objective.
     best = (full_obj, cfg.threads, tuple(range(m)))

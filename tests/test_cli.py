@@ -291,6 +291,14 @@ class TestErrorPaths:
         code, _, _ = run_cli(["spectrum", "--in", str(bad)], capsys)
         assert code == 66
 
+    def test_non_integer_set_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"orders": [7.9], "elements": [1.5, 2.2]}')
+        code, out, err = run_cli(["spectrum", "--in", str(bad)], capsys)
+        assert code == 66
+        assert out == ""
+        assert "integers" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

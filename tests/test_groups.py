@@ -179,6 +179,18 @@ class TestSetFiles:
         with pytest.raises(ValueError):
             subset_from_json_dict({"orders": [7], "elements": [3, 1]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"orders": [7.9], "elements": [1.5, 2.2]},
+            {"orders": [7], "elements": "123"},
+            {"orders": [7], "elements": [True]},
+        ],
+    )
+    def test_json_rejects_non_integers(self, doc):
+        with pytest.raises(ValueError):
+            subset_from_json_dict(doc)
+
     def test_json_requires_keys(self):
         with pytest.raises(ValueError):
             subset_from_json_dict({"orders": [7]})

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from repfn.groups import Group, GroupSubset
 from repfn.profiles import rep_profile_naive
 from repfn.search import (
     SearchConfig,
     SearchStatus,
+    _Counts,
     exists_basis,
     heuristic_upper_bound,
     make_certificate,
@@ -169,6 +173,31 @@ class TestMakeCertificate:
         assert cert.elements == (0, 1, 3)
 
 
+class TestCounts:
+    def test_matches_naive_profile_under_random_add_remove(self):
+        for seed in range(8):
+            rng = random.Random(seed)
+            m = rng.randint(1, 40)
+            r = rng.randint(1, 6)
+            counts = _Counts(m, r)
+            present: set[int] = set()
+            for _ in range(80):
+                e = rng.randrange(m)
+                if e in present:
+                    counts.remove(e)
+                    present.discard(e)
+                else:
+                    counts.add(e)
+                    present.add(e)
+                subset = GroupSubset.from_elements(Group.cyclic(m), present)
+                expected = rep_profile_naive(subset).counts
+                assert tuple(counts.R) == expected, (seed, sorted(present))
+                assert counts.uncovered == sum(1 for c in expected if c == 0)
+                assert counts.excess == sum(c - r for c in expected if c > r)
+                assert counts.members == sorted(present)
+                assert counts.is_member == [g in present for g in range(m)]
+
+
 class TestHeuristic:
     def cfg(self, m, r, **kw):
         kw.setdefault("node_budget", 2000)
@@ -182,6 +211,15 @@ class TestHeuristic:
         assert a.certificate.claimed_r == b.certificate.claimed_r
         c = heuristic_upper_bound(self.cfg(30, 4, seed=4, threads=2))
         assert c.certificate.verified  # may or may not differ, must verify
+
+    def test_seeded_result_is_pinned(self):
+        # Any change to the RNG call sequence of the local search moves this.
+        out = heuristic_upper_bound(self.cfg(30, 4, seed=3, threads=2))
+        assert out.status is SearchStatus.EXHAUSTED
+        assert out.certificate.elements == (0, 2, 5, 9, 18, 19, 23, 24, 26)
+        assert out.certificate.claimed_r == 6
+        assert out.certificate.verified
+        assert out.nodes == 4000
 
     def test_upper_bounds_respect_true_minimum(self):
         for m in range(2, 17):
@@ -208,3 +246,12 @@ class TestHeuristic:
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate.verified
         assert out.certificate.claimed_r > 1
+
+    def test_full_group_wins_when_no_worker_covers(self):
+        # With seed 0, one move from a 10-element draw leaves Z_50 uncovered,
+        # so the full group's closed-form objective wins and must re-verify.
+        out = heuristic_upper_bound(self.cfg(50, 4, node_budget=1))
+        assert out.status is SearchStatus.EXHAUSTED
+        assert out.certificate.elements == tuple(range(50))
+        assert out.certificate.claimed_r == 50
+        assert out.certificate.verified
