@@ -131,6 +131,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        # Profile bodies are long lists of plain ints: copy those in one scan.
+        if all(type(v) is int for v in value):
+            return list(value)
         return [_jsonable(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value

@@ -130,13 +130,8 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
     for l in range(n):
         odd_part = pds.subset.dilate_shift(2, 2 * l + 1, target)
         profile = rep_profile(even_part | odd_part)
-        x_even = x_odd = 0
-        for g, c in enumerate(profile.counts):
-            if c == 0:
-                if g & 1:
-                    x_odd += 1
-                else:
-                    x_even += 1
+        x_even = profile.counts[0::2].count(0)
+        x_odd = profile.counts[1::2].count(0)
         stats.append(ShiftStat(l, x_odd, x_even, x_odd + x_even, profile.max_rep))
 
     odd_expected = (p * p - p) // 2

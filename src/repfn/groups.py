@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 class InvalidElementError(ValueError):
     """An element index or coordinate falls outside its group."""
@@ -118,10 +120,15 @@ class GroupSubset:
 
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[int]) -> "GroupSubset":
-        bits = 0
-        for e in elems:
-            bits |= 1 << group.check_element(e)
-        return cls(group, bits)
+        idx = [group.check_element(e) for e in elems]
+        if _word_loop_is_cheaper(len(idx), group.order):
+            bits = 0
+            for e in idx:
+                bits |= 1 << e
+            return cls(group, bits)
+        mask = np.zeros(group.order, dtype=np.uint8)
+        mask[idx] = 1
+        return cls(group, _pack_mask(mask))
 
     @classmethod
     def empty(cls, group: Group) -> "GroupSubset":
@@ -146,6 +153,8 @@ class GroupSubset:
 
     def elements(self) -> list[int]:
         """Member indices in ascending order."""
+        if not _word_loop_is_cheaper(self.card, self.group.order):
+            return np.flatnonzero(_unpack_mask(self.bits, self.group.order)).tolist()
         out = []
         b = self.bits
         while b:
@@ -164,7 +173,11 @@ class GroupSubset:
     def negate(self) -> "GroupSubset":
         """The pointwise negation {-a : a in A}; a bijective image of A."""
         g = self.group
-        return GroupSubset.from_elements(g, (g.neg(a) for a in self.elements()))
+        # -c = (m_i - 1 - c) + 1 mod m_i on every axis: flip all axes, then
+        # roll each by one.
+        mask = _unpack_mask(self.bits, g.order).reshape(g.orders)
+        flipped = np.roll(np.flip(mask), 1, axis=tuple(range(mask.ndim)))
+        return GroupSubset(g, _pack_mask(flipped.ravel()))
 
     def translate(self, t: int) -> "GroupSubset":
         """The shift {a + t : a in A}."""
@@ -198,6 +211,24 @@ class GroupSubset:
         lines = ["orders " + " ".join(str(mi) for mi in self.group.orders)]
         lines.extend(str(e) for e in self.elements())
         return "\n".join(lines) + "\n"
+
+
+def _word_loop_is_cheaper(card: int, order: int) -> bool:
+    # The one-bit-at-a-time loop costs about card * (order / 64) machine-word
+    # steps; numpy's (un)packing costs a few microseconds of call overhead,
+    # then time linear in the order.  Below this product the loop wins.
+    return card * (order >> 6) <= 64
+
+
+def _unpack_mask(bits: int, order: int) -> np.ndarray:
+    """Bitmask -> uint8 array of length order with a 1 at every member."""
+    raw = np.frombuffer(bits.to_bytes((order + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=order, bitorder="little")
+
+
+def _pack_mask(mask: np.ndarray) -> int:
+    """Inverse of _unpack_mask."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def subset_from_json_dict(data: dict) -> GroupSubset:

@@ -16,9 +16,6 @@ import numpy as np
 
 from .groups import Group, GroupMismatchError, GroupSubset, VerificationError
 
-# Below this group order the packed multiply does not pay for its setup.
-FAST_ORDER_THRESHOLD = 512
-
 _CHUNK = 1 << 16
 
 
@@ -58,28 +55,69 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
                 for xa, xb, mi in zip(ca, cb, group.orders):
                     flat = flat * mi + (xa[lo : lo + step, None] + xb[None, :]) % mi
                 counts += np.bincount(flat.ravel(), minlength=group.order)
-    return RepProfile(group, tuple(int(c) for c in counts))
+    return RepProfile(group, tuple(counts.tolist()))
 
 
-def _pack(elems: list[tuple[int, ...]], strides: list[int], total: int, width: int) -> int:
-    buf = bytearray(total * width)
-    for coords in elems:
-        pos = 0
-        for c, s in zip(coords, strides):
-            pos += c * s
-        buf[pos * width] = 1
-    return int.from_bytes(buf, "little")
-
-
-def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """Exact linear convolution of the two indicator arrays via one big-int
-    multiply, followed by per-axis cyclic folding.  Slot width is chosen so
-    coefficients (bounded by min(|A|,|B|)) can never carry across slots."""
-    group = a.group
+def _slot_width(a: GroupSubset, b: GroupSubset) -> int:
+    """Bytes per packed slot: coefficients are bounded by min(|A|, |B|), so
+    this width can never carry into the next slot."""
     bound = min(a.card, b.card)
     width = 1
     while (1 << (8 * width)) <= bound:
         width *= 2
+    return width
+
+
+# _choose_engine's weights in nanoseconds, fitted to perfbench/grid.py and
+# wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4).
+_PAIR_NS = 8  # per pair and cyclic factor
+_BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
+_PACKED_BLOCK = 64  # bytes of packed buffer per Karatsuba unit
+_KARATSUBA_UNIT_NS = 226
+
+
+def _karatsuba_units(blocks: int) -> int:
+    """About blocks**log2(3): CPython multiplies big ints by Karatsuba, three
+    half-size products per level.  Interpolated linearly between powers of
+    two so that the cost grows smoothly with the buffer."""
+    blocks = max(blocks, 1)
+    j = blocks.bit_length() - 1
+    return 3**j * (2 * blocks - (1 << j)) >> j
+
+
+def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
+    """Pick "naive" or "fast" by comparing the two engines' predicted cost,
+    in integer arithmetic only."""
+    orders = a.group.orders
+    pair_cost = 0
+    if a.card and b.card:
+        chunks = -(-a.card // max(1, _CHUNK // b.card))
+        pair_cost = a.card * b.card * len(orders) * _PAIR_NS
+        pair_cost += chunks * a.group.order * _BINCOUNT_SLOT_NS
+    slots = 1
+    for mi in orders:
+        slots *= 2 * mi - 1
+    blocks = slots * _slot_width(a, b) // _PACKED_BLOCK
+    packed_cost = _karatsuba_units(blocks) * _KARATSUBA_UNIT_NS
+    return "fast" if packed_cost < pair_cost else "naive"
+
+
+def _pack(group: Group, s: GroupSubset, strides: list[int], total: int, dtype: str) -> int:
+    """Indicator of s laid out at the packed positions sum(c_i * stride_i)."""
+    coords = _coord_arrays(group, np.asarray(s.elements(), dtype=np.int64))
+    pos = np.zeros(len(coords[0]), dtype=np.int64)
+    for c, stride in zip(coords, strides):
+        pos += c * stride
+    buf = np.zeros(total, dtype=dtype)
+    buf[pos] = 1
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
+    """Exact linear convolution of the two indicator arrays via one big-int
+    multiply, followed by per-axis cyclic folding."""
+    group = a.group
+    width = _slot_width(a, b)
     if width > 4:
         raise VerificationError("convolution coefficients exceed 32-bit slots")
 
@@ -92,11 +130,10 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
         acc *= radices[i]
     total = acc
 
-    ca = [a.group.decode(e) for e in a.elements()]
-    cb = [b.group.decode(e) for e in b.elements()]
-    prod = _pack(ca, strides, total, width) * _pack(cb, strides, total, width)
-    raw = prod.to_bytes(total * width, "little")
     dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[width]
+    pa = _pack(group, a, strides, total, dtype)
+    pb = pa if b == a else _pack(group, b, strides, total, dtype)
+    raw = (pa * pb).to_bytes(total * width, "little")
     arr = np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(radices)
 
     for axis, mi in enumerate(group.orders):
@@ -119,7 +156,7 @@ def rep_profile_fast(
     if b.group != a.group:
         raise GroupMismatchError("profile of subsets of different groups")
     counts = _convolve_packed(a, b)
-    profile = RepProfile(a.group, tuple(int(c) for c in counts))
+    profile = RepProfile(a.group, tuple(counts.tolist()))
     if cross_check:
         baseline = rep_profile_naive(a, b)
         if baseline.counts != profile.counts:
@@ -136,11 +173,17 @@ def rep_profile(
 ) -> "RepProfile":
     """Dispatch between the exact routes.  method: auto | naive | fast.
 
-    auto packs groups of order >= FAST_ORDER_THRESHOLD and enumerates pairs
-    below it; cross_check recomputes through the other route and compares.
+    auto predicts each engine's cost in integer arithmetic and runs the
+    cheaper.  Pair enumeration costs |A|*|B| times the number of cyclic
+    factors, plus a pass over the group per chunk of pairs.  Packing costs
+    a Karatsuba multiply of its buffer: prod(2*m_i - 1) slots of the slot
+    width in bytes, three half-size products per doubling.  Sparse sets
+    such as Singer sets therefore enumerate pairs, as do groups whose packed
+    buffer blows up (Z_2^k); dense sets in cyclic or few-factor groups are
+    packed.  cross_check recomputes through the other route and compares.
     """
     if method == "auto":
-        method = "fast" if a.group.order >= FAST_ORDER_THRESHOLD else "naive"
+        method = _choose_engine(a, a if b is None else b)
     if method == "naive":
         engine, other = rep_profile_naive, rep_profile_fast
     elif method == "fast":

@@ -10,6 +10,7 @@ irreducible cubic and the least primitive element under it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .groups import Group, GroupSubset, VerificationError
 from .profiles import rep_diff_profile
@@ -152,25 +153,54 @@ class PerfectDifferenceSet:
         return self.subset.elements()
 
 
+def _x2_recurrence(ctx: FieldCtx) -> tuple[int, int, int]:
+    """(t, s, d) such that the x^2 coordinate c_i of alpha^i obeys
+    c_{i+3} = t*c_{i+2} - s*c_{i+1} + d*c_i (mod p).
+
+    Multiplication by alpha is a linear map M of GF(p)^3; by Cayley-Hamilton
+    M^3 = t*M^2 - s*M + d*I with t, s, d the trace, the sum of principal 2x2
+    minors and the determinant of M, and every coordinate of M^i * 1 obeys
+    the same recurrence.
+    """
+    cols = [field_mul(ctx, ctx.primitive, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = cols
+    t = m00 + m11 + m22
+    s = m00 * m11 - m01 * m10 + m00 * m22 - m02 * m20 + m11 * m22 - m12 * m21
+    d = (
+        m00 * (m11 * m22 - m12 * m21)
+        - m01 * (m10 * m22 - m12 * m20)
+        + m02 * (m10 * m21 - m11 * m20)
+    )
+    return t % ctx.p, s % ctx.p, d % ctx.p
+
+
 def singer_set(p: int, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> PerfectDifferenceSet:
     """Build the perfect difference set for the prime p and verify it.
 
     Walks alpha^i for i in [0, n): scaling by alpha^n multiplies an element
     by a nonzero scalar of the base field, which preserves vanishing of the
     x^2 coordinate, so every membership class is decided inside one period.
+    The result is immutable, so it is built once per p and then shared.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > prime_bound:
         raise ValueError(f"prime {p} exceeds the configured bound {prime_bound}")
+    return _build_singer_set(p)
+
+
+@lru_cache(maxsize=32)
+def _build_singer_set(p: int) -> PerfectDifferenceSet:
     ctx = field_ctx_build(p)
     n = p * p + p + 1
+    t, s, d = _x2_recurrence(ctx)
+    # x^2 coordinates of alpha^0, alpha^1 and alpha^2.
+    c0, c1, c2 = 0, ctx.primitive[2], field_mul(ctx, ctx.primitive, ctx.primitive)[2]
     elems = []
-    u: Triple = (1, 0, 0)
     for i in range(n):
-        if u[2] == 0:
+        if c0 == 0:
             elems.append(i)
-        u = field_mul(ctx, u, ctx.primitive)
+        c0, c1, c2 = c1, c2, (t * c2 - s * c1 + d * c0) % p
     subset = GroupSubset.from_elements(Group.cyclic(n), elems)
     if subset.card != p + 1:
         raise VerificationError(f"expected {p + 1} elements, built {subset.card}")

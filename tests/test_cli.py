@@ -1,10 +1,12 @@
 import io
 import json
 import re
+import subprocess
+import sys
 
 import pytest
 
-from repfn.cli import main
+from repfn.cli import _jsonable, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
 
@@ -314,3 +316,23 @@ class TestErrorPaths:
             main(["--version"])
         assert exc.value.code == 0
         assert "repfn" in capsys.readouterr().out
+
+
+class TestSerialization:
+    def test_int_lists_copied_and_floats_refused(self):
+        counts = tuple(range(1000))
+        out = _jsonable({"counts": counts, "mixed": [1, True, None]})
+        assert out == {"counts": list(counts), "mixed": [1, True, None]}
+        with pytest.raises(TypeError):
+            _jsonable([1, 2, 3.0])
+        with pytest.raises(TypeError):
+            _jsonable({"counts": (0, 1, 0.5)})
+
+
+def test_python_dash_m_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "repfn", "singer", "--p", "2", "--text"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "orders 7\n0\n1\n3\n"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -158,6 +159,51 @@ class TestGroupSubset:
         b = GroupSubset.from_elements(Group.cyclic(6), [0, 1])
         with pytest.raises(UnsupportedGroupError):
             b.dilate_shift(2, 0, prod)
+
+
+
+def _reference_bits(elems):
+    bits = 0
+    for e in elems:
+        bits |= 1 << e
+    return bits
+
+
+class TestLinearConversions:
+    """elements(), from_elements() and negate() against one-element-at-a-time
+    references, on both sides of the small-set word loop."""
+
+    def test_round_trip_orders(self):
+        rng = random.Random(21)
+        for order in (1, 8, 2**16 + 3):
+            g = Group.cyclic(order)
+            for size in {0, 1, min(order, 5), order // 2, order}:
+                elems = rng.sample(range(order), size)
+                a = GroupSubset.from_elements(g, elems + elems[: size // 3])
+                assert a.bits == _reference_bits(elems)
+                assert a.card == size
+                assert a.elements() == sorted(elems)
+                assert GroupSubset.from_elements(g, a.elements()) == a
+
+    def test_bad_index_reports_first_offender(self):
+        for order in (8, 2**16 + 3):
+            g = Group.cyclic(order)
+            good = list(range(0, order, 2))
+            for bad in ([order], [-1], [order + 5, -3], [-3, order + 5]):
+                with pytest.raises(InvalidElementError) as err:
+                    GroupSubset.from_elements(g, good + bad + [1])
+                assert str(err.value) == f"index {bad[0]} outside [0, {order})"
+
+    def test_negate_matches_group_neg(self):
+        rng = random.Random(22)
+        for orders in [(1,), (2,), (7,), (4096,), (65539,), (2, 3), (1, 5), (4, 1, 6),
+                       (2,) * 10, (16, 16, 16), (4, 5, 7, 9)]:
+            g = Group(orders)
+            for size in {0, 1, min(g.order, 3), g.order // 3, g.order}:
+                a = GroupSubset.from_elements(g, rng.sample(range(g.order), size))
+                neg = a.negate()
+                assert neg.bits == _reference_bits(g.neg(x) for x in a.elements())
+                assert neg.negate() == a
 
 
 class TestSetFiles:

@@ -5,12 +5,14 @@ import pytest
 from repfn.groups import Group, GroupMismatchError, GroupSubset, VerificationError
 from repfn.profiles import (
     RepProfile,
+    _choose_engine,
     rep_diff_profile,
     rep_profile,
     rep_profile_fast,
     rep_profile_naive,
     spectrum,
 )
+from repfn.singer import singer_set
 
 
 def subset(orders, elems):
@@ -105,6 +107,58 @@ class TestDispatcher:
         a = subset([11], [0, 2, 3])
         assert rep_profile(a, method="naive", cross_check=True).counts == \
             rep_profile(a, method="fast", cross_check=True).counts
+
+
+
+def _sample(orders, size, seed=0):
+    g = Group(tuple(orders))
+    return GroupSubset.from_elements(g, random.Random(seed).sample(range(g.order), size))
+
+
+# (label, subset factory, engine that auto must pick); the shapes of the
+# engine grid in perfbench/grid.py.
+ENGINE_GRID = [
+    ("Singer set in Z_161203", lambda: singer_set(401).subset, "naive"),
+    ("363 of Z_65536", lambda: _sample([65536], 363), "naive"),
+    ("128 of Z_2^13", lambda: _sample([2] * 13, 128), "naive"),
+    ("128 of Z_2^14", lambda: _sample([2] * 14, 128), "naive"),
+    ("half of Z_2^12", lambda: _sample([2] * 12, 2048), "naive"),
+    ("half of Z_65536", lambda: _sample([65536], 32768), "fast"),
+    ("half of Z_16^3", lambda: _sample([16] * 3, 2048), "fast"),
+]
+
+
+# The engine auto rejects on these shapes takes seconds (2^30 pairs, or a
+# packed buffer of 3^14 slots), so the comparison leaves it out there.
+SECONDS_LONG = {"half of Z_65536": "naive", "128 of Z_2^14": "fast"}
+
+
+class TestCostModel:
+    @pytest.mark.parametrize("label,make,engine", ENGINE_GRID, ids=[g[0] for g in ENGINE_GRID])
+    def test_choice_on_grid(self, label, make, engine):
+        a = make()
+        assert _choose_engine(a, a) == engine
+        assert _choose_engine(a, a.negate()) == engine
+
+    @pytest.mark.parametrize("label,make,engine", ENGINE_GRID, ids=[g[0] for g in ENGINE_GRID])
+    def test_auto_matches_both_engines(self, label, make, engine):
+        a = make()
+        auto = rep_profile(a).counts
+        for name, run in (("naive", rep_profile_naive), ("fast", rep_profile_fast)):
+            if SECONDS_LONG.get(label) != name:
+                assert run(a).counts == auto
+
+    def test_empty_and_tiny_sets(self):
+        for orders in ([1], [5], [2, 3]):
+            g = Group(tuple(orders))
+            empty, full = GroupSubset.empty(g), GroupSubset.full(g)
+            assert _choose_engine(empty, full) in ("naive", "fast")
+            assert rep_profile(empty, full).counts == (0,) * g.order
+            assert rep_profile(full).counts == rep_profile_naive(full).counts
+
+    def test_sparse_set_in_large_group_enumerates_pairs(self):
+        a = _sample([10**6 + 3], 2000)
+        assert _choose_engine(a, a) == "naive"
 
 
 class TestDiffProfile:
