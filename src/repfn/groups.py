@@ -121,11 +121,6 @@ class GroupSubset:
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[int]) -> "GroupSubset":
         idx = [group.check_element(e) for e in elems]
-        if _word_loop_is_cheaper(len(idx), group.order):
-            bits = 0
-            for e in idx:
-                bits |= 1 << e
-            return cls(group, bits)
         mask = np.zeros(group.order, dtype=np.uint8)
         mask[idx] = 1
         return cls(group, _pack_mask(mask))
@@ -153,15 +148,7 @@ class GroupSubset:
 
     def elements(self) -> list[int]:
         """Member indices in ascending order."""
-        if not _word_loop_is_cheaper(self.card, self.group.order):
-            return np.flatnonzero(_unpack_mask(self.bits, self.group.order)).tolist()
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return np.flatnonzero(_unpack_mask(self.bits, self.group.order)).tolist()
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
         if other.group != self.group:
@@ -211,13 +198,6 @@ class GroupSubset:
         lines = ["orders " + " ".join(str(mi) for mi in self.group.orders)]
         lines.extend(str(e) for e in self.elements())
         return "\n".join(lines) + "\n"
-
-
-def _word_loop_is_cheaper(card: int, order: int) -> bool:
-    # The one-bit-at-a-time loop costs about card * (order / 64) machine-word
-    # steps; numpy's (un)packing costs a few microseconds of call overhead,
-    # then time linear in the order.  Below this product the loop wins.
-    return card * (order >> 6) <= 64
 
 
 def _unpack_mask(bits: int, order: int) -> np.ndarray:

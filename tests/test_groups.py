@@ -171,7 +171,7 @@ def _reference_bits(elems):
 
 class TestLinearConversions:
     """elements(), from_elements() and negate() against one-element-at-a-time
-    references, on both sides of the small-set word loop."""
+    references, from the empty set to the full group."""
 
     def test_round_trip_orders(self):
         rng = random.Random(21)
