@@ -137,10 +137,6 @@ def check_cardinality_bound(
     )
 
 
-def _spectrum_count(profile: RepProfile, i: int) -> int:
-    return sum(1 for c in profile.counts if c == i)
-
-
 # Spectrum claims |S_i| >= or <= a bound with one sqrt term, under max R <=
 # cap.  A row holds the level i, the cap, whether the bound is a lower one,
 # k and the linear form x(m, |S_i|) such that the claim holds iff x <= 0 or
@@ -168,7 +164,7 @@ def _spectrum_claim(
     level, cap, lower, k, form, bound, enclosure = _SPECTRUM_CLAIMS[claim_id]
     profile = _profile_of(a, profile)
     m = a.group.order
-    s = _spectrum_count(profile, level)
+    s = profile.counts.count(level)
     x = form(m, s)
     return _chain_report(
         claim_id,
@@ -269,8 +265,8 @@ def check_chain_bounds(
     m = a.group.order
     card = a.card
     max_rep = profile.max_rep
-    s0 = _spectrum_count(profile, 0)
-    s4 = _spectrum_count(profile, 4)
+    s0 = profile.counts.count(0)
+    s4 = profile.counts.count(4)
     sq3 = _square_moment(profile, 3)
     sq2 = _square_moment(profile, 2)
     le5 = max_rep <= 5

@@ -32,6 +32,15 @@ class VerificationError(RuntimeError):
     """An internal exact self-check failed; indicates a bug, not bad input."""
 
 
+def _exact_int(x, error: type[ValueError], what: str) -> int:
+    """x as an int when it is one (an int, a numpy integer or an integral
+    float); a value int() would truncate, round or parse raises error."""
+    i = int(x)
+    if i != x:
+        raise error(f"{what} {x!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class Group:
     """Direct product Z_{m_1} x ... x Z_{m_k} with flat element indices."""
@@ -39,7 +48,7 @@ class Group:
     orders: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        orders = tuple(int(x) for x in self.orders)
+        orders = tuple(_exact_int(x, ValueError, "cyclic order") for x in self.orders)
         if not orders:
             raise ValueError("a group needs at least one cyclic factor")
         if any(x < 1 for x in orders):
@@ -62,7 +71,7 @@ class Group:
         return len(self.orders) == 1
 
     def check_element(self, x: int) -> int:
-        x = int(x)
+        x = _exact_int(x, InvalidElementError, "index")
         if not 0 <= x < self.order:
             raise InvalidElementError(f"index {x} outside [0, {self.order})")
         return x
@@ -87,7 +96,7 @@ class Group:
             )
         index = 0
         for c, mi in zip(coords, self.orders):
-            c = int(c)
+            c = _exact_int(c, InvalidElementError, "coordinate")
             if not 0 <= c < mi:
                 raise InvalidElementError(f"coordinate {c} outside [0, {mi})")
             index = index * mi + c
@@ -181,10 +190,9 @@ class GroupSubset:
         if not self.group.is_cyclic or not target.is_cyclic:
             raise UnsupportedGroupError("dilate_shift needs cyclic source and target")
         m = target.order
+        c = _exact_int(c, ValueError, "multiplier")
         t = target.check_element(t)
-        return GroupSubset.from_elements(
-            target, ((int(c) * b + t) % m for b in self.elements())
-        )
+        return GroupSubset.from_elements(target, ((c * b + t) % m for b in self.elements()))
 
     # -- serialization ------------------------------------------------------
 

@@ -9,6 +9,7 @@ fast route can be asked to cross-check itself against the baseline.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -230,10 +231,7 @@ class RepProfile:
         return [g for g, c in enumerate(self.counts) if c == i]
 
     def spectrum(self) -> "RepSpectrum":
-        hist: dict[int, int] = {}
-        for c in self.counts:
-            hist[c] = hist.get(c, 0) + 1
-        return RepSpectrum(hist, self.max_rep)
+        return RepSpectrum(dict(Counter(self.counts)), self.max_rep)
 
 
 @dataclass(frozen=True)

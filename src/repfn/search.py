@@ -19,9 +19,10 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from itertools import chain
 from typing import Iterable
 
+from .bounds import ceil_sqrt
 from .groups import Group, GroupSubset, VerificationError
 from .profiles import rep_profile_naive
 from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
@@ -186,16 +187,16 @@ class _ExactSearch:
     first.  counts holds the representation counts of the current partial
     set; every node on the search path has excess 0, so an include that
     leaves excess > 0 is a max_rep prune and is undone by counts.remove.
-    P[g] is the number of ordered pairs over still-available elements
-    (members plus undecided) summing to g, so P[g] = 0 with R[g] = 0 proves
-    the branch dead."""
+    At the node for e the still-available elements are the members, all
+    below e, and every x >= e, so no availability state is kept; P[g] is the
+    number of ordered pairs of available elements summing to g, and
+    P[g] = 0 with R[g] = 0 proves the branch dead."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         self.m = cfg.m
         self.counts = _Counts(cfg.m, cfg.r)
         self.P = [cfg.m] * cfg.m
-        self.avail = [True] * cfg.m
         self.nodes = 0
         self.prunes = {"max_rep": 0, "coverage": 0, "reflection": 0}
         self.deadline = (
@@ -212,25 +213,24 @@ class _ExactSearch:
         self.counts.add(0)
         return self._dfs(1)
 
-    def _apply_exclude(self, e: int) -> list[tuple[int, int]]:
-        self.avail[e] = False
-        changes: list[tuple[int, int]] = []
-        m = self.m
-        P = self.P
-        for x in range(m):
-            if self.avail[x]:
-                g = (e + x) % m
-                P[g] -= 2
-                changes.append((g, 2))
+    def _exclude(self, e: int, d: int) -> bool:
+        """Add 2d to P[(e + x) % m] for every available x other than e (the
+        members and every x > e) and d to P[2e % m]: d = -1 takes e out of
+        the available elements and d = +1 puts it back.  Each g is touched
+        once, as x = e is not walked; returns whether some touched g is left
+        with P[g] = 0 and R[g] = 0."""
+        m, P, R = self.m, self.P, self.counts.R
+        d2 = 2 * d
+        dead = False
+        for x in chain(self.counts.members, range(e + 1, m)):
+            g = (e + x) % m
+            p = P[g] + d2
+            P[g] = p
+            if p == 0 and R[g] == 0:
+                dead = True
         g = (2 * e) % m
-        P[g] -= 1
-        changes.append((g, 1))
-        return changes
-
-    def _undo_exclude(self, e: int, changes: list[tuple[int, int]]) -> None:
-        for g, d in changes:
-            self.P[g] += d
-        self.avail[e] = True
+        P[g] += d
+        return dead or (P[g] == 0 and R[g] == 0)
 
     def _verify_counters(self) -> None:
         subset = GroupSubset.from_elements(Group.cyclic(self.m), self.counts.members)
@@ -275,15 +275,12 @@ class _ExactSearch:
             if ok:
                 return True
 
-        ex = self._apply_exclude(e)
-        R = counts.R
-        dead = any(self.P[g] == 0 and R[g] == 0 for g, _ in ex)
-        if dead:
+        if self._exclude(e, -1):
             self.prunes["coverage"] += 1
             ok = False
         else:
             ok = self._dfs(e + 1)
-        self._undo_exclude(e, ex)
+        self._exclude(e, 1)
         return ok
 
 
@@ -306,36 +303,18 @@ def exists_basis(cfg: SearchConfig) -> SearchOutcome:
             "-A has the same spectrum as A, so one of A, -A always qualifies"
         )
     search = _ExactSearch(cfg)
+    cert = None
     try:
-        found = search.run()
+        status = SearchStatus.SAT if search.run() else SearchStatus.UNSAT
     except _BudgetExceeded:
-        return SearchOutcome(
-            SearchStatus.EXHAUSTED,
-            None,
-            search.nodes,
-            dict(search.prunes),
-            time.monotonic() - t0,
-            tuple(notes + ["budget exhausted before the reduced space was drained"]),
-        )
-    if found:
+        status = SearchStatus.EXHAUSTED
+        notes.append("budget exhausted before the reduced space was drained")
+    if status is SearchStatus.SAT:
         cert = make_certificate(cfg.m, search.witness, cfg.r)
         if not cert.verified:
             raise VerificationError("witness failed the independent re-check")
-        return SearchOutcome(
-            SearchStatus.SAT,
-            cert,
-            search.nodes,
-            dict(search.prunes),
-            time.monotonic() - t0,
-            tuple(notes),
-        )
     return SearchOutcome(
-        SearchStatus.UNSAT,
-        None,
-        search.nodes,
-        dict(search.prunes),
-        time.monotonic() - t0,
-        tuple(notes),
+        status, cert, search.nodes, dict(search.prunes), time.monotonic() - t0, tuple(notes)
     )
 
 
@@ -414,11 +393,6 @@ def ruzsa_number(
 # -- heuristic local search --------------------------------------------------
 
 
-def _isqrt_ceil(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
     """Restart seeds: None means a fresh random draw; when m has the
     perfect-difference-set order p^2 + p + 1 the set itself is seeded too."""
@@ -454,7 +428,7 @@ class _LocalSearch:
         base = self.pool[self.restarts % len(self.pool)]
         self.restarts += 1
         if base is None:
-            size = max(1, min(self.m, _isqrt_ceil(2 * self.m)))
+            size = max(1, min(self.m, ceil_sqrt(2 * self.m)))
             base = self.rng.sample(range(self.m), size)
         self.counts = _Counts(self.m, self.r)
         for e in base:

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repfn.groups import (
@@ -160,6 +161,41 @@ class TestGroupSubset:
         with pytest.raises(UnsupportedGroupError):
             b.dilate_shift(2, 0, prod)
 
+
+
+class TestIntegerInput:
+    """Indices, coordinates, orders and multipliers must be integers; a value
+    int() would truncate is rejected, an integral float or numpy int is not."""
+
+    def test_from_elements_rejects_fractions(self):
+        g = Group.cyclic(7)
+        with pytest.raises(InvalidElementError, match="not an integer"):
+            GroupSubset.from_elements(g, [1.5, 2.9])
+        with pytest.raises(InvalidElementError):
+            GroupSubset.from_elements(g, ["3"])
+        assert GroupSubset.from_elements(g, [1.0, np.int64(2), np.int8(4)]).elements() == [1, 2, 4]
+
+    def test_group_rejects_fractional_orders(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Group((7.9,))
+        with pytest.raises(ValueError):
+            Group((2, 3.5))
+        assert Group((np.int64(7),)).orders == (7,)
+
+    def test_check_element_and_encode(self):
+        g = Group((2, 3))
+        with pytest.raises(InvalidElementError):
+            g.check_element(2.7)
+        with pytest.raises(InvalidElementError):
+            g.encode((1, 1.5))
+        assert g.check_element(5.0) == 5
+        assert g.encode((1.0, 2)) == 5
+
+    def test_dilate_shift_rejects_fractional_multiplier(self):
+        b = GroupSubset.from_elements(Group.cyclic(7), [1, 2])
+        with pytest.raises(ValueError):
+            b.dilate_shift(2.5, 0, Group.cyclic(14))
+        assert b.dilate_shift(2.0, 0, Group.cyclic(14)).elements() == [2, 4]
 
 
 def _reference_bits(elems):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from repfn.groups import Group, GroupMismatchError, GroupSubset, VerificationError
+from repfn.groups import (
+    Group,
+    GroupMismatchError,
+    GroupSubset,
+    InvalidElementError,
+    VerificationError,
+)
 from repfn.profiles import (
     RepProfile,
     _choose_engine,
@@ -241,6 +247,10 @@ class TestSpectrum:
         assert spec[5] == 0
         assert spec.support() == [0, 1, 2]
 
+    def test_histogram_keys_in_first_seen_order(self):
+        prof = rep_profile(singer_set(5).subset)
+        assert list(prof.spectrum().histogram) == list(dict.fromkeys(prof.counts))
+
     def test_empty_set(self):
         spec = spectrum(subset([9], []))
         assert spec.histogram == {0: 9}
@@ -265,6 +275,12 @@ class TestRepProfileType:
         assert prof[1] == 2
         with pytest.raises(Exception):
             prof[4]
+
+    def test_getitem_rejects_non_integers(self):
+        prof = rep_profile(subset([7], [0, 1, 3]))
+        with pytest.raises(InvalidElementError):
+            prof[2.7]
+        assert prof[2.0] == prof[2] == prof.counts[2]
 
 
 def test_verification_error_is_runtime_error():

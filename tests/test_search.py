@@ -113,6 +113,37 @@ class TestExistsBasis:
             "reflection" in n for n in exact(5, 3, reflection=False).notes
         )
 
+    # (m, r) -> (status, nodes, max_rep, coverage, reflection, witness), with
+    # reflection on and then off; any change to the DFS order or its prunes
+    # shows here before it shows in an answer.
+    PINNED_GRID = {
+        (13, 3): (("UNSAT", 379, 197, 120, 63, None), ("UNSAT", 415, 274, 142, 0, None)),
+        (16, 4): (("UNSAT", 3826, 1988, 1288, 551, None), ("UNSAT", 4187, 2665, 1523, 0, None)),
+        (20, 4): (
+            ("UNSAT", 19261, 11084, 5887, 2291, None),
+            ("UNSAT", 20777, 13959, 6819, 0, None),
+        ),
+        (20, 5): (
+            ("SAT", 461, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
+            ("SAT", 461, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
+        ),
+    }
+
+    def test_pinned_counts_on_a_grid(self):
+        for (m, r), pinned in self.PINNED_GRID.items():
+            for reflection, expected in zip((True, False), pinned):
+                out = exact(m, r, reflection=reflection)
+                witness = None if out.certificate is None else out.certificate.elements
+                got = (
+                    out.status.value,
+                    out.nodes,
+                    out.prunes["max_rep"],
+                    out.prunes["coverage"],
+                    out.prunes["reflection"],
+                    witness,
+                )
+                assert got == expected, (m, r, reflection)
+
 
 class TestRuzsaNumber:
     def test_matches_frozen_table(self):
