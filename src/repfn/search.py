@@ -1,13 +1,14 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-Both paths share one incremental counter core, _Counts, which keeps the
-representation counts of a subset of Z_m together with its number of
-uncovered elements and its excess over the cap r as members are added and
-removed.  The exact path is a depth-first branch and bound over subsets of
-Z_m on that core, with a lazy coverage-infeasibility prune and
-translation/reflection symmetry reduction; it can prove UNSAT.  The heuristic
-path is a seeded local search on the same core that only ever claims
-verified upper bounds.
+The exact path is a depth-first branch and bound over subsets of Z_m whose
+state is three slot-packed ints (members, representation counts and pairs of
+still-available elements), updated and checked by whole-word arithmetic, with
+a lazy coverage-infeasibility prune and translation/reflection symmetry
+reduction; it can prove UNSAT.  The heuristic path is a seeded local search
+on _Counts, an incremental counter that keeps the representation counts of a
+subset of Z_m with its number of uncovered elements and its excess over the
+cap r as members are added and removed; it only ever claims verified upper
+bounds.
 Every SAT or heuristic result carries a certificate re-checked through the
 pair-enumeration profile, never through the search's own counters.
 """
@@ -113,8 +114,8 @@ class _BudgetExceeded(Exception):
 
 
 class _Counts:
-    """Incremental representation counts of a subset A of Z_m, shared by the
-    exact and the heuristic search.
+    """Incremental representation counts of a subset A of Z_m for the
+    heuristic search.
 
     R[g] = R_{A,A}(g); uncovered is #{g : R[g] = 0}; excess is the sum of
     max(0, R[g] - r); members lists A in ascending order and is_member[e]
@@ -184,19 +185,38 @@ class _Counts:
 
 class _ExactSearch:
     """DFS over subsets of Z_m in ascending element order, include branch
-    first.  counts holds the representation counts of the current partial
-    set; every node on the search path has excess 0, so an include that
-    leaves excess > 0 is a max_rep prune and is undone by counts.remove.
-    At the node for e the still-available elements are the members, all
-    below e, and every x >= e, so no availability state is kept; P[g] is the
-    number of ordered pairs of available elements summing to g, and
-    P[g] = 0 with R[g] = 0 proves the branch dead."""
+    first, on three ints with w = (max(m, r) + 2).bit_length() + 1 bits to
+    each slot g of Z_m: A (member indicator), R (representation counts) and
+    P (ordered pairs of available elements summing to g; at the node for e
+    these are the members, all below e, and every x >= e).  No slot value
+    reaches its top bit, so no carry crosses slots.  With rot(X, e) moving
+    slot x to x + e mod m, including e gives R + 2·rot(A, e) + dbl[e] and
+    excluding it P - 2·rot(A | above[e], e) - dbl[e].  Children get their
+    ints as arguments, so undo is the caller keeping its own.
+
+    The whole-word checks equal checks on the touched slots alone.  Every
+    node on the path has all R[g] <= r, so an include is a max_rep prune iff
+    some new slot of R exceeds r.  No node on the path has a g with
+    P[g] = R[g] = 0 (true at the root, kept by includes, pruned on
+    excludes), so an exclude is a coverage prune iff a slot of P | R is 0."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
-        self.m = cfg.m
-        self.counts = _Counts(cfg.m, cfg.r)
-        self.P = [cfg.m] * cfg.m
+        m = self.m = cfg.m
+        w = self.w = (max(m, cfg.r) + 2).bit_length() + 1
+        self.full = (1 << (w * m)) - 1
+        ones = self.ones = self.full // ((1 << w) - 1)
+        self.top = ones << (w - 1)
+        self.cover_add = ones * ((1 << (w - 1)) - 1)
+        self.cap_add = self.cover_add - ones * cfg.r
+        # Per e: the shifts of 2·rot(X, e) for 0/1 slots (bit w·(m - e) - 1 of
+        # X is clear), bit[e], dbl[e] = bit[2e mod m] and above[e] (x > e).
+        self.steps = [
+            (w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m)),
+             ones >> (w * (e + 1)) << (w * (e + 1)))
+            for e in range(m)
+        ]
+        self.members = [0]
         self.nodes = 0
         self.prunes = {"max_rep": 0, "coverage": 0, "reflection": 0}
         self.deadline = (
@@ -206,39 +226,20 @@ class _ExactSearch:
         self.witness: list[int] | None = None
 
     def run(self) -> bool:
-        if self.m == 1:
-            self.nodes = 1
-            self.witness = [0]
-            return True
-        self.counts.add(0)
-        return self._dfs(1)
+        return self._dfs(1, 1, 1, self.m * self.ones)
 
-    def _exclude(self, e: int, d: int) -> bool:
-        """Add 2d to P[(e + x) % m] for every available x other than e (the
-        members and every x > e) and d to P[2e % m]: d = -1 takes e out of
-        the available elements and d = +1 puts it back.  Each g is touched
-        once, as x = e is not walked; returns whether some touched g is left
-        with P[g] = 0 and R[g] = 0."""
-        m, P, R = self.m, self.P, self.counts.R
-        d2 = 2 * d
-        dead = False
-        for x in chain(self.counts.members, range(e + 1, m)):
-            g = (e + x) % m
-            p = P[g] + d2
-            P[g] = p
-            if p == 0 and R[g] == 0:
-                dead = True
-        g = (2 * e) % m
-        P[g] += d
-        return dead or (P[g] == 0 and R[g] == 0)
-
-    def _verify_counters(self) -> None:
-        subset = GroupSubset.from_elements(Group.cyclic(self.m), self.counts.members)
-        expected = rep_profile_naive(subset).counts
-        if tuple(self.counts.R) != expected:
+    def _verify_counters(self, e: int, R: int, P: int) -> None:
+        """Check R and P slot by slot against pair enumeration (a test hook)."""
+        group, w, mask = Group.cyclic(self.m), self.w, (1 << self.w) - 1
+        got = tuple(tuple((X >> (w * g)) & mask for g in range(self.m)) for X in (R, P))
+        expected = tuple(
+            rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
+            for elems in (self.members, chain(self.members, range(e, self.m)))
+        )
+        if got != expected:
             raise VerificationError("incremental counters diverged from the profile")
 
-    def _dfs(self, e: int) -> bool:
+    def _dfs(self, e: int, A: int, R: int, P: int) -> bool:
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
             raise _BudgetExceeded
@@ -249,10 +250,10 @@ class _ExactSearch:
         ):
             raise _BudgetExceeded
         if self.check_rng is not None and self.check_rng.random() < self.cfg.counter_check:
-            self._verify_counters()
-        counts = self.counts
-        if counts.uncovered == 0:
-            self.witness = list(counts.members)
+            self._verify_counters(e, R, P)
+        top, cover_add, members = self.top, self.cover_add, self.members
+        if (R + cover_add) & top == top:
+            self.witness = list(members)
             return True
         if e == self.m:
             return False
@@ -260,28 +261,26 @@ class _ExactSearch:
         # Include branch first.  Reflection reduction: once the smallest
         # nonzero member a1 is fixed, a canonical witness (the better of A
         # and -A) satisfies a1 + max(A) <= m, so larger elements are barred.
-        members = counts.members
-        a1 = members[1] if len(members) > 1 else None
-        if self.cfg.reflection and a1 is not None and a1 + e > self.m:
+        up, down, bit, dbl, above = self.steps[e]
+        if self.cfg.reflection and len(members) > 1 and members[1] + e > self.m:
             self.prunes["reflection"] += 1
         else:
-            counts.add(e)
-            if counts.excess > 0:
+            R2 = R + (((A << up) | (A >> down)) & self.full) + dbl
+            if (R2 + self.cap_add) & top:
                 self.prunes["max_rep"] += 1
-                ok = False
             else:
-                ok = self._dfs(e + 1)
-            counts.remove(e)
-            if ok:
-                return True
+                members.append(e)
+                ok = self._dfs(e + 1, A | bit, R2, P)
+                members.pop()
+                if ok:
+                    return True
 
-        if self._exclude(e, -1):
+        X = A | above
+        P2 = P - (((X << up) | (X >> down)) & self.full) - dbl
+        if ((P2 | R) + cover_add) & top != top:
             self.prunes["coverage"] += 1
-            ok = False
-        else:
-            ok = self._dfs(e + 1)
-        self._exclude(e, 1)
-        return ok
+            return False
+        return self._dfs(e + 1, A, R, P2)
 
 
 def exists_basis(cfg: SearchConfig) -> SearchOutcome:
@@ -408,8 +407,9 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
 class _LocalSearch:
     """One worker: hill-climb with sideways moves and periodic restarts over
     the lexicographic objective (uncovered, max count, excess over r, |A|).
-    Moves update the shared counter core in place and a rejected move is
-    undone by the inverse add/remove, so only max(R) costs O(m) per move."""
+    Moves update the counter core in place and a rejected move is undone by
+    the inverse add/remove.  The O(m) max(R) is taken only for moves that
+    leave no more elements uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
         self.m = m
@@ -479,8 +479,7 @@ class _LocalSearch:
                 counts.remove(out_e)
                 counts.add(in_e)
                 undo = ((counts.remove, in_e), (counts.add, out_e))
-            cand = self._objective()
-            if cand <= cur:
+            if counts.uncovered <= cur[0] and (cand := self._objective()) <= cur:
                 cur = cand
                 self._record(cur)
             else:

@@ -129,12 +129,12 @@ def field_ctx_build(p: int) -> FieldCtx:
     assert chosen is not None  # an irreducible cubic over GF(p) always exists
     ctx = FieldCtx(p, chosen, (0, 0, 0))
     factors = _prime_factors(p**3 - 1)
+    # The triples with c1 = c2 = 0 form GF(p): their orders divide
+    # p - 1 < p^3 - 1, so the scan starts at (0, 1, 0).
     for c2 in range(p):
-        for c1 in range(p):
+        for c1 in range(0 if c2 else 1, p):
             for c0 in range(p):
                 u = (c0, c1, c2)
-                if u == (0, 0, 0):
-                    continue
                 if _element_order_is_full(ctx, u, factors):
                     return FieldCtx(p, chosen, u)
     raise VerificationError("no primitive element found; field arithmetic is broken")

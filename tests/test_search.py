@@ -144,6 +144,43 @@ class TestExistsBasis:
                 )
                 assert got == expected, (m, r, reflection)
 
+    def test_counter_check_on_a_grid(self):
+        # decode R and P at every node and compare them with pair
+        # enumeration; the hook must not change the search either
+        for m in range(1, 17):
+            for r in range(1, 6):
+                for reflection in (True, False):
+                    checked = exact(m, r, reflection=reflection, counter_check=1.0)
+                    plain = exact(m, r, reflection=reflection)
+                    assert (checked.status, checked.nodes, checked.prunes) == (
+                        plain.status, plain.nodes, plain.prunes
+                    ), (m, r, reflection)
+
+    # (m, r, reflection) -> (status, nodes, max_rep, coverage, reflection,
+    # witness) on the decisions the search-exact benchmark workload makes,
+    # plus r > m and the smallest UNSAT
+    PINNED_WORKLOAD = {
+        (24, 4, True): ("UNSAT", 82361, 51435, 22820, 8107, None),
+        (24, 4, False): ("UNSAT", 87511, 61750, 25762, 0, None),
+        (24, 5, True): ("SAT", 13684, 10198, 3478, 0, (0, 1, 2, 6, 9, 10, 12, 17)),
+        (5, 100, True): ("SAT", 3, 0, 0, 0, (0, 1, 2)),
+        (2, 1, True): ("UNSAT", 1, 1, 1, 0, None),
+    }
+
+    def test_pinned_counts_on_workload_cases(self):
+        for (m, r, reflection), expected in self.PINNED_WORKLOAD.items():
+            out = exact(m, r, reflection=reflection)
+            witness = None if out.certificate is None else out.certificate.elements
+            got = (
+                out.status.value,
+                out.nodes,
+                out.prunes["max_rep"],
+                out.prunes["coverage"],
+                out.prunes["reflection"],
+                witness,
+            )
+            assert got == expected, (m, r, reflection)
+
 
 class TestRuzsaNumber:
     def test_matches_frozen_table(self):

@@ -56,6 +56,29 @@ class TestFieldCtx:
                 u = field_mul(ctx, u, ctx.primitive)
             assert len(seen) == q
 
+    def test_primitive_is_least_full_order_triple(self):
+        # reference scan over every nonzero triple in (c2, c1, c0) order,
+        # GF(p) itself included, testing full order by trial factoring
+        for p in (n for n in range(2, 60) if is_prime(n)):
+            ctx = field_ctx_build(p)
+            q = p**3 - 1
+            factors, rest, f = [], q, 2
+            while rest > 1:
+                if rest % f == 0:
+                    factors.append(f)
+                    while rest % f == 0:
+                        rest //= f
+                f += 1
+            least = next(
+                (c0, c1, c2)
+                for c2 in range(p)
+                for c1 in range(p)
+                for c0 in range(p)
+                if (c0, c1, c2) != (0, 0, 0)
+                and all(field_pow(ctx, (c0, c1, c2), q // f) != (1, 0, 0) for f in factors)
+            )
+            assert ctx.primitive == least, p
+
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             field_ctx_build(4)
