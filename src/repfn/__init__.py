@@ -51,8 +51,6 @@ from .profiles import (
     RepSpectrum,
     rep_diff_profile,
     rep_profile,
-    rep_profile_fast,
-    rep_profile_naive,
     spectrum,
 )
 from .search import (
@@ -68,11 +66,7 @@ from .search import (
 )
 from .singer import (
     DEFAULT_PRIME_BOUND,
-    FieldCtx,
     PerfectDifferenceSet,
-    field_ctx_build,
-    field_mul,
-    field_pow,
     is_prime,
     singer_set,
 )
@@ -84,7 +78,6 @@ __all__ = [
     "CheckStatus",
     "ClaimId",
     "DEFAULT_PRIME_BOUND",
-    "FieldCtx",
     "Group",
     "GroupMismatchError",
     "GroupSubset",
@@ -113,9 +106,6 @@ __all__ = [
     "check_theorem_bounds",
     "constructed_inventory",
     "exists_basis",
-    "field_ctx_build",
-    "field_mul",
-    "field_pow",
     "half_period_doubling",
     "heuristic_upper_bound",
     "is_prime",
@@ -126,8 +116,6 @@ __all__ = [
     "read_subset",
     "rep_diff_profile",
     "rep_profile",
-    "rep_profile_fast",
-    "rep_profile_naive",
     "run_verification_suite",
     "ruzsa_number",
     "shift_family_report",

@@ -1,15 +1,13 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-The exact path is a depth-first branch and bound over subsets of Z_m whose
-state is three slot-packed ints (members, representation counts and pairs of
-still-available elements), updated and checked by whole-word arithmetic, with
-a lazy coverage-infeasibility prune and translation/reflection symmetry
-reduction; it can prove UNSAT.  The heuristic path is a seeded local search
-on _Counts, an incremental counter that keeps the representation counts of a
-subset of Z_m with its number of uncovered elements and its excess over the
-cap r as members are added and removed; it only ever claims verified upper
-bounds.
-Every SAT or heuristic result carries a certificate re-checked through the
+Both paths keep their counters as slot-packed ints (_Slots), updated and
+tested by whole-word arithmetic.  The exact path is a depth-first branch and
+bound over subsets of Z_m on three of them (members, representation counts
+and pairs of still-available elements), with a lazy coverage-infeasibility
+prune and translation/reflection symmetry reduction; it can prove UNSAT.
+The heuristic path is a seeded local search on two (members and
+representation counts); it only ever claims verified upper bounds.  Every
+SAT or heuristic result carries a certificate re-checked through the
 pair-enumeration profile, never through the search's own counters.
 """
 
@@ -113,86 +111,52 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Counts:
-    """Incremental representation counts of a subset A of Z_m for the
-    heuristic search.
-
-    R[g] = R_{A,A}(g); uncovered is #{g : R[g] = 0}; excess is the sum of
-    max(0, R[g] - r); members lists A in ascending order and is_member[e]
-    tells whether e is in A.  add(e) creates the pairs (a, e) and (e, a) for
-    each member a plus the single pair (e, e); remove(e) takes exactly those
-    away, so any add/remove sequence leaves the counts of the resulting set.
-    """
+class _Slots:
+    """The slot-packed layout over Z_m that both searches keep their
+    counters in: slot g of an int holds the count at g in
+    w = (max(m, r) + 2).bit_length() + 1 bits.  No count (at most
+    max(m, r)) or add-and-mask threshold below reaches a slot's top bit, so
+    no carry crosses slots and every test on all of Z_m is one add and one
+    mask.  With rot(X, e) moving slot x to x + e mod m, adding e to a set A
+    (member indicator, 0/1 slots) adds 2·rot(A, e) + dbl(e) to its
+    representation counts."""
 
     def __init__(self, m: int, r: int):
         self.m = m
-        self.r = r
-        self.R = [0] * m
-        self.uncovered = m
-        self.excess = 0
-        self.members: list[int] = []
-        self.is_member = [False] * m
+        w = self.w = (max(m, r) + 2).bit_length() + 1
+        self.full = (1 << (w * m)) - 1
+        ones = self.ones = self.full // ((1 << w) - 1)
+        self.top = ones << (w - 1)
+        self.cover_add = ones * ((1 << (w - 1)) - 1)
 
-    def add(self, e: int) -> None:
-        m, r, R = self.m, self.r, self.R
-        uncovered, excess = self.uncovered, self.excess
-        for a in self.members:
-            g = (a + e) % m
-            c = R[g]
-            if c == 0:
-                uncovered -= 1
-            c += 2
-            R[g] = c
-            if c > r:
-                excess += 2 if c > r + 1 else 1
-        g = (2 * e) % m
-        c = R[g]
-        if c == 0:
-            uncovered -= 1
-        c += 1
-        R[g] = c
-        if c > r:
-            excess += 1
-        self.uncovered, self.excess = uncovered, excess
-        insort(self.members, e)
-        self.is_member[e] = True
+    def step(self, e: int) -> tuple[int, int, int, int]:
+        """(up, down, bit(e), dbl(e)): 2·rot(X, e) for 0/1 slots is
+        ((X << up) | (X >> down)) & full, since bit w·(m - e) - 1 of X is
+        clear; bit(e) is slot e and dbl(e) = bit(2e mod m)."""
+        w, m = self.w, self.m
+        return w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m))
 
-    def remove(self, e: int) -> None:
-        members = self.members
-        del members[bisect_left(members, e)]
-        self.is_member[e] = False
-        m, r, R = self.m, self.r, self.R
-        uncovered, excess = self.uncovered, self.excess
-        for a in members:
-            g = (a + e) % m
-            c = R[g]
-            if c > r:
-                excess -= 2 if c > r + 1 else 1
-            c -= 2
-            R[g] = c
-            if c == 0:
-                uncovered += 1
-        g = (2 * e) % m
-        c = R[g]
-        if c > r:
-            excess -= 1
-        c -= 1
-        R[g] = c
-        if c == 0:
-            uncovered += 1
-        self.uncovered, self.excess = uncovered, excess
+    def exceeds(self, X: int, t: int) -> bool:
+        """Whether some slot of X is above t."""
+        return (X + self.cover_add - self.ones * t) & self.top != 0
+
+    def zeros(self, X: int) -> int:
+        return self.m - ((X + self.cover_add) & self.top).bit_count()
+
+    def decode(self, X: int) -> tuple[int, ...]:
+        w, mask = self.w, (1 << self.w) - 1
+        return tuple((X >> (w * g)) & mask for g in range(self.m))
 
 
-class _ExactSearch:
+class _ExactSearch(_Slots):
     """DFS over subsets of Z_m in ascending element order, include branch
-    first, on three ints with w = (max(m, r) + 2).bit_length() + 1 bits to
-    each slot g of Z_m: A (member indicator), R (representation counts) and
-    P (ordered pairs of available elements summing to g; at the node for e
-    these are the members, all below e, and every x >= e).  No slot value
-    reaches its top bit, so no carry crosses slots.  With rot(X, e) moving
-    slot x to x + e mod m, including e gives R + 2·rot(A, e) + dbl[e] and
-    excluding it P - 2·rot(A | above[e], e) - dbl[e].  Children get their
-    ints as arguments, so undo is the caller keeping its own.
+    first, on three slot-packed ints: A (member indicator), R
+    (representation counts) and P (ordered pairs of available elements
+    summing to g; at the node for e these are the members, all below e, and
+    every x >= e).  Including e gives R + 2·rot(A, e) + dbl(e) and
+    excluding it P - 2·rot(A | above(e), e) - dbl(e), above(e) being the
+    slots x > e.  Children get their ints as arguments, so undo is the
+    caller keeping its own.
 
     The whole-word checks equal checks on the touched slots alone.  Every
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
@@ -201,20 +165,12 @@ class _ExactSearch:
     excludes), so an exclude is a coverage prune iff a slot of P | R is 0."""
 
     def __init__(self, cfg: SearchConfig):
+        super().__init__(cfg.m, cfg.r)
         self.cfg = cfg
-        m = self.m = cfg.m
-        w = self.w = (max(m, cfg.r) + 2).bit_length() + 1
-        self.full = (1 << (w * m)) - 1
-        ones = self.ones = self.full // ((1 << w) - 1)
-        self.top = ones << (w - 1)
-        self.cover_add = ones * ((1 << (w - 1)) - 1)
+        m, w, ones = self.m, self.w, self.ones
         self.cap_add = self.cover_add - ones * cfg.r
-        # Per e: the shifts of 2·rot(X, e) for 0/1 slots (bit w·(m - e) - 1 of
-        # X is clear), bit[e], dbl[e] = bit[2e mod m] and above[e] (x > e).
         self.steps = [
-            (w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m)),
-             ones >> (w * (e + 1)) << (w * (e + 1)))
-            for e in range(m)
+            self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)),) for e in range(m)
         ]
         self.members = [0]
         self.nodes = 0
@@ -230,8 +186,8 @@ class _ExactSearch:
 
     def _verify_counters(self, e: int, R: int, P: int) -> None:
         """Check R and P slot by slot against pair enumeration (a test hook)."""
-        group, w, mask = Group.cyclic(self.m), self.w, (1 << self.w) - 1
-        got = tuple(tuple((X >> (w * g)) & mask for g in range(self.m)) for X in (R, P))
+        group = Group.cyclic(self.m)
+        got = (self.decode(R), self.decode(P))
         expected = tuple(
             rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
             for elems in (self.members, chain(self.members, range(e, self.m)))
@@ -404,82 +360,124 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
     return pool
 
 
-class _LocalSearch:
+class _LocalSearch(_Slots):
     """One worker: hill-climb with sideways moves and periodic restarts over
     the lexicographic objective (uncovered, max count, excess over r, |A|).
-    Moves update the counter core in place and a rejected move is undone by
-    the inverse add/remove.  The O(m) max(R) is taken only for moves that
-    leave no more elements uncovered than the current objective."""
+
+    The state is two slot-packed ints, A (member indicator) and R
+    (representation counts), plus the sorted member list that rng.choice
+    draws from.  Moves update them in place and a rejected move is undone by
+    the inverse add/remove; the shift constants of each e are made per call,
+    since a table of them for every e of a large m costs more memory than
+    the moves save.  Each objective term is a whole-word test or count, and
+    the terms past uncovered are taken only for moves that leave no more
+    elements uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
-        self.m = m
+        super().__init__(m, r)
         self.r = r
         self.rng = rng
         self.pool = pool
         self.restarts = 0
-        self.counts = _Counts(m, r)
+        self.A = self.R = 0
+        self.members: list[int] = []
         self.best: tuple[tuple[int, int, int, int], tuple[int, ...]] | None = None
 
-    def _objective(self) -> tuple[int, int, int, int]:
-        counts = self.counts
-        return (counts.uncovered, max(counts.R), counts.excess, len(counts.members))
+    def add(self, e: int) -> None:
+        up, down, bit, dbl = self.step(e)
+        A = self.A
+        self.R += (((A << up) | (A >> down)) & self.full) + dbl
+        self.A = A | bit
+        insort(self.members, e)
 
-    def _restart(self) -> None:
+    def remove(self, e: int) -> None:
+        members = self.members
+        del members[bisect_left(members, e)]
+        up, down, bit, dbl = self.step(e)
+        A = self.A = self.A ^ bit
+        self.R -= (((A << up) | (A >> down)) & self.full) + dbl
+
+    def _max_rep(self, guess: int) -> int:
+        """max R by "some slot > t" tests, stepping from guess; one move
+        changes each slot by at most 2, so the previous max is a near guess."""
+        R, t = self.R, guess
+        while self.exceeds(R, t):
+            t += 1
+        while t and not self.exceeds(R, t - 1):
+            t -= 1
+        return t
+
+    def _excess(self) -> int:
+        """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
+        bit where R[g] >= r, so masking the rest leaves the terms, which are
+        summed one bit plane at a time."""
+        w, ones = self.w, self.ones
+        Y = self.R + ones * ((1 << (w - 1)) - self.r)
+        hit = Y & self.top
+        Y &= hit - (hit >> (w - 1))
+        return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
+
+    def _objective(self, uncovered: int, guess: int) -> tuple[int, int, int, int]:
+        peak = self._max_rep(guess)
+        return (uncovered, peak, self._excess() if peak > self.r else 0, len(self.members))
+
+    def _restart(self) -> tuple[int, int, int, int]:
         base = self.pool[self.restarts % len(self.pool)]
         self.restarts += 1
         if base is None:
             size = max(1, min(self.m, ceil_sqrt(2 * self.m)))
             base = self.rng.sample(range(self.m), size)
-        self.counts = _Counts(self.m, self.r)
+        self.A = self.R = 0
+        self.members = []
         for e in base:
-            self.counts.add(e)
+            self.add(e)
+        obj = self._objective(self.zeros(self.R), 0)
+        self._record(obj)
+        return obj
 
     def _record(self, obj: tuple[int, int, int, int]) -> None:
         if obj[0] == 0 and (self.best is None or obj < self.best[0]):
-            self.best = (obj, tuple(self.counts.members))
+            self.best = (obj, tuple(self.members))
 
     def run(self, moves: int) -> None:
-        self._restart()
-        cur = self._objective()
-        self._record(cur)
+        cur = self._restart()
         rng = self.rng
-        m = self.m
+        m, w = self.m, self.w
+        add, remove = self.add, self.remove
         for step in range(moves):
             if step and step % _RESTART_EVERY == 0:
-                self._restart()
-                cur = self._objective()
-                self._record(cur)
-            counts = self.counts
-            members, is_member = counts.members, counts.is_member
+                cur = self._restart()
+            members = self.members
             card = len(members)
             roll = rng.random()
             if card == 0:
                 kind = "add"
             elif card == m:
                 kind = "remove"
-            elif counts.uncovered > 0:
+            elif cur[0] > 0:
                 kind = "add" if roll < 0.6 else ("swap" if roll < 0.9 else "remove")
             else:
                 kind = "remove" if roll < 0.4 else ("swap" if roll < 0.9 else "add")
             if kind == "add":
                 e = rng.randrange(m)
-                while is_member[e]:
+                while self.A >> (w * e) & 1:
                     e = rng.randrange(m)
-                counts.add(e)
-                undo = ((counts.remove, e),)
+                add(e)
+                undo = ((remove, e),)
             elif kind == "remove":
                 e = rng.choice(members)
-                counts.remove(e)
-                undo = ((counts.add, e),)
+                remove(e)
+                undo = ((add, e),)
             else:
                 out_e = rng.choice(members)
                 in_e = rng.randrange(m)
-                while is_member[in_e]:
+                while self.A >> (w * in_e) & 1:
                     in_e = rng.randrange(m)
-                counts.remove(out_e)
-                counts.add(in_e)
-                undo = ((counts.remove, in_e), (counts.add, out_e))
-            if counts.uncovered <= cur[0] and (cand := self._objective()) <= cur:
+                remove(out_e)
+                add(in_e)
+                undo = ((remove, in_e), (add, out_e))
+            uncovered = self.zeros(self.R)
+            if uncovered <= cur[0] and (cand := self._objective(uncovered, cur[1])) <= cur:
                 cur = cand
                 self._record(cur)
             else:

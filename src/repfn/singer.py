@@ -94,12 +94,18 @@ def field_pow(ctx: FieldCtx, u: Triple, e: int) -> Triple:
     return acc
 
 
-def _is_irreducible_cubic(p: int, a: int, b: int, c: int) -> bool:
-    # A cubic over a field is irreducible iff it has no root.
-    for t in range(p):
-        if (((t + a) * t + b) * t + c) % p == 0:
-            return False
-    return True
+def _least_irreducible_cubic(p: int) -> tuple[int, int, int, int]:
+    """(c, b, a, 1) for the lexicographically least (a, b, c) making
+    x^3 + a*x^2 + b*x + c irreducible.  A cubic over a field is irreducible
+    iff it has no root, and it has one iff -c is a value of
+    t^3 + a*t^2 + b*t, so each (a, b) takes one pass over t."""
+    for a in range(p):
+        for b in range(p):
+            values = {((t + a) * t + b) * t % p for t in range(p)}
+            for c in range(p):
+                if -c % p not in values:
+                    return (c, b, a, 1)
+    raise VerificationError("no irreducible cubic found")
 
 
 def _element_order_is_full(ctx: FieldCtx, u: Triple, factors: list[int]) -> bool:
@@ -115,18 +121,7 @@ def field_ctx_build(p: int) -> FieldCtx:
     then the least primitive triple ordered by (c2, c1, c0)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    chosen = None
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if _is_irreducible_cubic(p, a, b, c):
-                    chosen = (c, b, a, 1)
-                    break
-            if chosen:
-                break
-        if chosen:
-            break
-    assert chosen is not None  # an irreducible cubic over GF(p) always exists
+    chosen = _least_irreducible_cubic(p)
     ctx = FieldCtx(p, chosen, (0, 0, 0))
     factors = _prime_factors(p**3 - 1)
     # The triples with c1 = c2 = 0 form GF(p): their orders divide

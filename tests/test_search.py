@@ -7,7 +7,7 @@ from repfn.profiles import rep_profile_naive
 from repfn.search import (
     SearchConfig,
     SearchStatus,
-    _Counts,
+    _LocalSearch,
     exists_basis,
     heuristic_upper_bound,
     make_certificate,
@@ -243,11 +243,14 @@ class TestMakeCertificate:
 
 class TestCounts:
     def test_matches_naive_profile_under_random_add_remove(self):
+        # The heuristic's packed A and R and its objective terms, against
+        # the pair-enumeration profile after every add or remove.
+        capped = uncapped = 0
         for seed in range(8):
             rng = random.Random(seed)
             m = rng.randint(1, 40)
             r = rng.randint(1, 6)
-            counts = _Counts(m, r)
+            counts = _LocalSearch(m, r, random.Random(0), [None])
             present: set[int] = set()
             for _ in range(80):
                 e = rng.randrange(m)
@@ -259,11 +262,19 @@ class TestCounts:
                     present.add(e)
                 subset = GroupSubset.from_elements(Group.cyclic(m), present)
                 expected = rep_profile_naive(subset).counts
-                assert tuple(counts.R) == expected, (seed, sorted(present))
-                assert counts.uncovered == sum(1 for c in expected if c == 0)
-                assert counts.excess == sum(c - r for c in expected if c > r)
+                assert counts.decode(counts.R) == expected, (seed, sorted(present))
+                uncovered = sum(1 for c in expected if c == 0)
+                assert counts.zeros(counts.R) == uncovered
+                excess = sum(c - r for c in expected if c > r)
+                for guess in (0, max(expected), m):
+                    assert counts._objective(uncovered, guess) == (
+                        uncovered, max(expected), excess, len(present)
+                    ), (seed, sorted(present), guess)
                 assert counts.members == sorted(present)
-                assert counts.is_member == [g in present for g in range(m)]
+                assert counts.decode(counts.A) == tuple(int(g in present) for g in range(m))
+                capped += max(expected) <= r
+                uncapped += max(expected) > r
+        assert capped and uncapped
 
 
 class TestHeuristic:

@@ -44,6 +44,18 @@ class TestFieldCtx:
             for t in range(p):
                 assert (t**3 + a * t**2 + b * t + c) % p != 0
 
+    def test_modulus_is_least_irreducible_cubic(self):
+        # reference scan: every (a, b, c) in order, each with a root scan
+        for p in (n for n in range(2, 60) if is_prime(n)):
+            least = next(
+                (c, b, a, 1)
+                for a in range(p)
+                for b in range(p)
+                for c in range(p)
+                if all((t**3 + a * t**2 + b * t + c) % p for t in range(p))
+            )
+            assert field_ctx_build(p).modulus == least, p
+
     def test_primitive_element_order(self):
         for p in (2, 3, 5):
             ctx = field_ctx_build(p)
