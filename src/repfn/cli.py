@@ -13,12 +13,12 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -123,20 +123,44 @@ def build_parser() -> _Parser:
 # -- serialization helpers ---------------------------------------------------
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+def _json_text(value: Any, pad: str = "\n") -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) would give, in
+    one pass: keys become str(k) and are sorted, a Fraction is written as
+    {"den", "num"} and an Enum as its value.  Anything else that is not a
+    str, int, bool, None, list, tuple or dict, floats included, is refused.
+    pad is the newline and indent of the line the value starts on."""
     if isinstance(value, Enum):
-        return value.value
+        return _json_text(value.value, pad)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Fraction):
+        value = {"num": value.numerator, "den": value.denominator}
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        body = ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in items
+        )
+        return "{" + inner + body + pad + "}"
     if isinstance(value, (list, tuple)):
-        # Profile bodies are long lists of plain ints: copy those in one scan.
+        if not value:
+            return "[]"
+        # Profile bodies are long lists of plain ints: write those in one join.
         if all(type(v) is int for v in value):
-            return list(value)
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+            body = ("," + inner).join(map(str, value))
+        else:
+            body = ("," + inner).join(_json_text(v, inner) for v in value)
+        return "[" + inner + body + pad + "]"
     raise TypeError(f"refusing inexact serialization of {type(value).__name__}")
 
 
@@ -157,7 +181,7 @@ def _emit(body: dict | str, out_path: str) -> None:
     if isinstance(body, str):
         text = body if body.endswith("\n") else body + "\n"
     else:
-        text = json.dumps(_jsonable(body), indent=2, sort_keys=True) + "\n"
+        text = _json_text(body) + "\n"
     if out_path == "-":
         sys.stdout.write(text)
     else:

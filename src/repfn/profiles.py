@@ -5,6 +5,13 @@ routes are provided: a vectorized pair-enumeration baseline and a packed
 big-integer multiplication that realizes the cyclic convolution in one
 arbitrary-precision product.  Both return identical integer counts; the
 fast route can be asked to cross-check itself against the baseline.
+
+Pair enumeration adds flat indices mod m in a cyclic group and factor by
+factor in other groups, except where every order is a power of two: there
+the flat index packs the coordinates in lanes of log2(m_i) bits, and a sum
+is one lane-wise add with each lane's carry out dropped,
+((a & L) + (b & L)) ^ ((a ^ b) & H), H the top bit of each lane and L the
+bits below it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,23 @@ def _coord_arrays(group: Group, idx: np.ndarray) -> list[np.ndarray]:
     return coords
 
 
+def _lane_masks(group: Group) -> tuple[int, int] | None:
+    """(L, H) for a group whose orders are all powers of two, else None.
+
+    There every stride is a power of two, so a flat index packs coordinate
+    i into a lane of b_i = log2(m_i) bits.  H holds the top bit of each lane
+    and L the bits below it; an order-1 factor has an empty lane."""
+    high = shift = 0
+    for mi in reversed(group.orders):
+        if mi & (mi - 1):
+            return None
+        bits = mi.bit_length() - 1
+        if bits:
+            high |= 1 << (shift + bits - 1)
+        shift += bits
+    return (group.order - 1) ^ high, high
+
+
 def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
     """Exact R_{A,B} by enumerating all |A|*|B| pairs (vectorized in chunks)."""
     if b is None:
@@ -48,6 +72,16 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
             for lo in range(0, ea.size, step):
                 block = (ea[lo : lo + step, None] + eb[None, :]) % m
                 counts += np.bincount(block.ravel(), minlength=m)
+        elif (masks := _lane_masks(group)) is not None:
+            # Lane-wise add: in a lane of b bits the low parts are each below
+            # 2^(b-1), so their sum may carry into the lane's top bit but never
+            # out of the lane, and the XOR adds the top bits mod 2.
+            low, high = masks
+            la, ha, lb, hb = ea & low, ea & high, eb & low, eb & high
+            for lo in range(0, ea.size, step):
+                hi = lo + step
+                block = (la[lo:hi, None] + lb[None, :]) ^ (ha[lo:hi, None] ^ hb[None, :])
+                counts += np.bincount(block.ravel(), minlength=group.order)
         else:
             ca = _coord_arrays(group, ea)
             cb = _coord_arrays(group, eb)
@@ -71,7 +105,7 @@ def _slot_width(a: GroupSubset, b: GroupSubset) -> int:
 
 # _choose_engine's weights in nanoseconds, fitted to perfbench/grid.py and
 # wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4).
-_PAIR_NS = 8  # per pair and cyclic factor
+_PAIR_NS = 8  # per pair and cyclic factor; a 2-group counts as one factor
 _BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
 _PACKED_BLOCK = 64  # bytes of packed buffer per Karatsuba unit
 _KARATSUBA_UNIT_NS = 226
@@ -93,7 +127,8 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
     pair_cost = 0
     if a.card and b.card:
         chunks = -(-a.card // max(1, _CHUNK // b.card))
-        pair_cost = a.card * b.card * len(orders) * _PAIR_NS
+        factors = len(orders) if _lane_masks(a.group) is None else 1
+        pair_cost = a.card * b.card * factors * _PAIR_NS
         pair_cost += chunks * a.group.order * _BINCOUNT_SLOT_NS
     slots = 1
     for mi in orders:
@@ -176,12 +211,14 @@ def rep_profile(
 
     auto predicts each engine's cost in integer arithmetic and runs the
     cheaper.  Pair enumeration costs |A|*|B| times the number of cyclic
-    factors, plus a pass over the group per chunk of pairs.  Packing costs
-    a Karatsuba multiply of its buffer: prod(2*m_i - 1) slots of the slot
-    width in bytes, three half-size products per doubling.  Sparse sets
-    such as Singer sets therefore enumerate pairs, as do groups whose packed
-    buffer blows up (Z_2^k); dense sets in cyclic or few-factor groups are
-    packed.  cross_check recomputes through the other route and compares.
+    factors, or times one when every order is a power of two (the lane-wise
+    add of flat indices), plus a pass over the group per chunk of pairs.
+    Packing costs a Karatsuba multiply of its buffer: prod(2*m_i - 1) slots
+    of the slot width in bytes, three half-size products per doubling.
+    Sparse sets such as Singer sets therefore enumerate pairs, as do groups
+    whose packed buffer blows up (Z_2^k); dense sets in cyclic or few-factor
+    groups are packed.  cross_check recomputes through the other route and
+    compares.
     """
     if method == "auto":
         method = _choose_engine(a, a if b is None else b)

@@ -366,11 +366,12 @@ class _LocalSearch(_Slots):
 
     The state is two slot-packed ints, A (member indicator) and R
     (representation counts), plus the sorted member list that rng.choice
-    draws from.  Moves update them in place and a rejected move is undone by
-    the inverse add/remove; the shift constants of each e are made per call,
-    since a table of them for every e of a large m costs more memory than
-    the moves save.  Each objective term is a whole-word test or count, and
-    the terms past uncovered are taken only for moves that leave no more
+    draws from.  Moves update them in place; a rejected move is undone by
+    restoring the A and R saved before it and putting each moved element
+    back in the member list.  The shift constants of each e are made per
+    call, since a table of them for every e of a large m costs more memory
+    than the moves save.  Each objective term is a whole-word test or count,
+    and the terms past uncovered are taken only for moves that leave no more
     elements uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
@@ -458,31 +459,29 @@ class _LocalSearch(_Slots):
                 kind = "add" if roll < 0.6 else ("swap" if roll < 0.9 else "remove")
             else:
                 kind = "remove" if roll < 0.4 else ("swap" if roll < 0.9 else "add")
-            if kind == "add":
-                e = rng.randrange(m)
-                while self.A >> (w * e) & 1:
-                    e = rng.randrange(m)
-                add(e)
-                undo = ((remove, e),)
-            elif kind == "remove":
-                e = rng.choice(members)
-                remove(e)
-                undo = ((add, e),)
-            else:
+            # A swap removes out_e and adds in_e; add and remove do one each.
+            out_e = in_e = None
+            if kind != "add":
                 out_e = rng.choice(members)
+            if kind != "remove":
                 in_e = rng.randrange(m)
                 while self.A >> (w * in_e) & 1:
                     in_e = rng.randrange(m)
+            saved = self.A, self.R
+            if out_e is not None:
                 remove(out_e)
+            if in_e is not None:
                 add(in_e)
-                undo = ((remove, in_e), (add, out_e))
             uncovered = self.zeros(self.R)
             if uncovered <= cur[0] and (cand := self._objective(uncovered, cur[1])) <= cur:
                 cur = cand
                 self._record(cur)
             else:
-                for op, e in undo:
-                    op(e)
+                self.A, self.R = saved
+                if in_e is not None:
+                    del members[bisect_left(members, in_e)]
+                if out_e is not None:
+                    insort(members, out_e)
 
 
 def heuristic_upper_bound(cfg: SearchConfig) -> SearchOutcome:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repfn.cli import _jsonable, main
+from repfn.cli import _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
 
@@ -321,12 +321,14 @@ class TestErrorPaths:
 class TestSerialization:
     def test_int_lists_copied_and_floats_refused(self):
         counts = tuple(range(1000))
-        out = _jsonable({"counts": counts, "mixed": [1, True, None]})
-        assert out == {"counts": list(counts), "mixed": [1, True, None]}
+        out = _json_text({"counts": counts, "mixed": [1, True, None]})
+        assert out == json.dumps(
+            {"counts": list(counts), "mixed": [1, True, None]}, indent=2, sort_keys=True
+        )
         with pytest.raises(TypeError):
-            _jsonable([1, 2, 3.0])
+            _json_text([1, 2, 3.0])
         with pytest.raises(TypeError):
-            _jsonable({"counts": (0, 1, 0.5)})
+            _json_text({"counts": (0, 1, 0.5)})
 
 
 def test_python_dash_m_entry_point():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -169,6 +170,47 @@ class TestCostModel:
     def test_sparse_set_in_large_group_enumerates_pairs(self):
         a = _sample([10**6 + 3], 2000)
         assert _choose_engine(a, a) == "naive"
+
+
+def _pair_counts(g, a, b):
+    """R_{A,B} by a Counter over Group.add, independent of both engines."""
+    hits = Counter(g.add(x, y) for x in a for y in b)
+    return tuple(hits[x] for x in range(g.order))
+
+
+class TestTwoGroups:
+    """Pair enumeration on groups whose orders are all powers of two, where
+    a sum is a lane-wise add of flat indices."""
+
+    SHAPES = [(2,) * k for k in range(1, 7)] + [(4, 2, 8), (1, 2, 4), (2, 1, 2), (8,)]
+
+    @pytest.mark.parametrize("orders", SHAPES, ids=lambda o: "x".join(map(str, o)))
+    def test_matches_pair_counter(self, orders):
+        g = Group(orders)
+        rng = random.Random(sum(orders) * 31 + len(orders))
+        n = g.order
+        a = rng.sample(range(n), max(1, n // 3))
+        b = rng.sample(range(n), max(1, n // 2))
+        cases = [
+            ([], b),
+            ([rng.randrange(n)], b),
+            (range(n), range(n)),
+            (a, b),
+            (a, [g.neg(x) for x in a]),
+        ]
+        for xs, ys in cases:
+            want = _pair_counts(g, xs, ys)
+            sa, sb = GroupSubset.from_elements(g, xs), GroupSubset.from_elements(g, ys)
+            assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
+        assert rep_diff_profile(GroupSubset.from_elements(g, a), method="naive").counts == \
+            _pair_counts(g, a, [g.neg(x) for x in a])
+
+    def test_half_of_z2_12_enumerates_pairs(self):
+        # One lane-wise pass per pair, not one per factor: 2048^2 pairs cost
+        # about what they would in a cyclic group, far below packing 3^12 slots.
+        a = _sample([2] * 12, 2048)
+        assert _choose_engine(a, a) == "naive"
+        assert _choose_engine(a, a.negate()) == "naive"
 
 
 class TestDiffProfile:
