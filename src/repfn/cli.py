@@ -361,7 +361,7 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         target = args.r if args.r is not None else args.m
         cfg = SearchConfig(
             m=args.m, r=max(1, target), mode="heuristic",
-            node_budget=args.budget or _HEURISTIC_BUDGET,
+            node_budget=_HEURISTIC_BUDGET if args.budget is None else args.budget,
             seed=args.seed, threads=threads,
         )
         out = heuristic_upper_bound(cfg)
@@ -371,7 +371,7 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         body["manifest"] = _manifest(args, t0)
         return body, EX_OK if out.status is SearchStatus.SAT else EX_EXHAUSTED
 
-    budget = args.budget or DEFAULT_NODE_BUDGET
+    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     if args.r is not None:
         cfg = SearchConfig(
             m=args.m, r=args.r, mode="exact", node_budget=budget,

@@ -12,7 +12,9 @@ Three families, each with an exact, machine-checked shape:
   exactly m/2 - 1 elements reach four ordered representations.
 
 shift_family_report scans every admissible shift and certifies the averaging
-argument that a good shift exists.
+argument that a good shift exists.  The scan profiles the even part 2D once:
+every shift's counts are that profile plus two rotations of it, added as one
+slot-packed integer, and the winning shift is re-checked by pair enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Group, GroupSubset, VerificationError
-from .profiles import rep_profile
+from .profiles import rep_profile, rep_profile_naive
 from .singer import singer_set
 
 
@@ -98,6 +100,11 @@ class ShiftFamilyReport:
     uncovered counts average to ((p^2-p)/2)^2 / (p^2+p+1) exactly, so some
     shift beats the mean; best_l minimizes x_even (smallest l on ties) and
     the winning set misses fewer than 3m/8 elements.
+
+    Each row comes from one profile R_E of E = 2D: the shift's counts are
+    R_E + 2·R_E(· - c) + R_E(· - 2c) with c = 2l + 1, read off one packed
+    integer.  The best shift's row is re-checked by pair enumeration of its
+    set.
     """
 
     p: int
@@ -126,13 +133,38 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
     target = Group.cyclic(m)
     even_part = pds.subset.dilate_shift(2, 0, target)
 
+    # E = 2D is even and E + c odd for odd c, so the two are disjoint and, by
+    # bilinearity, R_{E ∪ (E+c)}(g) = R_E(g) + 2·R_E(g - c) + R_E(g - 2c).
+    # With R_E packed into w-bit slots of X, each shift's counts are the exact
+    # int S = X + 2·rot(X, c) + rot(X, 2c).  No slot of S exceeds 4·top_rep
+    # and 2^(w-1) > 4·top_rep + 1, so no add-and-mask test below carries
+    # across slots.
+    base = rep_profile(even_part).counts
+    top_rep = max(base)
+    w = (4 * top_rep + 1).bit_length() + 1
+    full = (1 << (w * m)) - 1
+    ones = full // ((1 << w) - 1)
+    top = ones << (w - 1)
+    top_even = (full // ((1 << (2 * w)) - 1)) << (w - 1)
+    top_odd = top ^ top_even
+    cover_add = ones * ((1 << (w - 1)) - 1)
+    X = sum(c << (w * g) for g, c in enumerate(base) if c)
+
+    def rot(e: int) -> int:
+        return ((X << (w * e)) | (X >> (w * (m - e)))) & full
+
     stats = []
     for l in range(n):
-        odd_part = pds.subset.dilate_shift(2, 2 * l + 1, target)
-        profile = rep_profile(even_part | odd_part)
-        x_even = profile.counts[0::2].count(0)
-        x_odd = profile.counts[1::2].count(0)
-        stats.append(ShiftStat(l, x_odd, x_even, x_odd + x_even, profile.max_rep))
+        c = 2 * l + 1
+        S = X + 2 * rot(c) + rot(2 * c % m)
+        nonzero = S + cover_add
+        x_even = n - (nonzero & top_even).bit_count()
+        x_odd = n - (nonzero & top_odd).bit_count()
+        # Odd slots hold 2·R_E(g - c), so the maximum is at least 2·top_rep.
+        max_rep = 2 * top_rep
+        while (nonzero - ones * max_rep) & top:
+            max_rep += 1
+        stats.append(ShiftStat(l, x_odd, x_even, x_odd + x_even, max_rep))
 
     odd_expected = (p * p - p) // 2
     if any(s.x_odd != odd_expected for s in stats):
@@ -149,4 +181,10 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
         raise VerificationError("minimum even uncovered count cannot exceed the mean")
     if 8 * best.s0 >= 3 * m:
         raise VerificationError("best shift must leave fewer than 3m/8 uncovered")
+    winner = rep_profile_naive(even_part | pds.subset.dilate_shift(2, 2 * best.l + 1, target))
+    counts = winner.counts
+    if (counts[1::2].count(0), counts[0::2].count(0), winner.max_rep) != (
+        best.x_odd, best.x_even, best.max_rep
+    ):
+        raise VerificationError("pair enumeration of the best shift disagrees with the scan")
     return ShiftFamilyReport(p=p, m=m, per_l=tuple(stats), best_l=best.l, avg_even=avg_even)

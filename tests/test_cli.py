@@ -272,6 +272,13 @@ class TestRuzsa:
         assert code == 0
         assert body["threads"] == 1
 
+    def test_zero_budget_usage_error(self, capsys):
+        for extra in (["--r", "3"], [], ["--r", "3", "--mode", "heuristic"]):
+            code, out, err = run_cli(["ruzsa", "--m", "10", "--budget", "0", *extra], capsys)
+            assert code == 64
+            assert out == ""
+            assert "budget" in err
+
     def test_bad_env_threads_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RFL_THREADS", "two")
         code, _, err = run_cli(["ruzsa", "--m", "8", "--r", "4"], capsys)

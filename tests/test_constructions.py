@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,28 @@ class TestShiftFamilyReport:
         for stat in rep.per_l:
             counts = rep_profile(shifted_doubling(2, stat.l)).counts
             assert sum(1 for c in counts if c == 0) == stat.s0
+
+
+class TestShiftScanAgainstPairCounts:
+    def test_every_row_matches_a_pair_count(self):
+        for p in (2, 3, 5, 7, 11):
+            rep = shift_family_report(p)
+            m = rep.m
+            assert [s.l for s in rep.per_l] == list(range(p * p + p + 1))
+            for stat in rep.per_l:
+                elements = shifted_doubling(p, stat.l).elements()
+                counts = Counter((a + b) % m for a in elements for b in elements)
+                x_odd = sum(1 for g in range(1, m, 2) if counts[g] == 0)
+                x_even = sum(1 for g in range(0, m, 2) if counts[g] == 0)
+                assert (stat.x_odd, stat.x_even, stat.s0, stat.max_rep) == (
+                    x_odd, x_even, x_odd + x_even, max(counts.values())
+                )
+
+    def test_p31_pinned(self):
+        rep = shift_family_report(31)
+        assert rep.m == 1986
+        assert rep.best_l == 8
+        assert rep.best_s0 == 678
+        assert rep.x_odd == 465
+        assert rep.avg_even == Fraction(72075, 331)
+        assert all(s.max_rep == 4 for s in rep.per_l)
