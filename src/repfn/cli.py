@@ -257,7 +257,7 @@ def _cmd_construct(args: argparse.Namespace, t0: float) -> tuple[dict | str, int
                      "card": subset.card, "l": args.l})
     else:
         report = shift_family_report(args.p)
-        subset = shifted_doubling(args.p, report.best_l)
+        subset = report.best_set
         body = subset.to_json_dict()
         body.update({
             "theorem": "11b",

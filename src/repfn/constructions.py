@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .groups import Group, GroupSubset, VerificationError
 from .profiles import rep_profile, rep_profile_naive
-from .singer import singer_set
+from .singer import PerfectDifferenceSet, singer_set
 
 
 def shifted_doubling(p: int, l: int) -> GroupSubset:
@@ -39,13 +39,18 @@ def shifted_doubling(p: int, l: int) -> GroupSubset:
     if not 0 <= l <= n - 1:
         raise ValueError(f"shift l must lie in [0, {n - 1}], got {l}")
     target = Group.cyclic(2 * n)
-    even_part = pds.subset.dilate_shift(2, 0, target)
-    odd_part = pds.subset.dilate_shift(2, 2 * l + 1, target)
-    result = even_part | odd_part
-    if result.card != 2 * (p + 1):
-        raise VerificationError("even and odd translates must be disjoint")
+    result = _shift_union(pds, pds.subset.dilate_shift(2, 0, target), l)
     if rep_profile(result).max_rep > 4:
         raise VerificationError("sumset multiplicity exceeded 4")
+    return result
+
+
+def _shift_union(pds: PerfectDifferenceSet, even_part: GroupSubset, l: int) -> GroupSubset:
+    """2D union (2D + 2l + 1), checked to have 2(p + 1) elements, i.e. the
+    even and odd translates to be disjoint."""
+    result = even_part | pds.subset.dilate_shift(2, 2 * l + 1, even_part.group)
+    if result.card != 2 * (pds.p + 1):
+        raise VerificationError("even and odd translates must be disjoint")
     return result
 
 
@@ -104,7 +109,7 @@ class ShiftFamilyReport:
     Each row comes from one profile R_E of E = 2D: the shift's counts are
     R_E + 2·R_E(· - c) + R_E(· - 2c) with c = 2l + 1, read off one packed
     integer.  The best shift's row is re-checked by pair enumeration of its
-    set.
+    set, which is kept as best_set (equal to shifted_doubling(p, best_l)).
     """
 
     p: int
@@ -112,6 +117,7 @@ class ShiftFamilyReport:
     per_l: tuple[ShiftStat, ...]
     best_l: int
     avg_even: Fraction
+    best_set: GroupSubset
 
     @property
     def x_odd(self) -> int:
@@ -181,10 +187,13 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
         raise VerificationError("minimum even uncovered count cannot exceed the mean")
     if 8 * best.s0 >= 3 * m:
         raise VerificationError("best shift must leave fewer than 3m/8 uncovered")
-    winner = rep_profile_naive(even_part | pds.subset.dilate_shift(2, 2 * best.l + 1, target))
+    best_set = _shift_union(pds, even_part, best.l)
+    winner = rep_profile_naive(best_set)
     counts = winner.counts
     if (counts[1::2].count(0), counts[0::2].count(0), winner.max_rep) != (
         best.x_odd, best.x_even, best.max_rep
     ):
         raise VerificationError("pair enumeration of the best shift disagrees with the scan")
-    return ShiftFamilyReport(p=p, m=m, per_l=tuple(stats), best_l=best.l, avg_even=avg_even)
+    return ShiftFamilyReport(
+        p=p, m=m, per_l=tuple(stats), best_l=best.l, avg_even=avg_even, best_set=best_set
+    )

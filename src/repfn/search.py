@@ -4,11 +4,16 @@ Both paths keep their counters as slot-packed ints (_Slots), updated and
 tested by whole-word arithmetic.  The exact path is a depth-first branch and
 bound over subsets of Z_m on three of them (members, representation counts
 and pairs of still-available elements), with a lazy coverage-infeasibility
-prune and translation/reflection symmetry reduction; it can prove UNSAT.
-The heuristic path is a seeded local search on two (members and
-representation counts); it only ever claims verified upper bounds.  Every
-SAT or heuristic result carries a certificate re-checked through the
-pair-enumeration profile, never through the search's own counters.
+prune; it can prove UNSAT.  It splits the space by differences.  Case U:
+some difference b - a in A is a unit u, and x -> u^-1(x - a) maps A onto a
+set containing {0, 1} with the same spectrum, so {0, 1} is fixed.  Case N:
+every difference in A is a non-unit; 0 is fixed by translation, an element
+with a unit difference to a member is never included, and the reflection
+rule applies.  UNSAT needs both cases drained.  The heuristic path is a
+seeded local search on two (members and representation counts); it only
+ever claims verified upper bounds.  Every SAT or heuristic result carries a
+certificate re-checked through the pair-enumeration profile, never through
+the search's own counters.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from math import gcd
 from typing import Iterable
 
 from .bounds import ceil_sqrt
@@ -162,7 +168,20 @@ class _ExactSearch(_Slots):
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
     some new slot of R exceeds r.  No node on the path has a g with
     P[g] = R[g] = 0 (true at the root, kept by includes, pruned on
-    excludes), so an exclude is a coverage prune iff a slot of P | R is 0."""
+    excludes), so an exclude is a coverage prune iff a slot of P | R is 0.
+
+    The space is split by differences, and run() drains the two cases in
+    turn on one node counter, budget and deadline.  Case U: some difference
+    b - a in A is a unit u; then x -> u^-1(x - a) maps A onto a set
+    containing {0, 1} with R_{phi A}(u^-1(g - 2a)) = R_A(g), so the DFS
+    starts at e = 2 on the members [0, 1], every element still available.
+    Case N: every difference in A is a non-unit; 0 is fixed by translation
+    and the include of e is barred when A & rot(Units, e) != 0, i.e. when
+    e - a is a unit for some member a (units are closed under negation).  A
+    barred e still takes the exclude branch, so P keeps its meaning.  The
+    reflection rule (min-nonzero + max <= m) only fires in case N: with 1 in
+    A it would need 1 + e > m.  Both cases run through one _dfs, whose
+    per-e bar mask (the last entry of steps[e]) is 0 in case U."""
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg.m, cfg.r)
@@ -170,10 +189,12 @@ class _ExactSearch(_Slots):
         m, w, ones = self.m, self.w, self.ones
         self.cap_add = self.cover_add - ones * cfg.r
         self.steps = [
-            self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)),) for e in range(m)
+            self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)), 0) for e in range(m)
         ]
         self.members = [0]
         self.nodes = 0
+        self.case_nodes = [0, 0]
+        self.barred = 0
         self.prunes = {"max_rep": 0, "coverage": 0, "reflection": 0}
         self.deadline = (
             time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
@@ -182,7 +203,34 @@ class _ExactSearch(_Slots):
         self.witness: list[int] | None = None
 
     def run(self) -> bool:
-        return self._dfs(1, 1, 1, self.m * self.ones)
+        """Case U, then case N; True as soon as either finds a basis."""
+        m, full = self.m, self.full
+        P = m * self.ones
+        if m > 1:
+            # The forced include of 1 into A = {0} takes the max_rep test.
+            _, _, bit, dbl = self.step(1)
+            R = 1 + 2 * bit + dbl
+            if (R + self.cap_add) & self.top:
+                self.prunes["max_rep"] += 1
+            else:
+                self.members = [0, 1]
+                try:
+                    if self._dfs(2, 1 | bit, R, P):
+                        return True
+                finally:
+                    self.case_nodes[0] = self.nodes
+        w = self.w
+        units = sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
+        self.steps = [
+            s[:5] + (((units << (w * e)) | (units >> (w * (m - e)))) & full,)
+            for e, s in enumerate(self.steps)
+        ]
+        self.members = [0]
+        start = self.nodes
+        try:
+            return self._dfs(1, 1, 1, P)
+        finally:
+            self.case_nodes[1] = self.nodes - start
 
     def _verify_counters(self, e: int, R: int, P: int) -> None:
         """Check R and P slot by slot against pair enumeration (a test hook)."""
@@ -214,11 +262,14 @@ class _ExactSearch(_Slots):
         if e == self.m:
             return False
 
-        # Include branch first.  Reflection reduction: once the smallest
+        # Include branch first.  In case N, e is barred if it has a unit
+        # difference to a member.  Reflection reduction: once the smallest
         # nonzero member a1 is fixed, a canonical witness (the better of A
         # and -A) satisfies a1 + max(A) <= m, so larger elements are barred.
-        up, down, bit, dbl, above = self.steps[e]
-        if self.cfg.reflection and len(members) > 1 and members[1] + e > self.m:
+        up, down, bit, dbl, above, bar = self.steps[e]
+        if A & bar:
+            self.barred += 1
+        elif self.cfg.reflection and len(members) > 1 and members[1] + e > self.m:
             self.prunes["reflection"] += 1
         else:
             R2 = R + (((A << up) | (A >> down)) & self.full) + dbl
@@ -242,28 +293,44 @@ class _ExactSearch(_Slots):
 def exists_basis(cfg: SearchConfig) -> SearchOutcome:
     """Exact decision: does Z_m admit an additive basis with max count <= r.
 
-    UNSAT is only returned after the symmetry-reduced space is fully drained;
-    running out of budget yields EXHAUSTED instead.
+    The space is split by differences (see _ExactSearch): case U, where some
+    difference in A is a unit and A is mapped onto a set containing {0, 1},
+    then case N, where every difference is a non-unit.  UNSAT is only
+    returned after both symmetry-reduced cases are fully drained; running
+    out of budget in either yields EXHAUSTED instead.  The notes give each
+    case's argument and the nodes it took.
     """
     if cfg.mode != "exact":
         raise ValueError("exists_basis requires mode='exact'")
     t0 = time.monotonic()
-    notes = [
-        "translation reduction: 0 is fixed in A; translating any basis to "
-        "contain 0 preserves its spectrum",
-    ]
-    if cfg.reflection:
-        notes.append(
-            "reflection reduction: witnesses restricted to min-nonzero + max <= m; "
-            "-A has the same spectrum as A, so one of A, -A always qualifies"
-        )
     search = _ExactSearch(cfg)
     cert = None
     try:
         status = SearchStatus.SAT if search.run() else SearchStatus.UNSAT
     except _BudgetExceeded:
         status = SearchStatus.EXHAUSTED
-        notes.append("budget exhausted before the reduced space was drained")
+    nodes_u, nodes_n = search.case_nodes
+    notes = [
+        "case U: some difference b - a in A is a unit u; x -> u^-1(x - a) maps A "
+        "onto a set containing {0, 1} and R_{phiA}(u^-1(g - 2a)) = R_A(g), so 0 "
+        f"and 1 are fixed in A; took {nodes_u} nodes",
+        "case N: every difference in A is a non-unit; translation fixes 0 in A "
+        "(translating a basis preserves its spectrum) and includes with a unit "
+        "difference to a member are barred; "
+        + (
+            f"took {nodes_n} nodes, {search.barred} includes barred"
+            if nodes_n
+            else "not searched"
+        ),
+    ]
+    if cfg.reflection:
+        notes.append(
+            "reflection reduction, case N only: witnesses restricted to "
+            "min-nonzero + max <= m; -A has the same spectrum as A and is in "
+            "case N too, so one of A, -A always qualifies"
+        )
+    if status is SearchStatus.EXHAUSTED:
+        notes.append("budget exhausted before both cases were drained")
     if status is SearchStatus.SAT:
         cert = make_certificate(cfg.m, search.witness, cfg.r)
         if not cert.verified:

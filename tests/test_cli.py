@@ -79,7 +79,13 @@ class TestConstruct:
         assert body["l"] == 2
         assert body["elements"] == sorted(shifted_doubling(3, 2).elements())
 
-    def test_scan_report(self, capsys):
+    def test_scan_report(self, capsys, monkeypatch):
+        # the scan emits the set it has already re-checked, without
+        # building and profiling it again
+        def rebuilt(p, l):
+            raise AssertionError("scan mode rebuilt the best shift")
+
+        monkeypatch.setattr("repfn.cli.shifted_doubling", rebuilt)
         code, body = run_json(["construct", "--theorem", "11b", "--p", "3"], capsys)
         assert code == 0
         assert body["best_l"] == 2

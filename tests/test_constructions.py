@@ -119,6 +119,7 @@ class TestShiftFamilyReport:
         a = shifted_doubling(3, rep.best_l)
         s0 = sum(1 for c in rep_profile(a).counts if c == 0)
         assert s0 == rep.best_s0
+        assert rep.best_set.elements() == a.elements()
 
     def test_per_l_counts_match_direct_scan(self):
         rep = shift_family_report(2)

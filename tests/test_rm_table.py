@@ -30,13 +30,13 @@ def assert_basis(m, r, elements):
 def test_no_basis_of_z37_with_cap_3():
     out = exact(37, 3)
     assert out.status is SearchStatus.UNSAT
-    assert out.nodes == 160_582
+    assert out.nodes == 27_902
 
 
 def test_z37_basis_with_cap_4():
     out = exact(37, 4)
     assert out.status is SearchStatus.SAT
-    assert out.nodes == 367_795
+    assert out.nodes == 367_794
     assert out.certificate.elements == (0, 1, 3, 7, 17, 24, 25, 28, 29, 35)
     counts = assert_basis(37, 4, out.certificate.elements)
     assert Counter(counts) == {1: 10, 2: 9, 4: 18}
@@ -45,13 +45,13 @@ def test_z37_basis_with_cap_4():
 def test_z35_basis_with_cap_5():
     out = exact(35, 5)
     assert out.status is SearchStatus.SAT
-    assert out.nodes == 292_236
+    assert out.nodes == 292_235
     assert_basis(35, 5, out.certificate.elements)
 
 
 def test_z39_basis_with_cap_5():
     out = exact(39, 5)
     assert out.status is SearchStatus.SAT
-    assert out.nodes == 115_170
+    assert out.nodes == 115_169
     assert out.certificate.elements == (0, 1, 2, 3, 5, 9, 13, 16, 22, 27, 32)
     assert_basis(39, 5, out.certificate.elements)

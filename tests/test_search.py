@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -61,8 +62,8 @@ class TestExistsBasis:
         unsat = exact(7, 2)
         assert unsat.status is SearchStatus.UNSAT
         assert unsat.certificate is None
-        assert unsat.nodes == 21
-        assert unsat.prunes == {"max_rep": 11, "coverage": 8, "reflection": 3}
+        assert unsat.nodes == 12
+        assert unsat.prunes == {"max_rep": 6, "coverage": 4, "reflection": 0}
 
         sat = exact(7, 3)
         assert sat.status is SearchStatus.SAT
@@ -113,19 +114,54 @@ class TestExistsBasis:
             "reflection" in n for n in exact(5, 3, reflection=False).notes
         )
 
+    # (m, r) -> (case U nodes, case N nodes, includes barred in case N)
+    CASE_NODES = {(24, 4): (26685, 779, 481), (37, 3): (27883, 19, 19)}
+
+    @staticmethod
+    def case_notes(out):
+        """(case U nodes, case N nodes, barred includes, case N note)."""
+        case_u = next(n for n in out.notes if n.startswith("case U"))
+        case_n = next(n for n in out.notes if n.startswith("case N"))
+        got = re.search(r"took (\d+) nodes, (\d+) includes barred$", case_n)
+        assert got is not None, case_n
+        nodes_u = int(re.search(r"took (\d+) nodes$", case_u)[1])
+        return nodes_u, int(got[1]), int(got[2]), case_n
+
+    def test_notes_give_nodes_per_case(self):
+        for (m, r), expected in self.CASE_NODES.items():
+            out = exact(m, r)
+            assert out.status is SearchStatus.UNSAT
+            *counts, case_n = self.case_notes(out)
+            assert tuple(counts) == expected, (m, r)
+            assert counts[0] + counts[1] == out.nodes
+            assert "translation" in case_n
+        assert any("reflection" in n and "case N only" in n for n in out.notes)
+
+    def test_prime_case_n_is_zero_alone(self):
+        # every nonzero e is a unit mod a prime, so each case-N node bars its
+        # include and A stays {0}
+        for m, r in ((7, 2), (13, 3), (37, 3)):
+            _, nodes_n, barred, _ = self.case_notes(exact(m, r))
+            assert nodes_n == barred > 0, (m, r)
+
+    def test_case_n_skipped_after_a_case_u_basis(self):
+        out = exact(24, 5)
+        assert out.status is SearchStatus.SAT
+        assert any(n.startswith("case N") and n.endswith("not searched") for n in out.notes)
+
     # (m, r) -> (status, nodes, max_rep, coverage, reflection, witness), with
     # reflection on and then off; any change to the DFS order or its prunes
     # shows here before it shows in an answer.
     PINNED_GRID = {
-        (13, 3): (("UNSAT", 379, 197, 120, 63, None), ("UNSAT", 415, 274, 142, 0, None)),
-        (16, 4): (("UNSAT", 3826, 1988, 1288, 551, None), ("UNSAT", 4187, 2665, 1523, 0, None)),
+        (13, 3): (("UNSAT", 132, 87, 40, 0, None), ("UNSAT", 132, 87, 40, 0, None)),
+        (16, 4): (("UNSAT", 1670, 1054, 559, 0, None), ("UNSAT", 1670, 1054, 559, 0, None)),
         (20, 4): (
-            ("UNSAT", 19261, 11084, 5887, 2291, None),
-            ("UNSAT", 20777, 13959, 6819, 0, None),
+            ("UNSAT", 7291, 4925, 2202, 0, None),
+            ("UNSAT", 7291, 4925, 2202, 0, None),
         ),
         (20, 5): (
-            ("SAT", 461, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
-            ("SAT", 461, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
+            ("SAT", 460, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
+            ("SAT", 460, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
         ),
     }
 
@@ -160,10 +196,10 @@ class TestExistsBasis:
     # witness) on the decisions the search-exact benchmark workload makes,
     # plus r > m and the smallest UNSAT
     PINNED_WORKLOAD = {
-        (24, 4, True): ("UNSAT", 82361, 51435, 22820, 8107, None),
-        (24, 4, False): ("UNSAT", 87511, 61750, 25762, 0, None),
-        (24, 5, True): ("SAT", 13684, 10198, 3478, 0, (0, 1, 2, 6, 9, 10, 12, 17)),
-        (5, 100, True): ("SAT", 3, 0, 0, 0, (0, 1, 2)),
+        (24, 4, True): ("UNSAT", 27464, 19544, 7441, 0, None),
+        (24, 4, False): ("UNSAT", 27464, 19544, 7441, 0, None),
+        (24, 5, True): ("SAT", 13683, 10198, 3478, 0, (0, 1, 2, 6, 9, 10, 12, 17)),
+        (5, 100, True): ("SAT", 2, 0, 0, 0, (0, 1, 2)),
         (2, 1, True): ("UNSAT", 1, 1, 1, 0, None),
     }
 
