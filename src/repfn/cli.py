@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
                    help="nodes (exact) or moves per worker (heuristic)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: RFL_THREADS or 1)")
+                   help="heuristic worker count (default: RFL_THREADS or 1)")
     p.add_argument("--out", default="-")
 
     return parser
@@ -308,8 +308,6 @@ def _cmd_diff_profile(args: argparse.Namespace, t0: float) -> tuple[dict | str, 
 
 
 def _cmd_verify(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
-    if args.trials < 0:
-        raise ValueError("--trials must be nonnegative")
     result = run_verification_suite(args.suite, args.trials, args.seed, args.max_m)
     reports = []
     for case in result.cases:
@@ -356,11 +354,10 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 
 
 def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
-    threads = _resolve_threads(args)
     if args.mode == "heuristic":
-        target = args.r if args.r is not None else args.m
+        threads = _resolve_threads(args)
         cfg = SearchConfig(
-            m=args.m, r=max(1, target), mode="heuristic",
+            m=args.m, r=args.m if args.r is None else args.r, mode="heuristic",
             node_budget=_HEURISTIC_BUDGET if args.budget is None else args.budget,
             seed=args.seed, threads=threads,
         )
@@ -371,14 +368,15 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         body["manifest"] = _manifest(args, t0)
         return body, EX_OK if out.status is SearchStatus.SAT else EX_EXHAUSTED
 
+    if args.threads is not None:
+        raise ValueError("--threads only applies to --mode heuristic")
     budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     if args.r is not None:
         cfg = SearchConfig(
-            m=args.m, r=args.r, mode="exact", node_budget=budget,
-            seed=args.seed, threads=threads,
+            m=args.m, r=args.r, mode="exact", node_budget=budget, seed=args.seed,
         )
         out = exists_basis(cfg)
-        body = {"m": args.m, "mode": "exact", "r": args.r, "threads": threads}
+        body = {"m": args.m, "mode": "exact", "r": args.r}
         body.update(_outcome_fields(out))
         body["manifest"] = _manifest(args, t0)
         code = {

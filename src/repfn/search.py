@@ -7,13 +7,13 @@ and pairs of still-available elements), with a lazy coverage-infeasibility
 prune; it can prove UNSAT.  It splits the space by differences.  Case U:
 some difference b - a in A is a unit u, and x -> u^-1(x - a) maps A onto a
 set containing {0, 1} with the same spectrum, so {0, 1} is fixed.  Case N:
-every difference in A is a non-unit; 0 is fixed by translation, an element
-with a unit difference to a member is never included, and the reflection
-rule applies.  UNSAT needs both cases drained.  The heuristic path is a
-seeded local search on two (members and representation counts); it only
-ever claims verified upper bounds.  Every SAT or heuristic result carries a
-certificate re-checked through the pair-enumeration profile, never through
-the search's own counters.
+every difference in A is a non-unit; 0 is fixed by translation and an
+element with a unit difference to a member is never included.  UNSAT needs
+both cases drained.  The heuristic path is a seeded local search on two
+(members and representation counts), run by cfg.threads workers in turn;
+it only ever claims verified upper bounds.  Every SAT or heuristic result
+carries a certificate re-checked through the pair-enumeration profile,
+never through the search's own counters.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ class SearchConfig:
     """Parameters for one search run.
 
     node_budget counts visited nodes in exact mode and proposed moves per
-    worker in heuristic mode.  counter_check is a probability per exact node
-    of cross-checking the incremental counters against the pair-enumeration
-    profile (a test hook; 0 disables it).
+    worker in heuristic mode.  threads is the heuristic's worker count; the
+    exact search has one, so exact mode accepts only threads=1.
+    counter_check is a probability per exact node of cross-checking the
+    incremental counters against the pair-enumeration profile (a test hook;
+    0 disables it).
     """
 
     m: int
@@ -60,7 +62,6 @@ class SearchConfig:
     time_budget: float | None = None
     seed: int = 0
     threads: int = 1
-    reflection: bool = True
     counter_check: float = 0.0
 
     def __post_init__(self) -> None:
@@ -76,6 +77,8 @@ class SearchConfig:
             raise ValueError("time budget must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.mode == "exact" and self.threads != 1:
+            raise ValueError("threads only applies to mode='heuristic'")
         if not 0.0 <= self.counter_check <= 1.0:
             raise ValueError("counter_check must be a probability")
 
@@ -178,10 +181,9 @@ class _ExactSearch(_Slots):
     Case N: every difference in A is a non-unit; 0 is fixed by translation
     and the include of e is barred when A & rot(Units, e) != 0, i.e. when
     e - a is a unit for some member a (units are closed under negation).  A
-    barred e still takes the exclude branch, so P keeps its meaning.  The
-    reflection rule (min-nonzero + max <= m) only fires in case N: with 1 in
-    A it would need 1 + e > m.  Both cases run through one _dfs, whose
-    per-e bar mask (the last entry of steps[e]) is 0 in case U."""
+    barred e still takes the exclude branch, so P keeps its meaning.  Both
+    cases run through one _dfs, whose per-e bar mask (the last entry of
+    steps[e]) is 0 in case U."""
 
     def __init__(self, cfg: SearchConfig):
         super().__init__(cfg.m, cfg.r)
@@ -195,7 +197,7 @@ class _ExactSearch(_Slots):
         self.nodes = 0
         self.case_nodes = [0, 0]
         self.barred = 0
-        self.prunes = {"max_rep": 0, "coverage": 0, "reflection": 0}
+        self.prunes = {"max_rep": 0, "coverage": 0}
         self.deadline = (
             time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
         )
@@ -263,14 +265,10 @@ class _ExactSearch(_Slots):
             return False
 
         # Include branch first.  In case N, e is barred if it has a unit
-        # difference to a member.  Reflection reduction: once the smallest
-        # nonzero member a1 is fixed, a canonical witness (the better of A
-        # and -A) satisfies a1 + max(A) <= m, so larger elements are barred.
+        # difference to a member.
         up, down, bit, dbl, above, bar = self.steps[e]
         if A & bar:
             self.barred += 1
-        elif self.cfg.reflection and len(members) > 1 and members[1] + e > self.m:
-            self.prunes["reflection"] += 1
         else:
             R2 = R + (((A << up) | (A >> down)) & self.full) + dbl
             if (R2 + self.cap_add) & top:
@@ -323,12 +321,6 @@ def exists_basis(cfg: SearchConfig) -> SearchOutcome:
             else "not searched"
         ),
     ]
-    if cfg.reflection:
-        notes.append(
-            "reflection reduction, case N only: witnesses restricted to "
-            "min-nonzero + max <= m; -A has the same spectrum as A and is in "
-            "case N too, so one of A, -A always qualifies"
-        )
     if status is SearchStatus.EXHAUSTED:
         notes.append("budget exhausted before both cases were drained")
     if status is SearchStatus.SAT:

@@ -220,11 +220,13 @@ class TestRuzsa:
         assert body["probes"] == [[1, "UNSAT"], [2, "UNSAT"], [3, "UNSAT"], [4, "SAT"]]
         assert body["certificate"]["verified"] is True
         assert body["unsat_record"]["status"] == "UNSAT"
+        assert "threads" not in body
         assert_no_floats(body)
 
     def test_decision_exit_codes(self, capsys):
         code, body = run_json(["ruzsa", "--m", "7", "--r", "3"], capsys)
         assert code == 0 and body["status"] == "SAT"
+        assert "threads" not in body
         code, body = run_json(["ruzsa", "--m", "7", "--r", "2"], capsys)
         assert code == 1 and body["status"] == "UNSAT"
         code, body = run_json(
@@ -287,9 +289,28 @@ class TestRuzsa:
 
     def test_bad_env_threads_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("RFL_THREADS", "two")
-        code, _, err = run_cli(["ruzsa", "--m", "8", "--r", "4"], capsys)
+        code, _, err = run_cli(["ruzsa", "--m", "8", "--r", "4", "--mode", "heuristic"], capsys)
         assert code == 64
         assert "RFL_THREADS" in err
+
+    def test_exact_mode_ignores_env_threads(self, capsys, monkeypatch):
+        monkeypatch.setenv("RFL_THREADS", "two")
+        code, body = run_json(["ruzsa", "--m", "7", "--r", "3"], capsys)
+        assert code == 0 and body["status"] == "SAT"
+
+    def test_threads_flag_needs_heuristic_mode(self, capsys):
+        for extra in (["--r", "3"], []):
+            code, out, err = run_cli(["ruzsa", "--m", "7", *extra, "--threads", "2"], capsys)
+            assert code == 64
+            assert out == ""
+            assert "--threads" in err
+
+    def test_nonpositive_cap_usage_error(self, capsys):
+        for r in ("0", "-4"):
+            for mode in ("exact", "heuristic"):
+                code, out, _ = run_cli(["ruzsa", "--m", "8", "--r", r, "--mode", mode], capsys)
+                assert code == 64, (r, mode)
+                assert out == ""
 
 
 class TestErrorPaths:

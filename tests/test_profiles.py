@@ -96,7 +96,7 @@ class TestFast:
 
     def test_cross_check_mode(self):
         a = subset([31], [0, 1, 4, 10, 12, 17])
-        assert rep_profile_fast(a, cross_check=True).counts == rep_profile_naive(a).counts
+        assert rep_profile(a, method="fast", cross_check=True).counts == rep_profile_naive(a).counts
 
 
 class TestDispatcher:

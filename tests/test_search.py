@@ -31,6 +31,7 @@ class TestSearchConfig:
             dict(m=5, r=2, time_budget=0),
             dict(m=5, r=2, time_budget=-1.0),
             dict(m=5, r=2, threads=0),
+            dict(m=5, r=2, threads=2),
             dict(m=5, r=2, counter_check=1.5),
             dict(m=5, r=2, counter_check=-0.1),
         ]
@@ -63,7 +64,7 @@ class TestExistsBasis:
         assert unsat.status is SearchStatus.UNSAT
         assert unsat.certificate is None
         assert unsat.nodes == 12
-        assert unsat.prunes == {"max_rep": 6, "coverage": 4, "reflection": 0}
+        assert unsat.prunes == {"max_rep": 6, "coverage": 4}
 
         sat = exact(7, 3)
         assert sat.status is SearchStatus.SAT
@@ -97,22 +98,8 @@ class TestExistsBasis:
         assert out.status is SearchStatus.SAT
         assert out.certificate.verified
 
-    def test_reflection_never_changes_the_answer(self):
-        for m in range(2, 13):
-            for r in (FROZEN_MIN_CAP[m] - 1, FROZEN_MIN_CAP[m]):
-                if r < 1:
-                    continue
-                with_refl = exact(m, r, reflection=True)
-                without = exact(m, r, reflection=False)
-                assert with_refl.status == without.status, (m, r)
-                assert without.prunes["reflection"] == 0
-
     def test_notes_describe_reductions(self):
         assert any("translation" in n for n in exact(5, 3).notes)
-        assert any("reflection" in n for n in exact(5, 3).notes)
-        assert not any(
-            "reflection" in n for n in exact(5, 3, reflection=False).notes
-        )
 
     # (m, r) -> (case U nodes, case N nodes, includes barred in case N)
     CASE_NODES = {(24, 4): (26685, 779, 481), (37, 3): (27883, 19, 19)}
@@ -135,7 +122,6 @@ class TestExistsBasis:
             assert tuple(counts) == expected, (m, r)
             assert counts[0] + counts[1] == out.nodes
             assert "translation" in case_n
-        assert any("reflection" in n and "case N only" in n for n in out.notes)
 
     def test_prime_case_n_is_zero_alone(self):
         # every nonzero e is a unit mod a prime, so each case-N node bars its
@@ -149,73 +135,54 @@ class TestExistsBasis:
         assert out.status is SearchStatus.SAT
         assert any(n.startswith("case N") and n.endswith("not searched") for n in out.notes)
 
-    # (m, r) -> (status, nodes, max_rep, coverage, reflection, witness), with
-    # reflection on and then off; any change to the DFS order or its prunes
-    # shows here before it shows in an answer.
+    @staticmethod
+    def pinned_fields(out):
+        witness = None if out.certificate is None else out.certificate.elements
+        return (
+            out.status.value,
+            out.nodes,
+            out.prunes["max_rep"],
+            out.prunes["coverage"],
+            witness,
+        )
+
+    # (m, r) -> (status, nodes, max_rep, coverage, witness); any change to
+    # the DFS order or its prunes shows here before it shows in an answer.
     PINNED_GRID = {
-        (13, 3): (("UNSAT", 132, 87, 40, 0, None), ("UNSAT", 132, 87, 40, 0, None)),
-        (16, 4): (("UNSAT", 1670, 1054, 559, 0, None), ("UNSAT", 1670, 1054, 559, 0, None)),
-        (20, 4): (
-            ("UNSAT", 7291, 4925, 2202, 0, None),
-            ("UNSAT", 7291, 4925, 2202, 0, None),
-        ),
-        (20, 5): (
-            ("SAT", 460, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
-            ("SAT", 460, 362, 91, 0, (0, 1, 2, 3, 5, 8, 10, 14)),
-        ),
+        (13, 3): ("UNSAT", 132, 87, 40, None),
+        (16, 4): ("UNSAT", 1670, 1054, 559, None),
+        (20, 4): ("UNSAT", 7291, 4925, 2202, None),
+        (20, 5): ("SAT", 460, 362, 91, (0, 1, 2, 3, 5, 8, 10, 14)),
     }
 
     def test_pinned_counts_on_a_grid(self):
-        for (m, r), pinned in self.PINNED_GRID.items():
-            for reflection, expected in zip((True, False), pinned):
-                out = exact(m, r, reflection=reflection)
-                witness = None if out.certificate is None else out.certificate.elements
-                got = (
-                    out.status.value,
-                    out.nodes,
-                    out.prunes["max_rep"],
-                    out.prunes["coverage"],
-                    out.prunes["reflection"],
-                    witness,
-                )
-                assert got == expected, (m, r, reflection)
+        for (m, r), expected in self.PINNED_GRID.items():
+            assert self.pinned_fields(exact(m, r)) == expected, (m, r)
 
     def test_counter_check_on_a_grid(self):
         # decode R and P at every node and compare them with pair
         # enumeration; the hook must not change the search either
         for m in range(1, 17):
             for r in range(1, 6):
-                for reflection in (True, False):
-                    checked = exact(m, r, reflection=reflection, counter_check=1.0)
-                    plain = exact(m, r, reflection=reflection)
-                    assert (checked.status, checked.nodes, checked.prunes) == (
-                        plain.status, plain.nodes, plain.prunes
-                    ), (m, r, reflection)
+                checked = exact(m, r, counter_check=1.0)
+                plain = exact(m, r)
+                assert (checked.status, checked.nodes, checked.prunes) == (
+                    plain.status, plain.nodes, plain.prunes
+                ), (m, r)
 
-    # (m, r, reflection) -> (status, nodes, max_rep, coverage, reflection,
-    # witness) on the decisions the search-exact benchmark workload makes,
-    # plus r > m and the smallest UNSAT
+    # (m, r) -> (status, nodes, max_rep, coverage, witness) on the decisions
+    # the search-exact benchmark workload makes, plus r > m and the smallest
+    # UNSAT
     PINNED_WORKLOAD = {
-        (24, 4, True): ("UNSAT", 27464, 19544, 7441, 0, None),
-        (24, 4, False): ("UNSAT", 27464, 19544, 7441, 0, None),
-        (24, 5, True): ("SAT", 13683, 10198, 3478, 0, (0, 1, 2, 6, 9, 10, 12, 17)),
-        (5, 100, True): ("SAT", 2, 0, 0, 0, (0, 1, 2)),
-        (2, 1, True): ("UNSAT", 1, 1, 1, 0, None),
+        (24, 4): ("UNSAT", 27464, 19544, 7441, None),
+        (24, 5): ("SAT", 13683, 10198, 3478, (0, 1, 2, 6, 9, 10, 12, 17)),
+        (5, 100): ("SAT", 2, 0, 0, (0, 1, 2)),
+        (2, 1): ("UNSAT", 1, 1, 1, None),
     }
 
     def test_pinned_counts_on_workload_cases(self):
-        for (m, r, reflection), expected in self.PINNED_WORKLOAD.items():
-            out = exact(m, r, reflection=reflection)
-            witness = None if out.certificate is None else out.certificate.elements
-            got = (
-                out.status.value,
-                out.nodes,
-                out.prunes["max_rep"],
-                out.prunes["coverage"],
-                out.prunes["reflection"],
-                witness,
-            )
-            assert got == expected, (m, r, reflection)
+        for (m, r), expected in self.PINNED_WORKLOAD.items():
+            assert self.pinned_fields(exact(m, r)) == expected, (m, r)
 
 
 class TestRuzsaNumber:
