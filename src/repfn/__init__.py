@@ -17,9 +17,6 @@ from .bounds import (
     check_cardinality_bound,
     check_chain_bounds,
     check_quadratic_lemma,
-    check_s0_lower,
-    check_s2_upper,
-    check_s4_upper,
     check_theorem_bounds,
     constructed_inventory,
     random_group,
@@ -100,9 +97,6 @@ __all__ = [
     "check_cardinality_bound",
     "check_chain_bounds",
     "check_quadratic_lemma",
-    "check_s0_lower",
-    "check_s2_upper",
-    "check_s4_upper",
     "check_theorem_bounds",
     "constructed_inventory",
     "exists_basis",

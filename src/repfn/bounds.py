@@ -6,6 +6,13 @@ squared forms, and the rhs shown in the report is an outward-rounded rational
 enclosure, so a reported "holds" can never be an artifact of rounding.  Checks
 whose hypothesis (a cap on the maximum representation count) is not met are
 marked not-applicable rather than failed.
+
+Every claim is one row of the table _CLAIMS: its direction, its hypothesis
+cap, lhs and rhs, and the exact decision where rhs is only an enclosure.
+EQ22 and EQ41 are the k = 3 and k = 2 rows of the quadratic lemma.  One
+evaluator turns a set and a list of (claim, parameter) pairs into reports,
+taking every |S_i| and every moment sum (R(g) - k)^2 from one spectrum
+histogram of A + A.
 """
 
 from __future__ import annotations
@@ -15,10 +22,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
+from typing import Callable, NamedTuple
 
 from .constructions import half_period_doubling, shifted_doubling, sidon_set
 from .groups import Group, GroupSubset
-from .profiles import RepProfile, rep_profile
+from .profiles import RepProfile, RepSpectrum, rep_profile
 
 
 def ceil_sqrt(n: int) -> int:
@@ -78,12 +86,147 @@ class BoundReport:
         return self.status is not CheckStatus.NOT_APPLICABLE
 
 
-def _profile_of(a: GroupSubset, profile: RepProfile | None) -> RepProfile:
-    return profile if profile is not None else rep_profile(a)
+def _moment(s: RepSpectrum, k: int) -> int:
+    """Sum of (R(g) - k)^2 over the group, taken over the histogram's levels."""
+    return sum(n * (i - k) * (i - k) for i, n in s.histogram.items())
 
 
-def _square_moment(profile: RepProfile, k: int) -> int:
-    return sum((c - k) * (c - k) for c in profile.counts)
+def _quadratic_lhs(m: int, card: int, s: RepSpectrum, k: int) -> int:
+    return _moment(s, k)
+
+
+def _quadratic_rhs(m: int, card: int, s: RepSpectrum, k: int) -> int:
+    return k * m - (2 * k - 1) * card + k * k - k
+
+
+def _at_most_sqrt(x: int, n: int) -> bool:
+    """x <= sqrt(n), decided in integers."""
+    return x <= 0 or x * x <= n
+
+
+class _Claim(NamedTuple):
+    """One row of the claim table: lhs >= rhs when lower, else lhs <= rhs,
+    under max R <= cap (None: unconditional; "c": the parameter c).
+
+    lhs, rhs and decide take (m, |A|, spectrum, parameter).  decide, where
+    set, is the exact decision and rhs only an outward rational enclosure.
+    note is formatted with the parameter as p; extra takes (m, parameter,
+    max R)."""
+
+    lower: bool
+    cap: int | str | None
+    lhs: Callable[..., int]
+    rhs: Callable[..., int | Fraction]
+    decide: Callable[..., bool] | None
+    note: str
+    extra: Callable[[int, int | None, int], dict] = lambda m, p, mr: {"max_rep": mr}
+
+
+# EQ22 and EQ41 are the k = 3 and k = 2 rows of the quadratic lemma, under
+# their own ids and notes; the suites pass k as their parameter.
+_CLAIMS = {
+    ClaimId.QUADRATIC: _Claim(
+        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        "quadratic moment about k={p}; all-integer comparison",
+        lambda m, k, mr: {"k": k},
+    ),
+    ClaimId.CARDINALITY: _Claim(
+        False, "c", lambda m, n, s, c: n, lambda m, n, s, c: isqrt(c * m),
+        lambda m, n, s, c: n * n <= c * m,
+        "decided as |A|^2 <= c*m in integers; rhs is floor(sqrt(c*m))",
+        lambda m, c, mr: {"c": c, "max_rep": mr},
+    ),
+    ClaimId.S0_LOWER: _Claim(
+        True, 5, lambda m, n, s, p: s[0],
+        lambda m, n, s, p: Fraction(m, 4) - ceil_sqrt(5 * m),
+        lambda m, n, s, p: _at_most_sqrt(m - 4 * s[0], 80 * m),
+        "decided by squared forms; rhs is a rational lower enclosure of m/4 - sqrt(5m)",
+        # Earlier known floor (7/32)m - sqrt(10m)/2 - 1, shown for comparison
+        # only; the check asserts nothing about it.
+        lambda m, p, mr: {
+            "max_rep": mr,
+            "comparison_floor": Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1,
+        },
+    ),
+    ClaimId.S2_UPPER: _Claim(
+        False, 5, lambda m, n, s, p: s[2],
+        lambda m, n, s, p: Fraction(m, 2) + 3 * ceil_sqrt(5 * m),
+        lambda m, n, s, p: _at_most_sqrt(2 * s[2] - m, 180 * m),
+        "decided by squared forms; rhs is a rational upper enclosure of m/2 + 3*sqrt(5m)",
+    ),
+    ClaimId.S4_UPPER: _Claim(
+        False, 7, lambda m, n, s, p: s[4],
+        lambda m, n, s, p: Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4),
+        lambda m, n, s, p: _at_most_sqrt(4 * s[4] - 3 * m - 3, 112 * m),
+        "decided by squared forms; rhs is a rational upper enclosure of "
+        "3m/4 + sqrt(7m) + 3/4",
+    ),
+    ClaimId.SQ3_UPPER: _Claim(
+        False, 5, lambda m, n, s, p: _moment(s, 3), lambda m, n, s, p: 8 * s[0] + 3 * n + m,
+        None, "upper chain for the k=3 moment; uses the parity cap on odd classes",
+    ),
+    ClaimId.SQ3_LOWER: _Claim(
+        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        "k=3 instance of the quadratic moment bound; unconditional",
+    ),
+    ClaimId.SQ2_LOWER: _Claim(
+        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        "k=2 instance of the quadratic moment bound; unconditional",
+    ),
+    ClaimId.SQ2_UPPER: _Claim(
+        False, 5, lambda m, n, s, p: _moment(s, 2), lambda m, n, s, p: 4 * (s[0] + s[4]) + 9 * n,
+        None, "upper chain for the k=2 moment; uses the parity cap on odd classes",
+    ),
+    ClaimId.S4_CHAIN: _Claim(
+        False, 7, lambda m, n, s, p: s[4], lambda m, n, s, p: 4 * n + 3 * s[0] + 3,
+        None, "|S_4| against 4|A| + 3|S_0| + 3 under max R <= 7",
+    ),
+}
+
+_THEOREMS = [(ClaimId.S0_LOWER, None), (ClaimId.S2_UPPER, None), (ClaimId.S4_UPPER, None)]
+_CHAINS = [
+    (ClaimId.SQ3_UPPER, None), (ClaimId.SQ3_LOWER, 3), (ClaimId.SQ2_LOWER, 2),
+    (ClaimId.SQ2_UPPER, None), (ClaimId.QUADRATIC, 4), (ClaimId.S4_CHAIN, None),
+]
+_LEMMAS = [(ClaimId.QUADRATIC, k) for k in range(1, 8)] + [(ClaimId.CARDINALITY, None)]
+_SUITES = {
+    "lemmas": _LEMMAS,
+    "theorems": _THEOREMS,
+    "chains": _CHAINS,
+    "all": _LEMMAS + _THEOREMS + _CHAINS,
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
+def _evaluate(
+    a: GroupSubset, claims: list[tuple[ClaimId, int | None]], profile: RepProfile | None = None
+) -> list[BoundReport]:
+    """One report per (claim, parameter), all from one spectrum of A + A."""
+    spec = (rep_profile(a) if profile is None else profile).spectrum()
+    m, card, max_rep = a.group.order, a.card, spec.max_rep
+    reports = []
+    for claim_id, p in claims:
+        row = _CLAIMS[claim_id]
+        cap = row.cap
+        if cap == "c":
+            # With c omitted, the actual maximum count is the cap, which
+            # always satisfies the hypothesis.
+            cap = p = max(1, max_rep) if p is None else p
+        lhs, rhs = row.lhs(m, card, spec, p), row.rhs(m, card, spec, p)
+        if cap is not None and max_rep > cap:
+            status, slack = CheckStatus.NOT_APPLICABLE, None
+            note = f"hypothesis max R <= {cap} not met (max R = {max_rep})"
+        else:
+            if row.decide is not None:
+                holds = row.decide(m, card, spec, p)
+            else:
+                holds = lhs >= rhs if row.lower else lhs <= rhs
+            status = CheckStatus.HOLDS if holds else CheckStatus.FAILS
+            slack = lhs - rhs if row.lower else rhs - lhs
+            note = row.note.format(p=p)
+        extra = row.extra(m, p, max_rep)
+        reports.append(BoundReport(claim_id, lhs, rhs, status, slack, note, extra))
+    return reports
 
 
 def check_quadratic_lemma(
@@ -92,20 +235,7 @@ def check_quadratic_lemma(
     """Sum of (R(g) - k)^2 over the group is at least km - (2k-1)|A| + k^2 - k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    lhs = _square_moment(profile, k)
-    rhs = k * m - (2 * k - 1) * a.card + k * k - k
-    holds = lhs >= rhs
-    return BoundReport(
-        claim_id=ClaimId.QUADRATIC,
-        lhs=lhs,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=lhs - rhs,
-        note=f"quadratic moment about k={k}; all-integer comparison",
-        extra={"k": k},
-    )
+    return _evaluate(a, [(ClaimId.QUADRATIC, k)], profile)[0]
 
 
 def check_cardinality_bound(
@@ -116,140 +246,17 @@ def check_cardinality_bound(
     With c omitted, the actual maximum representation count is used, which
     always satisfies the hypothesis.
     """
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    max_rep = profile.max_rep
-    if c is None:
-        c = max(1, max_rep)
-    if c < 1:
+    if c is not None and c < 1:
         raise ValueError("cap c must be a positive integer")
-    return _chain_report(
-        ClaimId.CARDINALITY,
-        a.card,
-        isqrt(c * m),
-        lower=False,
-        applicable=max_rep <= c,
-        cap=c,
-        max_rep=max_rep,
-        holds=a.card * a.card <= c * m,
-        note="decided as |A|^2 <= c*m in integers; rhs is floor(sqrt(c*m))",
-        extra={"c": c, "max_rep": max_rep},
-    )
-
-
-# Spectrum claims |S_i| >= or <= a bound with one sqrt term, under max R <=
-# cap.  A row holds the level i, the cap, whether the bound is a lower one,
-# k and the linear form x(m, |S_i|) such that the claim holds iff x <= 0 or
-# x^2 <= k*m, the bound's text, and the rational enclosure of the bound that
-# the report shows as rhs.
-_SPECTRUM_CLAIMS = {
-    ClaimId.S0_LOWER: (
-        0, 5, True, 80, lambda m, s: m - 4 * s, "m/4 - sqrt(5m)",
-        lambda m: Fraction(m, 4) - ceil_sqrt(5 * m),
-    ),
-    ClaimId.S2_UPPER: (
-        2, 5, False, 180, lambda m, s: 2 * s - m, "m/2 + 3*sqrt(5m)",
-        lambda m: Fraction(m, 2) + 3 * ceil_sqrt(5 * m),
-    ),
-    ClaimId.S4_UPPER: (
-        4, 7, False, 112, lambda m, s: 4 * s - 3 * m - 3, "3m/4 + sqrt(7m) + 3/4",
-        lambda m: Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4),
-    ),
-}
-
-
-def _spectrum_claim(
-    claim_id: ClaimId, a: GroupSubset, profile: RepProfile | None, **extra: Fraction
-) -> BoundReport:
-    level, cap, lower, k, form, bound, enclosure = _SPECTRUM_CLAIMS[claim_id]
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    s = profile.counts.count(level)
-    x = form(m, s)
-    return _chain_report(
-        claim_id,
-        s,
-        enclosure(m),
-        lower=lower,
-        applicable=profile.max_rep <= cap,
-        cap=cap,
-        max_rep=profile.max_rep,
-        holds=x <= 0 or x * x <= k * m,
-        note=f"decided by squared forms; rhs is a rational {'lower' if lower else 'upper'} "
-        f"enclosure of {bound}",
-        extra={"max_rep": profile.max_rep, **extra},
-    )
-
-
-def check_s0_lower(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
-    """|S_0| >= m/4 - sqrt(5m), under max representation count <= 5."""
-    m = a.group.order
-    # Earlier known floor (7/32)m - sqrt(10m)/2 - 1, shown for comparison
-    # only; the check asserts nothing about it.
-    comparison_floor = Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1
-    return _spectrum_claim(ClaimId.S0_LOWER, a, profile, comparison_floor=comparison_floor)
-
-
-def check_s2_upper(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
-    """|S_2| <= m/2 + 3*sqrt(5m), under max representation count <= 5."""
-    return _spectrum_claim(ClaimId.S2_UPPER, a, profile)
-
-
-def check_s4_upper(a: GroupSubset, profile: RepProfile | None = None) -> BoundReport:
-    """|S_4| <= 3m/4 + sqrt(7m) + 3/4, under max representation count <= 7."""
-    return _spectrum_claim(ClaimId.S4_UPPER, a, profile)
+    return _evaluate(a, [(ClaimId.CARDINALITY, c)], profile)[0]
 
 
 def check_theorem_bounds(
     a: GroupSubset, profile: RepProfile | None = None
 ) -> list[BoundReport]:
-    """The three spectrum bounds, each with its own applicability hypothesis."""
-    profile = _profile_of(a, profile)
-    return [
-        check_s0_lower(a, profile),
-        check_s2_upper(a, profile),
-        check_s4_upper(a, profile),
-    ]
-
-
-def _chain_report(
-    claim_id: ClaimId,
-    lhs: int,
-    rhs: int | Fraction,
-    *,
-    lower: bool,
-    applicable: bool,
-    cap: int,
-    max_rep: int,
-    note: str,
-    holds: bool | None = None,
-    extra: dict | None = None,
-) -> BoundReport:
-    """One report; holds, when given, is the exact decision (a squared form
-    where rhs is only an enclosure), otherwise lhs is compared with rhs."""
-    if extra is None:
-        extra = {"max_rep": max_rep}
-    if not applicable:
-        return BoundReport(
-            claim_id=claim_id,
-            lhs=lhs,
-            rhs=rhs,
-            status=CheckStatus.NOT_APPLICABLE,
-            slack=None,
-            note=f"hypothesis max R <= {cap} not met (max R = {max_rep})",
-            extra=extra,
-        )
-    if holds is None:
-        holds = lhs >= rhs if lower else lhs <= rhs
-    return BoundReport(
-        claim_id=claim_id,
-        lhs=lhs,
-        rhs=rhs,
-        status=CheckStatus.HOLDS if holds else CheckStatus.FAILS,
-        slack=lhs - rhs if lower else rhs - lhs,
-        note=note,
-        extra=extra,
-    )
+    """|S_0| >= m/4 - sqrt(5m) and |S_2| <= m/2 + 3*sqrt(5m) under max R <= 5,
+    and |S_4| <= 3m/4 + sqrt(7m) + 3/4 under max R <= 7, in that order."""
+    return _evaluate(a, _THEOREMS, profile)
 
 
 def check_chain_bounds(
@@ -261,70 +268,7 @@ def check_chain_bounds(
     hold unconditionally; the upper chains and the |S_4| chain also use the
     parity bound on odd-count classes, so they carry a max-count hypothesis.
     """
-    profile = _profile_of(a, profile)
-    m = a.group.order
-    card = a.card
-    max_rep = profile.max_rep
-    s0 = profile.counts.count(0)
-    s4 = profile.counts.count(4)
-    sq3 = _square_moment(profile, 3)
-    sq2 = _square_moment(profile, 2)
-    le5 = max_rep <= 5
-    le7 = max_rep <= 7
-    reports = [
-        _chain_report(
-            ClaimId.SQ3_UPPER,
-            sq3,
-            8 * s0 + 3 * card + m,
-            lower=False,
-            applicable=le5,
-            cap=5,
-            max_rep=max_rep,
-            note="upper chain for the k=3 moment; uses the parity cap on odd classes",
-        ),
-        _chain_report(
-            ClaimId.SQ3_LOWER,
-            sq3,
-            3 * m - 5 * card + 6,
-            lower=True,
-            applicable=True,
-            cap=0,
-            max_rep=max_rep,
-            note="k=3 instance of the quadratic moment bound; unconditional",
-        ),
-        _chain_report(
-            ClaimId.SQ2_LOWER,
-            sq2,
-            2 * m - 3 * card + 2,
-            lower=True,
-            applicable=True,
-            cap=0,
-            max_rep=max_rep,
-            note="k=2 instance of the quadratic moment bound; unconditional",
-        ),
-        _chain_report(
-            ClaimId.SQ2_UPPER,
-            sq2,
-            4 * (s0 + s4) + 9 * card,
-            lower=False,
-            applicable=le5,
-            cap=5,
-            max_rep=max_rep,
-            note="upper chain for the k=2 moment; uses the parity cap on odd classes",
-        ),
-        check_quadratic_lemma(a, 4, profile),
-        _chain_report(
-            ClaimId.S4_CHAIN,
-            s4,
-            4 * card + 3 * s0 + 3,
-            lower=False,
-            applicable=le7,
-            cap=7,
-            max_rep=max_rep,
-            note="|S_4| against 4|A| + 3|S_0| + 3 under max R <= 7",
-        ),
-    ]
-    return reports
+    return _evaluate(a, _CHAINS, profile)
 
 
 # -- randomized property harness -------------------------------------------
@@ -416,24 +360,6 @@ class SuiteResult:
         return not self.failures
 
 
-SUITE_NAMES = ("lemmas", "theorems", "chains", "all")
-
-_LEMMA_KS = (1, 2, 3, 4, 5, 6, 7)
-
-
-def _reports_for(suite: str, a: GroupSubset) -> tuple[BoundReport, ...]:
-    profile = rep_profile(a)
-    reports: list[BoundReport] = []
-    if suite in ("lemmas", "all"):
-        reports.extend(check_quadratic_lemma(a, k, profile) for k in _LEMMA_KS)
-        reports.append(check_cardinality_bound(a, None, profile))
-    if suite in ("theorems", "all"):
-        reports.extend(check_theorem_bounds(a, profile))
-    if suite in ("chains", "all"):
-        reports.extend(check_chain_bounds(a, profile))
-    return tuple(reports)
-
-
 def constructed_inventory() -> list[tuple[str, GroupSubset]]:
     """Deterministic nontrivial sets with small max counts, so the spectrum
     hypotheses genuinely bind during suite runs."""
@@ -458,24 +384,22 @@ def run_verification_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    claims = _SUITES[suite]
+
+    def case(label: str, a: GroupSubset) -> SuiteCase:
+        return SuiteCase(label, a.group.orders, a.card, tuple(_evaluate(a, claims)))
+
     master = random.Random(seed)
-    cases = [
-        SuiteCase(label, a.group.orders, a.card, _reports_for(suite, a))
-        for label, a in constructed_inventory()
-    ]
+    cases = [case(label, a) for label, a in constructed_inventory()]
     for i in range(trials):
         rng = random.Random(master.getrandbits(63))
         group = random_group(rng, max_order)
         density = Fraction(rng.randint(1, 6), 12)
         bern = random_subset(rng.getrandbits(63), group, density)
-        cases.append(
-            SuiteCase(f"random-{i}-bernoulli", group.orders, bern.card, _reports_for(suite, bern))
-        )
+        cases.append(case(f"random-{i}-bernoulli", bern))
         # A second draw sized near sqrt(2m), where the max-count hypotheses
         # of the spectrum bounds have a real chance of applying.
         target = min(group.order, ceil_sqrt(2 * group.order))
         sized = GroupSubset.from_elements(group, rng.sample(range(group.order), target))
-        cases.append(
-            SuiteCase(f"random-{i}-sized", group.orders, sized.card, _reports_for(suite, sized))
-        )
+        cases.append(case(f"random-{i}-sized", sized))
     return SuiteResult(suite, trials, seed, tuple(cases))

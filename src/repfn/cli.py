@@ -112,7 +112,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--budget", type=int, default=None,
                    help="nodes (exact) or moves per worker (heuristic)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="heuristic random seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
                    help="heuristic worker count (default: RFL_THREADS or 1)")
     p.add_argument("--out", default="-")
@@ -356,6 +357,8 @@ def _resolve_threads(args: argparse.Namespace) -> int:
 def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
     if args.mode == "heuristic":
         threads = _resolve_threads(args)
+        if args.seed is None:
+            args.seed = 0
         cfg = SearchConfig(
             m=args.m, r=args.m if args.r is None else args.r, mode="heuristic",
             node_budget=_HEURISTIC_BUDGET if args.budget is None else args.budget,
@@ -368,14 +371,15 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         body["manifest"] = _manifest(args, t0)
         return body, EX_OK if out.status is SearchStatus.SAT else EX_EXHAUSTED
 
-    if args.threads is not None:
-        raise ValueError("--threads only applies to --mode heuristic")
+    # Exact mode reads neither flag, so it refuses both and its manifest
+    # echoes neither.
+    for flag in ("threads", "seed"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} only applies to --mode heuristic")
+        delattr(args, flag)
     budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     if args.r is not None:
-        cfg = SearchConfig(
-            m=args.m, r=args.r, mode="exact", node_budget=budget, seed=args.seed,
-        )
-        out = exists_basis(cfg)
+        out = exists_basis(SearchConfig(m=args.m, r=args.r, mode="exact", node_budget=budget))
         body = {"m": args.m, "mode": "exact", "r": args.r}
         body.update(_outcome_fields(out))
         body["manifest"] = _manifest(args, t0)

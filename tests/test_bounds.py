@@ -11,9 +11,6 @@ from repfn.bounds import (
     check_cardinality_bound,
     check_chain_bounds,
     check_quadratic_lemma,
-    check_s0_lower,
-    check_s2_upper,
-    check_s4_upper,
     check_theorem_bounds,
     constructed_inventory,
     random_group,
@@ -113,32 +110,33 @@ class TestCardinalityBound:
 
 class TestTheoremBounds:
     def test_sidon_p5_s2_bound(self):
-        rep = check_s2_upper(sidon_set(5))
+        rep = check_theorem_bounds(sidon_set(5))[1]
         assert rep.lhs == 15
         assert rep.holds
         assert rep.rhs == Fraction(31, 2) + 3 * ceil_sqrt(155)
 
     def test_half_period_p3_s4_bound(self):
-        rep = check_s4_upper(half_period_doubling(3))
+        rep = check_theorem_bounds(half_period_doubling(3))[2]
         assert rep.lhs == 12
         assert rep.rhs == Fraction(3 * 26, 4) + 14 + Fraction(3, 4)
         assert rep.holds
 
     def test_empty_set_s0_bound(self):
-        rep = check_s0_lower(cyclic_subset(100, []))
+        rep = check_theorem_bounds(cyclic_subset(100, []))[0]
         assert rep.lhs == 100
         assert rep.holds
 
     def test_comparison_floor_reported_not_asserted(self):
-        rep = check_s0_lower(cyclic_subset(100, []))
+        rep = check_theorem_bounds(cyclic_subset(100, []))[0]
         m = 100
         assert rep.extra["comparison_floor"] == Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1
 
     def test_not_applicable_above_caps(self):
         full = GroupSubset.full(Group.cyclic(20))  # max_rep = 20
-        assert check_s0_lower(full).status is CheckStatus.NOT_APPLICABLE
-        assert check_s2_upper(full).status is CheckStatus.NOT_APPLICABLE
-        assert check_s4_upper(full).status is CheckStatus.NOT_APPLICABLE
+        s0_rep, s2_rep, s4_rep = check_theorem_bounds(full)
+        assert s0_rep.status is CheckStatus.NOT_APPLICABLE
+        assert s2_rep.status is CheckStatus.NOT_APPLICABLE
+        assert s4_rep.status is CheckStatus.NOT_APPLICABLE
 
     def test_s4_applies_between_caps(self):
         # max count 6 disqualifies the 5-cap bounds but not the 7-cap one
@@ -196,14 +194,38 @@ class TestChainBounds:
                 assert rep.status is not CheckStatus.FAILS, (label, rep.claim_id)
 
     def test_moment_identity_against_spectrum(self):
-        # The k=3 moment equals the weighted spectrum sum; ties the chain
-        # lhs values to an independent computation
-        a = half_period_doubling(2)
-        prof = rep_profile(a)
-        spec = prof.spectrum()
-        lhs = sum((i - 3) ** 2 * n for i, n in spec.histogram.items())
-        by_id = {r.claim_id: r for r in check_chain_bounds(a)}
-        assert by_id[ClaimId.SQ3_UPPER].lhs == lhs
+        # Every claim's lhs against a direct loop over the counts, on random
+        # sets in cyclic and multi-factor groups; ties the spectrum-histogram
+        # moments and levels to an independent computation
+        moment_k = {ClaimId.SQ3_UPPER: 3, ClaimId.SQ3_LOWER: 3, ClaimId.SQ2_LOWER: 2,
+                    ClaimId.SQ2_UPPER: 2, ClaimId.QUADRATIC: None}
+        level = {ClaimId.S0_LOWER: 0, ClaimId.S2_UPPER: 2, ClaimId.S4_UPPER: 4,
+                 ClaimId.S4_CHAIN: 4}
+        rng = random.Random(11)
+        shapes = set()
+        for _ in range(120):
+            g = random_group(rng, 96)
+            shapes.add(len(g.orders))
+            if rng.random() < 0.5:
+                a = random_subset(rng.getrandbits(63), g, Fraction(rng.randint(1, 6), 12))
+            else:
+                target = min(g.order, ceil_sqrt(2 * g.order))
+                a = GroupSubset.from_elements(g, rng.sample(range(g.order), target))
+            prof = rep_profile(a)
+            counts = prof.counts
+            reports = [check_quadratic_lemma(a, k, prof) for k in range(1, 8)]
+            reports.append(check_cardinality_bound(a, None, prof))
+            reports += check_theorem_bounds(a, prof) + check_chain_bounds(a, prof)
+            for rep in reports:
+                if rep.claim_id is ClaimId.CARDINALITY:
+                    want = a.card
+                elif rep.claim_id in level:
+                    want = counts.count(level[rep.claim_id])
+                else:
+                    k = moment_k[rep.claim_id] or rep.extra["k"]
+                    want = sum((c - k) ** 2 for c in counts)
+                assert rep.lhs == want, (g.orders, rep.claim_id)
+        assert {1, 2, 3} <= shapes
 
 
 class TestRandomSubset:

@@ -305,6 +305,19 @@ class TestRuzsa:
             assert out == ""
             assert "--threads" in err
 
+    def test_seed_flag_needs_heuristic_mode(self, capsys):
+        # Exact mode has no randomness: it refuses --seed, and its manifest
+        # echoes neither heuristic flag
+        for extra in (["--r", "3"], []):
+            code, out, err = run_cli(["ruzsa", "--m", "7", *extra, "--seed", "5"], capsys)
+            assert code == 64
+            assert out == ""
+            assert "--seed" in err
+            code, body = run_json(["ruzsa", "--m", "7", *extra], capsys)
+            assert code == 0
+            assert "seed" not in body["manifest"]["flags"]
+            assert "threads" not in body["manifest"]["flags"]
+
     def test_nonpositive_cap_usage_error(self, capsys):
         for r in ("0", "-4"):
             for mode in ("exact", "heuristic"):

@@ -1,4 +1,5 @@
-"""R_m past 36: the exact search's results at m = 35, 37 and 39, pinned.
+"""R_m past 36: the exact search's results at m = 35, 37 and 39, and its
+bases at cap 6 for m = 41..48, pinned.
 
 Each certificate is rechecked here by a pair count that uses nothing from
 repfn.  R_37 = 4 follows from the UNSAT proof at (37, 3) and the basis at
@@ -7,6 +8,8 @@ bases contradict the quoted "R_m >= 6 for all m >= 36" at m = 37 and 39.
 """
 
 from collections import Counter
+
+import pytest
 
 from repfn.search import SearchConfig, SearchStatus, exists_basis
 
@@ -55,3 +58,28 @@ def test_z39_basis_with_cap_5():
     assert out.nodes == 115_169
     assert out.certificate.elements == (0, 1, 2, 3, 5, 9, 13, 16, 22, 27, 32)
     assert_basis(39, 5, out.certificate.elements)
+
+
+# (nodes, basis) of the SAT search at r = 6 for m = 41..48.  Each R_m = 6
+# also needs the UNSAT drain at r = 5, 12 to 71 s apiece; those are rerun
+# by scripts/rm_table.py, not here.
+CAP6_BASES = {
+    41: (61_047, (0, 1, 2, 3, 4, 5, 8, 12, 21, 27, 30, 32)),
+    42: (118_378, (0, 1, 2, 3, 4, 5, 8, 11, 16, 23, 29, 33)),
+    43: (126_748, (0, 1, 2, 3, 4, 5, 8, 17, 21, 29, 35, 36)),
+    44: (213_929, (0, 1, 2, 3, 4, 5, 8, 12, 14, 18, 25, 28, 33)),
+    45: (80_654, (0, 1, 2, 3, 4, 5, 7, 15, 16, 19, 21, 24, 39)),
+    46: (336_783, (0, 1, 2, 3, 4, 5, 8, 11, 16, 18, 22, 27, 37)),
+    47: (264_977, (0, 1, 2, 3, 4, 5, 8, 11, 16, 22, 23, 34, 38)),
+    48: (326_153, (0, 1, 2, 3, 4, 5, 7, 16, 19, 20, 26, 41, 44)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(CAP6_BASES))
+def test_cap6_bases_past_40(m):
+    nodes, elements = CAP6_BASES[m]
+    out = exact(m, 6)
+    assert out.status is SearchStatus.SAT
+    assert out.nodes == nodes
+    assert out.certificate.elements == elements
+    assert max(assert_basis(m, 6, elements)) == 6
