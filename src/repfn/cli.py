@@ -171,7 +171,6 @@ def _manifest(args: argparse.Namespace, t0: float) -> dict:
         "subcommand": args.command,
         "version": __version__,
         "flags": flags,
-        "seed": getattr(args, "seed", None),
         "input": getattr(args, "inp", None),
         "output": args.out,
         "wall_time_us": int((time.monotonic() - t0) * 1_000_000),

@@ -129,7 +129,17 @@ class GroupSubset:
 
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[int]) -> "GroupSubset":
-        idx = [group.check_element(e) for e in elems]
+        elems = list(elems)
+        if set(map(type, elems)) <= {int}:
+            idx = _int_array(elems)
+            _check_range(group, elems, idx)
+        else:
+            idx = [group.check_element(e) for e in elems]
+        return cls._from_indices(group, idx)
+
+    @classmethod
+    def _from_indices(cls, group: Group, idx) -> "GroupSubset":
+        """The subset of flat indices already checked to lie in the group."""
         mask = np.zeros(group.order, dtype=np.uint8)
         mask[idx] = 1
         return cls(group, _pack_mask(mask))
@@ -219,6 +229,22 @@ def _pack_mask(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+def _int_array(xs: list[int]) -> np.ndarray:
+    """Plain ints as int64, or as exact Python ints when one needs more bits."""
+    try:
+        return np.array(xs, dtype=np.int64)
+    except OverflowError:
+        return np.array(xs, dtype=object)
+
+
+def _check_range(group: Group, xs: list[int], idx: np.ndarray) -> None:
+    """Raise check_element's error for the first x outside the group, found
+    in one pass over idx, the array of xs."""
+    outside = (idx < 0) | (idx >= group.order)
+    if outside.any():
+        group.check_element(xs[int(outside.argmax())])
+
+
 def subset_from_json_dict(data: dict) -> GroupSubset:
     """Parse the JSON set format; extra keys are ignored so report documents
     that embed a set round-trip unchanged.  orders and elements must be lists
@@ -230,14 +256,16 @@ def subset_from_json_dict(data: dict) -> GroupSubset:
         raise ValueError("set document needs 'orders' and 'elements'") from exc
     # Exact integers only: int() would truncate 7.9, read "123" as digits
     # and true as 1, silently changing the set.
-    if not (isinstance(orders, list) and isinstance(elems, list)) or any(
-        type(x) is not int for x in orders + elems
-    ):
+    if not (isinstance(orders, list) and isinstance(elems, list)) or not set(
+        map(type, orders + elems)
+    ) <= {int}:
         raise ValueError("'orders' and 'elements' must be JSON lists of integers")
     group = Group(tuple(orders))
-    if any(b <= a for a, b in zip(elems, elems[1:])):
+    idx = _int_array(elems)
+    if (idx[1:] <= idx[:-1]).any():
         raise ValueError("element indices must be strictly increasing")
-    return GroupSubset.from_elements(group, elems)
+    _check_range(group, elems, idx)
+    return GroupSubset._from_indices(group, idx)
 
 
 def subset_from_text(text: str) -> GroupSubset:

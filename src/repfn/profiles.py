@@ -1,10 +1,9 @@
 """Exact representation-function profiles over finite abelian groups.
 
 R_{A,B}(g) counts ordered pairs (a, b) in A x B with a + b = g.  Two exact
-routes are provided: a vectorized pair-enumeration baseline and a packed
-big-integer multiplication that realizes the cyclic convolution in one
-arbitrary-precision product.  Both return identical integer counts, and
-rep_profile can cross-check one against the other.
+engines are provided: a vectorized pair-enumeration baseline ("naive") and
+an O(n log n) transform engine ("fast").  Both return identical integer
+counts, and rep_profile can cross-check one against the other.
 
 Pair enumeration adds flat indices mod m in a cyclic group and factor by
 factor in other groups, except where every order is a power of two: there
@@ -12,17 +11,45 @@ the flat index packs the coordinates in lanes of log2(m_i) bits, and a sum
 is one lane-wise add with each lane's carry out dropped,
 ((a & L) + (b & L)) ^ ((a ^ b) & H), H the top bit of each lane and L the
 bits below it.
+
+The fast engine takes one of two routes.
+
+- Groups whose orders are all 1 or 2 (Z_2^k): the flat index is the bit
+  vector, a sum is an XOR, and R_{A,B} = H(H 1_A * H 1_B) / 2^k with H the
+  +-1 Walsh-Hadamard matrix, applied in k numpy butterfly stages.  Every
+  intermediate is bounded by 2^k |A| |B| in absolute value; the vectors are
+  int64 below 2^63 and Python ints above it, never floats.
+- Every other group: the indicators are laid out with radix 2*m_i - 1 per
+  axis, so that no index sum wraps, and each slot is written as D decimal
+  digits with 10^D > min(|A|, |B|).  No coefficient of the linear
+  convolution exceeds min(|A|, |B|), so none carries into the next slot.
+  One decimal.Decimal per operand is multiplied in a context with
+  prec=MAX_PREC and Inexact, Rounded and InvalidOperation trapped: the
+  result is the exact integer product or an exception, and libmpdec
+  multiplies large operands by a number-theoretic transform.  The slots
+  are read back from the product's digits in one numpy pass, a check that
+  they sum to |A| |B| catches any carry, and each axis is folded mod m_i.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from functools import cached_property
 
 import numpy as np
 
-from .groups import Group, GroupMismatchError, GroupSubset, VerificationError
+from .groups import Group, GroupMismatchError, GroupSubset, VerificationError, _unpack_mask
 
 _CHUNK = 1 << 16
 
@@ -93,85 +120,101 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
     return RepProfile(group, tuple(counts.tolist()))
 
 
-def _slot_width(a: GroupSubset, b: GroupSubset) -> int:
-    """Bytes per packed slot: coefficients are bounded by min(|A|, |B|), so
-    this width can never carry into the next slot."""
-    bound = min(a.card, b.card)
-    width = 1
-    while (1 << (8 * width)) <= bound:
-        width *= 2
-    return width
+def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
+    """Decimal digits per packed slot: the least D with 10**D > min(|A|, |B|).
+    No coefficient of the linear convolution exceeds min(|A|, |B|), so none
+    can carry into the next slot."""
+    return len(str(min(a.card, b.card)))
 
 
-# _choose_engine's weights in nanoseconds, fitted to perfbench/grid.py and
-# wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4).
-_PAIR_NS = 8  # per pair and cyclic factor; a 2-group counts as one factor
-_BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
-_PACKED_BLOCK = 64  # bytes of packed buffer per Karatsuba unit
-_KARATSUBA_UNIT_NS = 226
-
-
-def _karatsuba_units(blocks: int) -> int:
-    """About blocks**log2(3): CPython multiplies big ints by Karatsuba, three
-    half-size products per level.  Interpolated linearly between powers of
-    two so that the cost grows smoothly with the buffer."""
-    blocks = max(blocks, 1)
-    j = blocks.bit_length() - 1
-    return 3**j * (2 * blocks - (1 << j)) >> j
-
-
-def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
-    """Pick "naive" or "fast" by comparing the two engines' predicted cost,
-    in integer arithmetic only."""
-    orders = a.group.orders
-    pair_cost = 0
-    if a.card and b.card:
-        chunks = -(-a.card // max(1, _CHUNK // b.card))
-        factors = len(orders) if _lane_masks(a.group) is None else 1
-        pair_cost = a.card * b.card * factors * _PAIR_NS
-        pair_cost += chunks * a.group.order * _BINCOUNT_SLOT_NS
-    slots = 1
-    for mi in orders:
-        slots *= 2 * mi - 1
-    blocks = slots * _slot_width(a, b) // _PACKED_BLOCK
-    packed_cost = _karatsuba_units(blocks) * _KARATSUBA_UNIT_NS
-    return "fast" if packed_cost < pair_cost else "naive"
-
-
-def _pack(group: Group, s: GroupSubset, strides: list[int], total: int, dtype: str) -> int:
-    """Indicator of s laid out at the packed positions sum(c_i * stride_i)."""
-    coords = _coord_arrays(group, np.asarray(s.elements(), dtype=np.int64))
-    pos = np.zeros(len(coords[0]), dtype=np.int64)
-    for c, stride in zip(coords, strides):
-        pos += c * stride
-    buf = np.zeros(total, dtype=dtype)
-    buf[pos] = 1
-    return int.from_bytes(buf.tobytes(), "little")
-
-
-def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """Exact linear convolution of the two indicator arrays via one big-int
-    multiply, followed by per-axis cyclic folding."""
-    group = a.group
-    width = _slot_width(a, b)
-    if width > 4:
-        raise VerificationError("convolution coefficients exceed 32-bit slots")
-
-    # Linear radices 2*m_i - 1 leave room for index sums before folding.
-    radices = [2 * mi - 1 for mi in group.orders]
+def _packed_layout(orders: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """Radices 2*m_i - 1, which leave room for every index sum before the
+    fold, their row-major strides, and the slot count prod(2*m_i - 1)."""
+    radices = [2 * mi - 1 for mi in orders]
     strides = [0] * len(radices)
     acc = 1
     for i in range(len(radices) - 1, -1, -1):
         strides[i] = acc
         acc *= radices[i]
-    total = acc
+    return radices, strides, acc
 
-    dtype = {1: "<u1", 2: "<u2", 4: "<u4"}[width]
-    pa = _pack(group, a, strides, total, dtype)
-    pb = pa if b == a else _pack(group, b, strides, total, dtype)
-    raw = (pa * pb).to_bytes(total * width, "little")
-    arr = np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(radices)
 
+def _is_elementary_two(group: Group) -> bool:
+    """Every order is 1 or 2: the flat index is the bit vector of Z_2^k."""
+    return all(mi <= 2 for mi in group.orders)
+
+
+# _choose_engine's weights in nanoseconds, fitted to perfbench/grid.py and
+# wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4, libmpdec 2.5.1).
+_PAIR_NS = 8  # per pair and cyclic factor; a 2-group counts as one factor
+_BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
+_PRODUCT_CALL_NS = 10_000  # the decimal product's fixed cost above pairs'
+_PRODUCT_DIGIT_NS = 3  # per packed digit and bit of the digit count
+_STAGE_NS = 7_000  # per butterfly stage, for all three transforms
+_BUTTERFLY_NS = 5  # per group element and butterfly stage
+
+
+def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
+    """Pick "naive" or "fast" by comparing the two engines' predicted cost,
+    in integer arithmetic only."""
+    group = a.group
+    pair_cost = 0
+    if a.card and b.card:
+        chunks = -(-a.card // max(1, _CHUNK // b.card))
+        factors = len(group.orders) if _lane_masks(group) is None else 1
+        pair_cost = a.card * b.card * factors * _PAIR_NS
+        pair_cost += chunks * group.order * _BINCOUNT_SLOT_NS
+    if _is_elementary_two(group):
+        stages = group.order.bit_length() - 1
+        fast_cost = stages * (_STAGE_NS + group.order * _BUTTERFLY_NS)
+    else:
+        digits = _packed_layout(group.orders)[2] * _slot_digits(a, b)
+        fast_cost = _PRODUCT_CALL_NS + digits * digits.bit_length() * _PRODUCT_DIGIT_NS
+    return "fast" if fast_cost < pair_cost else "naive"
+
+
+# Exact decimal arithmetic: any rounding or invalid operation raises, so a
+# product computed in this context is the exact integer product or an error.
+# The exponent limits are the widest, so no product that fits in memory
+# overflows.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
+)
+_ZERO, _ONE = ord("0"), ord("1")
+
+
+def _pack(group: Group, s: GroupSubset, strides: list[int], total: int, digits: int) -> Decimal:
+    """Indicator of s at the packed positions sum(c_i * stride_i), as one
+    decimal integer: slot j holds the digits of weight 10**(digits*j) up to
+    10**(digits*j + digits - 1)."""
+    coords = _coord_arrays(group, np.asarray(s.elements(), dtype=np.int64))
+    pos = np.zeros(len(coords[0]), dtype=np.int64)
+    for c, stride in zip(coords, strides):
+        pos += c * stride
+    text = np.full(total * digits, _ZERO, dtype=np.uint8)
+    text[(total - pos) * digits - 1] = _ONE  # most significant slot first
+    return _EXACT.create_decimal(text.tobytes().decode("ascii"))
+
+
+def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
+    """Exact linear convolution of the two indicator arrays by one decimal
+    product (libmpdec multiplies large operands by a number-theoretic
+    transform), followed by per-axis cyclic folding."""
+    group = a.group
+    digits = _slot_digits(a, b)
+    radices, strides, total = _packed_layout(group.orders)
+    pa = _pack(group, a, strides, total, digits)
+    pb = pa if b == a else _pack(group, b, strides, total, digits)
+    text = str(_EXACT.multiply(pa, pb))
+    if len(text) > total * digits:
+        raise VerificationError("packed product overflows its slots")
+    raw = np.frombuffer(text.rjust(total * digits, "0").encode("ascii"), dtype=np.uint8)
+    place = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+    arr = ((raw.reshape(total, digits) - _ZERO).astype(np.int64) @ place)[::-1]
+    # A carry between slots loses 10**digits - 1 from the total mass.
+    if int(arr.sum()) != a.card * b.card:
+        raise VerificationError("packed product carried between slots")
+    arr = arr.reshape(radices)
     for axis, mi in enumerate(group.orders):
         if mi == 1:
             continue
@@ -182,13 +225,45 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     return arr.reshape(group.order)
 
 
+_INT64_BOUND = 1 << 63
+
+
+def _hadamard(v: np.ndarray) -> np.ndarray:
+    """In-place +-1 Walsh-Hadamard transform of a length-2^k vector: k
+    butterfly stages (x, y) -> (x + y, x - y)."""
+    n, half = v.size, 1
+    while half < n:
+        w = v.reshape(-1, 2, half)
+        x, y = w[:, 0], w[:, 1]
+        x += y
+        y *= -2  # y becomes (x + y) - 2y = x - y without a temporary
+        y += x
+        half *= 2
+    return v
+
+
+def _convolve_hadamard(a: GroupSubset, b: GroupSubset) -> np.ndarray:
+    """R_{A,B} = H(H 1_A * H 1_B) / 2^k on a group whose orders are all 1 or
+    2, where a + b is the XOR of flat indices.  Every intermediate is at
+    most 2^k |A| |B| in absolute value; past int64 the vectors hold Python
+    ints."""
+    n = a.group.order
+    k = n.bit_length() - 1
+    dtype = np.int64 if (a.card * b.card) << k < _INT64_BOUND else object
+    fa = _hadamard(_unpack_mask(a.bits, n).astype(dtype))
+    fb = fa if b == a else _hadamard(_unpack_mask(b.bits, n).astype(dtype))
+    return _hadamard(fa * fb) >> k
+
+
 def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
-    """Exact R_{A,B} via packed multiplication."""
+    """Exact R_{A,B} by the Walsh-Hadamard transform on Z_2^k, else by one
+    exact decimal product of the packed indicators."""
     if b is None:
         b = a
     if b.group != a.group:
         raise GroupMismatchError("profile of subsets of different groups")
-    return RepProfile(a.group, tuple(_convolve_packed(a, b).tolist()))
+    convolve = _convolve_hadamard if _is_elementary_two(a.group) else _convolve_packed
+    return RepProfile(a.group, tuple(convolve(a, b).tolist()))
 
 
 def rep_profile(
@@ -198,18 +273,18 @@ def rep_profile(
     method: str = "auto",
     cross_check: bool = False,
 ) -> "RepProfile":
-    """Dispatch between the exact routes.  method: auto | naive | fast.
+    """Dispatch between the exact engines.  method: auto | naive | fast.
 
-    auto predicts each engine's cost in integer arithmetic and runs the
+    auto predicts each engine's cost in integer nanoseconds and runs the
     cheaper.  Pair enumeration costs |A|*|B| times the number of cyclic
     factors, or times one when every order is a power of two (the lane-wise
     add of flat indices), plus a pass over the group per chunk of pairs.
-    Packing costs a Karatsuba multiply of its buffer: prod(2*m_i - 1) slots
-    of the slot width in bytes, three half-size products per doubling.
-    Sparse sets such as Singer sets therefore enumerate pairs, as do groups
-    whose packed buffer blows up (Z_2^k); dense sets in cyclic or few-factor
-    groups are packed.  cross_check recomputes through the other route and
-    compares.
+    The fast engine costs n log n: on Z_2^k, k butterfly stages over the
+    2^k entries plus a fixed cost per stage; elsewhere, N log2 N for the
+    N = prod(2*m_i - 1) * D packed digits plus a fixed cost per call.
+    Sparse sets such as Singer sets therefore enumerate pairs; dense sets
+    take the fast engine.  cross_check recomputes through the other engine
+    and compares.
     """
     if method == "auto":
         method = _choose_engine(a, a if b is None else b)
@@ -221,7 +296,7 @@ def rep_profile(
         raise ValueError(f"unknown method {method!r}")
     profile = engine(a, b)
     if cross_check and other(a, b).counts != profile.counts:
-        raise VerificationError("pair enumeration and packed convolution disagree")
+        raise VerificationError("pair enumeration and the fast engine disagree")
     return profile
 
 

@@ -198,6 +198,22 @@ class TestVerify:
         scrub = lambda s: re.sub(r'"wall_time_us": \d+', '"wall_time_us": 0', s)
         assert scrub(outs[0]) == scrub(outs[1])
 
+    def test_seed_is_echoed_once_under_flags(self, capsys, tmp_path):
+        setfile = tmp_path / "set.json"
+        run_cli(["singer", "--p", "3", "--out", str(setfile)], capsys)
+        for argv in (
+            ["singer", "--p", "3"],
+            ["construct", "--theorem", "12b", "--p", "5"],
+            ["spectrum", "--in", str(setfile)],
+            ["diff-profile", "--in", str(setfile)],
+            ["ruzsa", "--m", "7", "--r", "3"],
+            ["ruzsa", "--m", "12", "--mode", "heuristic", "--seed", "3"],
+            ["verify", "--trials", "5", "--seed", "11"],
+        ):
+            _, body = run_json(argv, capsys)
+            assert "seed" not in body["manifest"], argv
+        assert body["manifest"]["flags"]["seed"] == 11
+
     def test_suite_and_trials_flags(self, capsys):
         code, body = run_json(
             ["verify", "--suite", "lemmas", "--trials", "0", "--seed", "0"], capsys

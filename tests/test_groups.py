@@ -230,6 +230,27 @@ class TestLinearConversions:
                     GroupSubset.from_elements(g, good + bad + [1])
                 assert str(err.value) == f"index {bad[0]} outside [0, {order})"
 
+    def test_indices_past_int64_and_non_plain_ints(self):
+        g = Group.cyclic(7)
+        for elems, first in (([2**70], 2**70), ([1, -(2**70), 9], -(2**70)), ([3, 2**64], 2**64)):
+            with pytest.raises(InvalidElementError) as err:
+                GroupSubset.from_elements(g, elems)
+            assert str(err.value) == f"index {first} outside [0, 7)"
+        # numpy integers and integral floats take check_element one by one
+        assert GroupSubset.from_elements(g, [np.int64(3), 2.0, 5]).elements() == [2, 3, 5]
+        with pytest.raises(InvalidElementError):
+            GroupSubset.from_elements(g, [1, 2.5])
+
+    def test_json_checks_order_then_range(self):
+        with pytest.raises(InvalidElementError) as err:
+            subset_from_json_dict({"orders": [7], "elements": [1, 2**70]})
+        assert str(err.value) == f"index {2**70} outside [0, 7)"
+        for elems in ([2**70, 1], [5, 3, 9], [-1, -1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                subset_from_json_dict({"orders": [7], "elements": elems})
+        with pytest.raises(InvalidElementError, match="index -1 outside"):
+            subset_from_json_dict({"orders": [7], "elements": [-1, 2, 8]})
+
     def test_negate_matches_group_neg(self):
         rng = random.Random(22)
         for orders in [(1,), (2,), (7,), (4096,), (65539,), (2, 3), (1, 5), (4, 1, 6),

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from repfn import profiles
 from repfn.groups import (
     Group,
     GroupMismatchError,
@@ -123,29 +124,27 @@ def _sample(orders, size, seed=0):
 
 
 # (label, subset factory, engine that auto must pick); shapes of the engine
-# grid in perfbench/grid.py.  None marks a near tie (half of Z_2^12: the two
-# engines' times cross from run to run), where only exactness is checked.
+# grid in perfbench/grid.py.
 ENGINE_GRID = [
     ("Singer set in Z_161203", lambda: singer_set(401).subset, "naive"),
     ("363 of Z_65536", lambda: _sample([65536], 363), "naive"),
     ("128 of Z_2^13", lambda: _sample([2] * 13, 128), "naive"),
     ("128 of Z_2^14", lambda: _sample([2] * 14, 128), "naive"),
     ("51 of Z_4xZ_5xZ_7xZ_9", lambda: _sample([4, 5, 7, 9], 51), "naive"),
-    ("half of Z_2^12", lambda: _sample([2] * 12, 2048), None),
+    ("half of Z_2^12", lambda: _sample([2] * 12, 2048), "fast"),
     ("half of Z_65536", lambda: _sample([65536], 32768), "fast"),
     ("half of Z_16^3", lambda: _sample([16] * 3, 2048), "fast"),
     ("630 of Z_4xZ_5xZ_7xZ_9", lambda: _sample([4, 5, 7, 9], 630), "fast"),
 ]
-CHOICE_GRID = [g for g in ENGINE_GRID if g[2] is not None]
 
 
-# The engine auto rejects on these shapes takes seconds (2^30 pairs, or a
-# packed buffer of 3^14 slots), so the comparison leaves it out there.
-SECONDS_LONG = {"half of Z_65536": "naive", "128 of Z_2^14": "fast"}
+# Pair enumeration takes seconds on this shape (2^30 pairs), so the
+# comparison leaves it out there.
+SECONDS_LONG = {"half of Z_65536": "naive"}
 
 
 class TestCostModel:
-    @pytest.mark.parametrize("label,make,engine", CHOICE_GRID, ids=[g[0] for g in CHOICE_GRID])
+    @pytest.mark.parametrize("label,make,engine", ENGINE_GRID, ids=[g[0] for g in ENGINE_GRID])
     def test_choice_on_grid(self, label, make, engine):
         a = make()
         assert _choose_engine(a, a) == engine
@@ -172,10 +171,32 @@ class TestCostModel:
         assert _choose_engine(a, a) == "naive"
 
 
-def _pair_counts(g, a, b):
-    """R_{A,B} by a Counter over Group.add, independent of both engines."""
-    hits = Counter(g.add(x, y) for x in a for y in b)
-    return tuple(hits[x] for x in range(g.order))
+def _counter_profile(orders, xs, ys):
+    """R_{A,B} from a Counter over ordered pairs, coordinates decoded
+    row-major by hand: no repfn code at all."""
+
+    def decode(i):
+        coords = []
+        for mi in reversed(orders):
+            i, c = divmod(i, mi)
+            coords.append(c)
+        return coords[::-1]
+
+    def encode(coords):
+        i = 0
+        for c, mi in zip(coords, orders):
+            i = i * mi + c
+        return i
+
+    hits = Counter(
+        encode([(p + q) % mi for p, q, mi in zip(decode(x), decode(y), orders)])
+        for x in xs
+        for y in ys
+    )
+    n = 1
+    for mi in orders:
+        n *= mi
+    return tuple(hits[g] for g in range(n))
 
 
 class TestTwoGroups:
@@ -199,18 +220,97 @@ class TestTwoGroups:
             (a, [g.neg(x) for x in a]),
         ]
         for xs, ys in cases:
-            want = _pair_counts(g, xs, ys)
+            want = _counter_profile(g.orders, xs, ys)
             sa, sb = GroupSubset.from_elements(g, xs), GroupSubset.from_elements(g, ys)
             assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
         assert rep_diff_profile(GroupSubset.from_elements(g, a), method="naive").counts == \
-            _pair_counts(g, a, [g.neg(x) for x in a])
+            _counter_profile(g.orders, a, [g.neg(x) for x in a])
 
-    def test_half_of_z2_12_enumerates_pairs(self):
-        # One lane-wise pass per pair, not one per factor: 2048^2 pairs cost
-        # about what they would in a cyclic group, far below packing 3^12 slots.
+    def test_half_of_z2_12_takes_hadamard_not_3_to_the_12_slots(self, monkeypatch):
+        # Three transforms of 4096 entries cost far less than 2048^2 pairs,
+        # and the fast engine never packs the 3^12 slots of 2*m_i - 1 radices.
         a = _sample([2] * 12, 2048)
-        assert _choose_engine(a, a) == "naive"
-        assert _choose_engine(a, a.negate()) == "naive"
+        assert _choose_engine(a, a) == "fast"
+        assert _choose_engine(a, a.negate()) == "fast"
+        want = rep_profile_naive(a).counts
+        monkeypatch.setattr(profiles, "_convolve_packed", None)
+        assert rep_profile_fast(a).counts == want
+
+
+class TestExactTransforms:
+    """The decimal product and the Walsh-Hadamard route against pair
+    enumeration and a repfn-free Counter over ordered pairs."""
+
+    SHAPES = [
+        (1,), (2,), (7,), (64,), (97,),
+        (3, 4), (1, 5, 2), (6, 1, 4), (4, 5, 7), (9, 8),
+        (1, 1), (2, 2, 2), (1, 2, 1, 2, 2), (2,) * 7,
+    ]
+
+    @pytest.mark.parametrize("orders", SHAPES, ids=lambda o: "x".join(map(str, o)))
+    def test_fast_equals_naive_equals_counter(self, orders):
+        g = Group(orders)
+        n = g.order
+        rng = random.Random(n * 131 + len(orders))
+        a = rng.sample(range(n), rng.randint(1, n))
+        b = rng.sample(range(n), rng.randint(1, n))
+        one = [rng.randrange(n)]
+        for xs, ys in [([], b), (a, []), (one, b), (a, one), (one, one),
+                       (range(n), range(n)), (range(n), a), (a, b), (a, a)]:
+            sa, sb = GroupSubset.from_elements(g, xs), GroupSubset.from_elements(g, ys)
+            want = _counter_profile(orders, list(xs), list(ys))
+            assert rep_profile_fast(sa, sb).counts == want, (list(xs), list(ys))
+            assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
+
+    def test_random_groups(self):
+        rng = random.Random(12)
+        for trial in range(60):
+            kind = trial % 3
+            if kind == 0:  # cyclic
+                orders = (rng.randint(1, 80),)
+            elif kind == 1:  # mixed, order-1 factors allowed
+                orders = tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 3)))
+            else:  # elementary 2-group, order-1 factors allowed
+                orders = tuple(rng.choice((1, 2, 2)) for _ in range(rng.randint(1, 7)))
+            g = Group(orders)
+            xs = rng.sample(range(g.order), rng.randint(0, g.order))
+            ys = rng.sample(range(g.order), rng.randint(0, g.order))
+            sa, sb = GroupSubset.from_elements(g, xs), GroupSubset.from_elements(g, ys)
+            want = _counter_profile(orders, xs, ys)
+            assert rep_profile_fast(sa, sb).counts == want, (orders, xs, ys)
+            assert rep_profile_naive(sa, sb).counts == want, (orders, xs, ys)
+
+    def test_too_few_digits_raise_never_miscount(self, monkeypatch):
+        digits = profiles._slot_digits
+        monkeypatch.setattr(profiles, "_slot_digits", lambda a, b: digits(a, b) - 1)
+        with pytest.raises(VerificationError):
+            rep_profile_fast(GroupSubset.full(Group.cyclic(300)))
+        rng = random.Random(5)
+        for orders in [(300,), (40,), (12, 10), (4, 5, 7)]:
+            g = Group(orders)
+            for _ in range(5):
+                a = _sample(orders, rng.randint(10, g.order), rng.randrange(1 << 30))
+                b = _sample(orders, rng.randint(10, g.order), rng.randrange(1 << 30))
+                try:
+                    counts = rep_profile_fast(a, b).counts
+                except VerificationError:
+                    continue
+                assert counts == rep_profile_naive(a, b).counts
+
+    def test_hadamard_beyond_int64_bound_uses_python_ints(self, monkeypatch):
+        a, b = _sample([2] * 6, 40), _sample([2] * 6, 50, seed=1)
+        want = _counter_profile((2,) * 6, a.elements(), b.elements())
+        dtypes = []
+        hadamard = profiles._hadamard
+
+        def spy(v):
+            dtypes.append(v.dtype)
+            return hadamard(v)
+
+        monkeypatch.setattr(profiles, "_hadamard", spy)
+        monkeypatch.setattr(profiles, "_INT64_BOUND", 40 * 50 << 6)
+        assert rep_profile_fast(a, b).counts == want
+        assert dtypes == [object] * 3
 
 
 class TestDiffProfile:
