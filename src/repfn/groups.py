@@ -129,13 +129,7 @@ class GroupSubset:
 
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[int]) -> "GroupSubset":
-        elems = list(elems)
-        if set(map(type, elems)) <= {int}:
-            idx = _int_array(elems)
-            _check_range(group, elems, idx)
-        else:
-            idx = [group.check_element(e) for e in elems]
-        return cls._from_indices(group, idx)
+        return cls._from_indices(group, [group.check_element(e) for e in elems])
 
     @classmethod
     def _from_indices(cls, group: Group, idx) -> "GroupSubset":

@@ -2,7 +2,7 @@
 
 R_{A,B}(g) counts ordered pairs (a, b) in A x B with a + b = g.  Two exact
 engines are provided: a vectorized pair-enumeration baseline ("naive") and
-an O(n log n) transform engine ("fast").  Both return identical integer
+an engine of exact transforms and packed products ("fast").  Both return identical integer
 counts, and rep_profile can cross-check one against the other.
 
 Pair enumeration adds flat indices mod m in a cyclic group and factor by
@@ -16,19 +16,23 @@ The fast engine takes one of two routes.
 
 - Groups whose orders are all 1 or 2 (Z_2^k): the flat index is the bit
   vector, a sum is an XOR, and R_{A,B} = H(H 1_A * H 1_B) / 2^k with H the
-  +-1 Walsh-Hadamard matrix, applied in k numpy butterfly stages.  Every
-  intermediate is bounded by 2^k |A| |B| in absolute value; the vectors are
-  int64 below 2^63 and Python ints above it, never floats.
+  +-1 Walsh-Hadamard matrix, applied in k numpy butterfly stages.  The
+  vectors are uint64 and wrap; every step is a ring operation, so each
+  entry is exact modulo 2^64, and the final 2^k R(g) <= 2^(2k) is below
+  2^64 for k <= 31.  No float enters.
 - Every other group: the indicators are laid out with radix 2*m_i - 1 per
-  axis, so that no index sum wraps, and each slot is written as D decimal
-  digits with 10^D > min(|A|, |B|).  No coefficient of the linear
-  convolution exceeds min(|A|, |B|), so none carries into the next slot.
-  One decimal.Decimal per operand is multiplied in a context with
-  prec=MAX_PREC and Inexact, Rounded and InvalidOperation trapped: the
-  result is the exact integer product or an exception, and libmpdec
-  multiplies large operands by a number-theoretic transform.  The slots
-  are read back from the product's digits in one numpy pass, a check that
-  they sum to |A| |B| catches any carry, and each axis is folded mod m_i.
+  axis, so that no index sum wraps, and multiplied as two packed integers.
+  No coefficient of the linear convolution exceeds min(|A|, |B|), so a
+  slot wider than that never carries into the next.  Large packs write
+  each slot as D decimal digits with 10^D > min(|A|, |B|) and multiply one
+  decimal.Decimal per operand in a context with prec=MAX_PREC and Inexact,
+  Rounded and InvalidOperation trapped: the result is the exact integer
+  product or an exception, and libmpdec multiplies large operands by a
+  number-theoretic transform.  Small packs, where libmpdec's word
+  Karatsuba is slower than CPython's, write each slot as 1, 2, 4 or 8
+  bytes of a CPython int.  The cost model picks the product; the slots
+  are read back in one numpy pass, a check that they sum to |A| |B|
+  catches any carry, and each axis is folded mod m_i.
 """
 
 from __future__ import annotations
@@ -45,11 +49,18 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .groups import Group, GroupMismatchError, GroupSubset, VerificationError, _unpack_mask
+from .groups import (
+    Group,
+    GroupMismatchError,
+    GroupSubset,
+    UnsupportedGroupError,
+    VerificationError,
+    _unpack_mask,
+)
 
 _CHUNK = 1 << 16
 
@@ -82,6 +93,11 @@ def _lane_masks(group: Group) -> tuple[int, int] | None:
     return (group.order - 1) ^ high, high
 
 
+def _indices(s: GroupSubset) -> np.ndarray:
+    """Member flat indices of s in ascending order, as an int64 array."""
+    return np.flatnonzero(_unpack_mask(s.bits, s.group.order)).astype(np.int64, copy=False)
+
+
 def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
     """Exact R_{A,B} by enumerating all |A|*|B| pairs (vectorized in chunks)."""
     if b is None:
@@ -90,8 +106,8 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
         raise GroupMismatchError("profile of subsets of different groups")
     group = a.group
     counts = np.zeros(group.order, dtype=np.int64)
-    ea = np.asarray(a.elements(), dtype=np.int64)
-    eb = np.asarray(b.elements(), dtype=np.int64)
+    ea = _indices(a)
+    eb = _indices(b)
     if ea.size and eb.size:
         step = max(1, _CHUNK // eb.size)
         if group.is_cyclic:
@@ -127,16 +143,26 @@ def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
     return len(str(min(a.card, b.card)))
 
 
-def _packed_layout(orders: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+def _slot_bytes(a: GroupSubset, b: GroupSubset) -> int:
+    """Bytes per packed slot of the integer product: the least of 1, 2, 4 and
+    8 with 256**width > min(|A|, |B|), by the same no-carry bound."""
+    width = 1
+    while (1 << (8 * width)) <= min(a.card, b.card):
+        width *= 2
+    return width
+
+
+@lru_cache(maxsize=1024)
+def _packed_layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Radices 2*m_i - 1, which leave room for every index sum before the
     fold, their row-major strides, and the slot count prod(2*m_i - 1)."""
-    radices = [2 * mi - 1 for mi in orders]
+    radices = tuple(2 * mi - 1 for mi in orders)
     strides = [0] * len(radices)
     acc = 1
     for i in range(len(radices) - 1, -1, -1):
         strides[i] = acc
         acc *= radices[i]
-    return radices, strides, acc
+    return radices, tuple(strides), acc
 
 
 def _is_elementary_two(group: Group) -> bool:
@@ -148,10 +174,34 @@ def _is_elementary_two(group: Group) -> bool:
 # wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4, libmpdec 2.5.1).
 _PAIR_NS = 8  # per pair and cyclic factor; a 2-group counts as one factor
 _BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
+_PACKED_BLOCK = 64  # bytes of packed integer per Karatsuba unit
+_KARATSUBA_UNIT_NS = 226
 _PRODUCT_CALL_NS = 10_000  # the decimal product's fixed cost above pairs'
 _PRODUCT_DIGIT_NS = 3  # per packed digit and bit of the digit count
 _STAGE_NS = 7_000  # per butterfly stage, for all three transforms
 _BUTTERFLY_NS = 5  # per group element and butterfly stage
+
+
+def _karatsuba_units(blocks: int) -> int:
+    """About blocks**log2(3): CPython multiplies big ints by Karatsuba, three
+    half-size products per level.  Interpolated linearly between powers of
+    two so that the cost grows smoothly with the buffer."""
+    blocks = max(blocks, 1)
+    j = blocks.bit_length() - 1
+    return 3**j * (2 * blocks - (1 << j)) >> j
+
+
+@lru_cache(maxsize=1024)
+def _packed_costs(total: int, width: int, digits: int) -> tuple[int, int]:
+    """Predicted cost of the packed product of total slots as CPython ints
+    of width bytes per slot (Karatsuba over the packed bytes) and as
+    Decimals of that many digits per slot (N log2 N over the N packed
+    digits, the number-theoretic transform, plus a fixed cost per call)."""
+    n = total * digits
+    return (
+        _karatsuba_units(total * width // _PACKED_BLOCK) * _KARATSUBA_UNIT_NS,
+        _PRODUCT_CALL_NS + n * n.bit_length() * _PRODUCT_DIGIT_NS,
+    )
 
 
 def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
@@ -168,8 +218,8 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
         stages = group.order.bit_length() - 1
         fast_cost = stages * (_STAGE_NS + group.order * _BUTTERFLY_NS)
     else:
-        digits = _packed_layout(group.orders)[2] * _slot_digits(a, b)
-        fast_cost = _PRODUCT_CALL_NS + digits * digits.bit_length() * _PRODUCT_DIGIT_NS
+        total = _packed_layout(group.orders)[2]
+        fast_cost = min(_packed_costs(total, _slot_bytes(a, b), _slot_digits(a, b)))
     return "fast" if fast_cost < pair_cost else "naive"
 
 
@@ -183,35 +233,70 @@ _EXACT = Context(
 _ZERO, _ONE = ord("0"), ord("1")
 
 
-def _pack(group: Group, s: GroupSubset, strides: list[int], total: int, digits: int) -> Decimal:
-    """Indicator of s at the packed positions sum(c_i * stride_i), as one
-    decimal integer: slot j holds the digits of weight 10**(digits*j) up to
-    10**(digits*j + digits - 1)."""
-    coords = _coord_arrays(group, np.asarray(s.elements(), dtype=np.int64))
-    pos = np.zeros(len(coords[0]), dtype=np.int64)
-    for c, stride in zip(coords, strides):
-        pos += c * stride
-    text = np.full(total * digits, _ZERO, dtype=np.uint8)
-    text[(total - pos) * digits - 1] = _ONE  # most significant slot first
-    return _EXACT.create_decimal(text.tobytes().decode("ascii"))
+def _positions(group: Group, s: GroupSubset, strides: tuple[int, ...]) -> np.ndarray:
+    """The packed positions sum(c_i * stride_i) of the elements of s, each
+    coordinate c_i read off the flat index from the last factor up."""
+    orders = group.orders
+    rest = _indices(s)
+    pos = rest % orders[-1]  # the last coordinate has stride 1
+    for i in range(len(orders) - 2, -1, -1):
+        rest = rest // orders[i + 1]
+        pos += rest % orders[i] * strides[i]
+    return pos
 
 
-def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """Exact linear convolution of the two indicator arrays by one decimal
-    product (libmpdec multiplies large operands by a number-theoretic
-    transform), followed by per-axis cyclic folding."""
-    group = a.group
-    digits = _slot_digits(a, b)
-    radices, strides, total = _packed_layout(group.orders)
-    pa = _pack(group, a, strides, total, digits)
-    pb = pa if b == a else _pack(group, b, strides, total, digits)
-    text = str(_EXACT.multiply(pa, pb))
+def _int_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, width: int) -> np.ndarray:
+    """Slots of the product of two packed indicators, lowest first, by one
+    CPython int multiply; slot j is the width bytes from byte width*j."""
+    dtype = f"<u{width}"
+
+    def pack(pos: np.ndarray) -> int:
+        buf = np.zeros(total, dtype=dtype)
+        buf[pos] = 1
+        return int.from_bytes(buf.tobytes(), "little")
+
+    pa = pack(pos_a)
+    product = pa * (pa if pos_b is pos_a else pack(pos_b))
+    if product.bit_length() > 8 * width * total:
+        raise VerificationError("packed product overflows its slots")
+    raw = product.to_bytes(total * width, "little")
+    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
+
+
+def _decimal_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, digits: int) -> np.ndarray:
+    """Slots of the product of two packed indicators, lowest first, by one
+    Decimal multiply in _EXACT; slot j is the digits of weight 10**(digits*j)
+    up to 10**(digits*j + digits - 1)."""
+
+    def pack(pos: np.ndarray) -> Decimal:
+        text = np.full(total * digits, _ZERO, dtype=np.uint8)
+        text[(total - pos) * digits - 1] = _ONE  # most significant slot first
+        return _EXACT.create_decimal(text.tobytes().decode("ascii"))
+
+    pa = pack(pos_a)
+    text = str(_EXACT.multiply(pa, pa if pos_b is pos_a else pack(pos_b)))
     if len(text) > total * digits:
         raise VerificationError("packed product overflows its slots")
     raw = np.frombuffer(text.rjust(total * digits, "0").encode("ascii"), dtype=np.uint8)
     place = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-    arr = ((raw.reshape(total, digits) - _ZERO).astype(np.int64) @ place)[::-1]
-    # A carry between slots loses 10**digits - 1 from the total mass.
+    return ((raw.reshape(total, digits) - _ZERO).astype(np.int64) @ place)[::-1]
+
+
+def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
+    """Exact linear convolution of the two indicator arrays by one product of
+    packed integers, as CPython ints or as Decimals, whichever _packed_costs
+    predicts cheaper, followed by per-axis cyclic folding."""
+    group = a.group
+    radices, strides, total = _packed_layout(group.orders)
+    pos_a = _positions(group, a, strides)
+    pos_b = pos_a if b == a else _positions(group, b, strides)
+    width, digits = _slot_bytes(a, b), _slot_digits(a, b)
+    int_cost, decimal_cost = _packed_costs(total, width, digits)
+    if int_cost <= decimal_cost:
+        arr = _int_product(pos_a, pos_b, total, width)
+    else:
+        arr = _decimal_product(pos_a, pos_b, total, digits)
+    # A carry between slots loses 256**width - 1 or 10**digits - 1 of the mass.
     if int(arr.sum()) != a.card * b.card:
         raise VerificationError("packed product carried between slots")
     arr = arr.reshape(radices)
@@ -225,39 +310,43 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     return arr.reshape(group.order)
 
 
-_INT64_BOUND = 1 << 63
+# Past Z_2^31 the uint64 transform would wrap the final counts; Z_2^32 would
+# need a 32 GiB vector anyway.
+_MAX_HADAMARD_RANK = 31
 
 
 def _hadamard(v: np.ndarray) -> np.ndarray:
-    """In-place +-1 Walsh-Hadamard transform of a length-2^k vector: k
-    butterfly stages (x, y) -> (x + y, x - y)."""
+    """In-place +-1 Walsh-Hadamard transform of a length-2^k unsigned vector:
+    k butterfly stages (x, y) -> (x + y, x - y), exact modulo 2**64."""
     n, half = v.size, 1
     while half < n:
         w = v.reshape(-1, 2, half)
         x, y = w[:, 0], w[:, 1]
         x += y
-        y *= -2  # y becomes (x + y) - 2y = x - y without a temporary
-        y += x
+        y *= 2
+        np.subtract(x, y, out=y)  # (x + y) - 2y = x - y without a temporary
         half *= 2
     return v
 
 
 def _convolve_hadamard(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     """R_{A,B} = H(H 1_A * H 1_B) / 2^k on a group whose orders are all 1 or
-    2, where a + b is the XOR of flat indices.  Every intermediate is at
-    most 2^k |A| |B| in absolute value; past int64 the vectors hold Python
-    ints."""
+    2, where a + b is the XOR of flat indices.  The vectors are uint64 and
+    wrap: every step is a ring operation, so each entry is exact modulo 2^64,
+    and each final entry 2^k R(g) <= 2^k min(|A|, |B|) <= 2^(2k) is below
+    2^64 for k <= 31."""
     n = a.group.order
     k = n.bit_length() - 1
-    dtype = np.int64 if (a.card * b.card) << k < _INT64_BOUND else object
-    fa = _hadamard(_unpack_mask(a.bits, n).astype(dtype))
-    fb = fa if b == a else _hadamard(_unpack_mask(b.bits, n).astype(dtype))
+    if k > _MAX_HADAMARD_RANK:
+        raise UnsupportedGroupError(f"Z_2^{k} is past the Hadamard route's Z_2^31")
+    fa = _hadamard(_unpack_mask(a.bits, n).astype(np.uint64))
+    fb = fa if b == a else _hadamard(_unpack_mask(b.bits, n).astype(np.uint64))
     return _hadamard(fa * fb) >> k
 
 
 def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
     """Exact R_{A,B} by the Walsh-Hadamard transform on Z_2^k, else by one
-    exact decimal product of the packed indicators."""
+    exact product of the packed indicators."""
     if b is None:
         b = a
     if b.group != a.group:
@@ -279,12 +368,13 @@ def rep_profile(
     cheaper.  Pair enumeration costs |A|*|B| times the number of cyclic
     factors, or times one when every order is a power of two (the lane-wise
     add of flat indices), plus a pass over the group per chunk of pairs.
-    The fast engine costs n log n: on Z_2^k, k butterfly stages over the
-    2^k entries plus a fixed cost per stage; elsewhere, N log2 N for the
-    N = prod(2*m_i - 1) * D packed digits plus a fixed cost per call.
-    Sparse sets such as Singer sets therefore enumerate pairs; dense sets
-    take the fast engine.  cross_check recomputes through the other engine
-    and compares.
+    The fast engine costs, on Z_2^k, k butterfly stages over the 2^k
+    entries plus a fixed cost per stage; elsewhere, the cheaper packed
+    product: N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a
+    fixed cost per call as Decimals, or about B**log2(3) for the B packed
+    bytes as CPython ints.  Sparse sets such as Singer sets therefore
+    enumerate pairs; dense sets take the fast engine.  cross_check
+    recomputes through the other engine and compares.
     """
     if method == "auto":
         method = _choose_engine(a, a if b is None else b)

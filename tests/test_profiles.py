@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repfn import profiles
@@ -9,6 +10,7 @@ from repfn.groups import (
     GroupMismatchError,
     GroupSubset,
     InvalidElementError,
+    UnsupportedGroupError,
     VerificationError,
 )
 from repfn.profiles import (
@@ -237,8 +239,16 @@ class TestTwoGroups:
         assert rep_profile_fast(a).counts == want
 
 
+@pytest.fixture(params=["int", "decimal"])
+def packed_route(request, monkeypatch):
+    """Force the packed product through one of its two multiplies."""
+    costs = (0, 1) if request.param == "int" else (1, 0)
+    monkeypatch.setattr(profiles, "_packed_costs", lambda total, width, digits: costs)
+    return request.param
+
+
 class TestExactTransforms:
-    """The decimal product and the Walsh-Hadamard route against pair
+    """The packed products and the Walsh-Hadamard route against pair
     enumeration and a repfn-free Counter over ordered pairs."""
 
     SHAPES = [
@@ -248,7 +258,7 @@ class TestExactTransforms:
     ]
 
     @pytest.mark.parametrize("orders", SHAPES, ids=lambda o: "x".join(map(str, o)))
-    def test_fast_equals_naive_equals_counter(self, orders):
+    def test_fast_equals_naive_equals_counter(self, orders, packed_route):
         g = Group(orders)
         n = g.order
         rng = random.Random(n * 131 + len(orders))
@@ -262,7 +272,7 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (list(xs), list(ys))
             assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
 
-    def test_random_groups(self):
+    def test_random_groups(self, packed_route):
         rng = random.Random(12)
         for trial in range(60):
             kind = trial % 3
@@ -280,9 +290,15 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (orders, xs, ys)
             assert rep_profile_naive(sa, sb).counts == want, (orders, xs, ys)
 
-    def test_too_few_digits_raise_never_miscount(self, monkeypatch):
-        digits = profiles._slot_digits
-        monkeypatch.setattr(profiles, "_slot_digits", lambda a, b: digits(a, b) - 1)
+    def test_narrow_slots_raise_never_miscount(self, monkeypatch, packed_route):
+        # One decimal digit fewer, or half the bytes, lets the middle slots
+        # of a full Z_300 carry; the mass check must catch every carry.
+        if packed_route == "decimal":
+            digits = profiles._slot_digits
+            monkeypatch.setattr(profiles, "_slot_digits", lambda a, b: digits(a, b) - 1)
+        else:
+            width = profiles._slot_bytes
+            monkeypatch.setattr(profiles, "_slot_bytes", lambda a, b: max(1, width(a, b) // 2))
         with pytest.raises(VerificationError):
             rep_profile_fast(GroupSubset.full(Group.cyclic(300)))
         rng = random.Random(5)
@@ -297,20 +313,40 @@ class TestExactTransforms:
                     continue
                 assert counts == rep_profile_naive(a, b).counts
 
-    def test_hadamard_beyond_int64_bound_uses_python_ints(self, monkeypatch):
-        a, b = _sample([2] * 6, 40), _sample([2] * 6, 50, seed=1)
-        want = _counter_profile((2,) * 6, a.elements(), b.elements())
-        dtypes = []
-        hadamard = profiles._hadamard
+    def test_small_packs_multiply_as_ints_large_as_decimals(self, monkeypatch):
+        # Below a few tens of thousands of digits CPython beats libmpdec.
+        calls = []
+        for name in ("_int_product", "_decimal_product"):
+            real = getattr(profiles, name)
+            monkeypatch.setattr(
+                profiles, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+            )
+        small, large = _sample([1000], 500), _sample([65536], 32768)
+        assert rep_profile_fast(small).counts == rep_profile_naive(small).counts
+        rep_profile_fast(large)
+        assert calls == ["_int_product", "_decimal_product"]
 
-        def spy(v):
-            dtypes.append(v.dtype)
-            return hadamard(v)
+    def test_hadamard_is_exact_modulo_the_word(self):
+        # The butterflies are ring operations, so in uint8 every entry is the
+        # true transform mod 256 although the true values leave [0, 256).
+        rng = random.Random(3)
+        xs = [rng.randrange(256) for _ in range(32)]
+        want = list(xs)
+        half = 1
+        while half < len(want):
+            for lo in range(0, len(want), 2 * half):
+                for i in range(lo, lo + half):
+                    x, y = want[i], want[i + half]
+                    want[i], want[i + half] = x + y, x - y
+            half *= 2
+        assert max(map(abs, want)) > 256 and min(want) < 0
+        got = profiles._hadamard(np.array(xs, dtype=np.uint8))
+        assert got.tolist() == [w % 256 for w in want]
 
-        monkeypatch.setattr(profiles, "_hadamard", spy)
-        monkeypatch.setattr(profiles, "_INT64_BOUND", 40 * 50 << 6)
-        assert rep_profile_fast(a, b).counts == want
-        assert dtypes == [object] * 3
+    def test_hadamard_refuses_past_z2_31(self):
+        # Refused before any 2^32-entry vector is allocated.
+        with pytest.raises(UnsupportedGroupError):
+            rep_profile_fast(GroupSubset.empty(Group((2,) * 32)))
 
 
 class TestDiffProfile:
