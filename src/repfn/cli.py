@@ -13,7 +13,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from enum import Enum
@@ -115,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None,
                    help="heuristic random seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="heuristic worker count (default: RFL_THREADS or 1)")
+                   help="heuristic worker count (default 1)")
     p.add_argument("--out", default="-")
 
     return parser
@@ -341,21 +340,9 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
     return body, EX_OK if result.ok else EX_FAIL
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RFL_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"RFL_THREADS must be an integer, got {env!r}") from None
-
-
 def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
     if args.mode == "heuristic":
-        threads = _resolve_threads(args)
+        threads = 1 if args.threads is None else args.threads
         if args.seed is None:
             args.seed = 0
         cfg = SearchConfig(

@@ -264,7 +264,7 @@ def subset_from_json_dict(data: dict) -> GroupSubset:
 
 def subset_from_text(text: str) -> GroupSubset:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("orders"):
+    if not lines or lines[0].split()[0] != "orders":
         raise ValueError("text set format needs a leading 'orders m1 m2 ...' line")
     orders = tuple(int(tok) for tok in lines[0].split()[1:])
     group = Group(orders)

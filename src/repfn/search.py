@@ -23,7 +23,6 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from math import gcd
 from typing import Iterable
 
@@ -47,12 +46,12 @@ class SearchStatus(str, Enum):
 class SearchConfig:
     """Parameters for one search run.
 
-    node_budget counts visited nodes in exact mode and proposed moves per
-    worker in heuristic mode.  threads is the heuristic's worker count; the
-    exact search has one, so exact mode accepts only threads=1.
-    counter_check is a probability per exact node of cross-checking the
-    incremental counters against the pair-enumeration profile (a test hook;
-    0 disables it).
+    Each mode reads every field it accepts and refuses the rest.  Exact mode
+    reads node_budget (visited nodes) and time_budget; it has no randomness
+    and one worker, so it refuses seed != 0 and threads != 1.  Heuristic
+    mode reads node_budget (proposed moves per worker), seed and threads
+    (the worker count); its budget is moves alone, so it refuses a
+    time_budget.
     """
 
     m: int
@@ -62,7 +61,6 @@ class SearchConfig:
     time_budget: float | None = None
     seed: int = 0
     threads: int = 1
-    counter_check: float = 0.0
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -77,10 +75,10 @@ class SearchConfig:
             raise ValueError("time budget must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.mode == "exact" and self.threads != 1:
-            raise ValueError("threads only applies to mode='heuristic'")
-        if not 0.0 <= self.counter_check <= 1.0:
-            raise ValueError("counter_check must be a probability")
+        if self.mode == "exact" and (self.threads != 1 or self.seed != 0):
+            raise ValueError("threads and seed only apply to mode='heuristic'")
+        if self.mode == "heuristic" and self.time_budget is not None:
+            raise ValueError("time_budget only applies to mode='exact'")
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,6 @@ class _ExactSearch(_Slots):
         self.deadline = (
             time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
         )
-        self.check_rng = random.Random(cfg.seed) if cfg.counter_check > 0 else None
         self.witness: list[int] | None = None
 
     def run(self) -> bool:
@@ -234,17 +231,6 @@ class _ExactSearch(_Slots):
         finally:
             self.case_nodes[1] = self.nodes - start
 
-    def _verify_counters(self, e: int, R: int, P: int) -> None:
-        """Check R and P slot by slot against pair enumeration (a test hook)."""
-        group = Group.cyclic(self.m)
-        got = (self.decode(R), self.decode(P))
-        expected = tuple(
-            rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
-            for elems in (self.members, chain(self.members, range(e, self.m)))
-        )
-        if got != expected:
-            raise VerificationError("incremental counters diverged from the profile")
-
     def _dfs(self, e: int, A: int, R: int, P: int) -> bool:
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
@@ -255,8 +241,6 @@ class _ExactSearch(_Slots):
             and time.monotonic() > self.deadline
         ):
             raise _BudgetExceeded
-        if self.check_rng is not None and self.check_rng.random() < self.cfg.counter_check:
-            self._verify_counters(e, R, P)
         top, cover_add, members = self.top, self.cover_add, self.members
         if (R + cover_add) & top == top:
             self.witness = list(members)
@@ -368,6 +352,8 @@ def ruzsa_number(
     with max count m, so the loop always terminates by r = m.  If a probe
     exhausts its budget the result degrades to a bracket, never to a guess.
     """
+    if m < 1:
+        raise ValueError("modulus m must be at least 1")
     t0 = time.monotonic()
     prev_unsat: SearchOutcome | None = None
     probes: list[tuple[int, SearchStatus]] = []
@@ -389,8 +375,7 @@ def ruzsa_number(
         # Budget ran out at this r: bracket with a heuristic upper bound.
         heur = heuristic_upper_bound(
             SearchConfig(
-                m=m, r=m, mode="heuristic",
-                node_budget=min(node_budget, 20_000), seed=0,
+                m=m, r=m, mode="heuristic", node_budget=min(node_budget, 20_000)
             )
         )
         hi_cert = heur.certificate

@@ -1,12 +1,14 @@
 import io
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repfn.cli import _json_text, main
+from repfn.cli import _HANDLERS, _json_text, build_parser, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
 
@@ -277,42 +279,12 @@ class TestRuzsa:
         assert body["status"] == "EXHAUSTED"
         assert body["achieved_r"] > 1
 
-    def test_threads_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFL_THREADS", "2")
-        code, body = run_json(
-            ["ruzsa", "--m", "8", "--r", "4", "--mode", "heuristic", "--budget", "200"],
-            capsys,
-        )
-        assert code == 0
-        assert body["threads"] == 2
-
-    def test_threads_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFL_THREADS", "4")
-        code, body = run_json(
-            ["ruzsa", "--m", "8", "--r", "4", "--mode", "heuristic",
-             "--budget", "200", "--threads", "1"],
-            capsys,
-        )
-        assert code == 0
-        assert body["threads"] == 1
-
     def test_zero_budget_usage_error(self, capsys):
         for extra in (["--r", "3"], [], ["--r", "3", "--mode", "heuristic"]):
             code, out, err = run_cli(["ruzsa", "--m", "10", "--budget", "0", *extra], capsys)
             assert code == 64
             assert out == ""
             assert "budget" in err
-
-    def test_bad_env_threads_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFL_THREADS", "two")
-        code, _, err = run_cli(["ruzsa", "--m", "8", "--r", "4", "--mode", "heuristic"], capsys)
-        assert code == 64
-        assert "RFL_THREADS" in err
-
-    def test_exact_mode_ignores_env_threads(self, capsys, monkeypatch):
-        monkeypatch.setenv("RFL_THREADS", "two")
-        code, body = run_json(["ruzsa", "--m", "7", "--r", "3"], capsys)
-        assert code == 0 and body["status"] == "SAT"
 
     def test_threads_flag_needs_heuristic_mode(self, capsys):
         for extra in (["--r", "3"], []):
@@ -340,6 +312,25 @@ class TestRuzsa:
                 code, out, _ = run_cli(["ruzsa", "--m", "8", "--r", r, "--mode", mode], capsys)
                 assert code == 64, (r, mode)
                 assert out == ""
+
+    def test_nonpositive_modulus_usage_error(self, capsys):
+        for m in ("0", "-3"):
+            for extra in ([], ["--r", "2"], ["--mode", "heuristic"]):
+                code, out, err = run_cli(["ruzsa", "--m", m, *extra], capsys)
+                assert code == 64, (m, extra)
+                assert out == ""
+                assert "modulus" in err
+
+    def test_threads_default_one(self, capsys):
+        # the body carries the worker count used; the manifest echoes the
+        # flag as given
+        code, body = run_json(
+            ["ruzsa", "--m", "8", "--r", "4", "--mode", "heuristic", "--budget", "200"],
+            capsys,
+        )
+        assert code == 0
+        assert body["threads"] == 1
+        assert body["manifest"]["flags"]["threads"] is None
 
 
 class TestErrorPaths:
@@ -401,3 +392,22 @@ def test_python_dash_m_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "orders 7\n0\n1\n3\n"
+
+
+def test_readme_commands_parse():
+    # every repfn command in the README's command-line block, pipelines
+    # split on |, must parse with the current flags
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        while words:
+            cut = words.index("|") if "|" in words else len(words)
+            if words[0] == "repfn":
+                commands.append(words[1:cut])
+            words = words[cut + 1:]
+    for argv in commands:
+        build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == set(_HANDLERS)

@@ -300,6 +300,8 @@ class TestSetFiles:
             subset_from_text("1\n2\n")
         with pytest.raises(ValueError):
             subset_from_text("orders 7\n1\n1\n")
+        with pytest.raises(ValueError):
+            subset_from_text("ordersx 7\n1\n")
 
     def test_parse_sniffs_format(self):
         assert parse_subset('{"orders": [5], "elements": [2]}').elements() == [2]

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from repfn.groups import Group, GroupSubset
+from repfn import search
+from repfn.groups import Group, GroupSubset, VerificationError
 from repfn.profiles import rep_profile_naive
 from repfn.search import (
     SearchConfig,
@@ -21,6 +22,36 @@ def exact(m, r, **kw):
     return exists_basis(SearchConfig(m=m, r=r, mode="exact", **kw))
 
 
+class _CheckedSearch(search._ExactSearch):
+    """The exact search with R and P decoded at every node and compared with
+    pair enumeration of the members, and of the members plus every x >= e."""
+
+    def _dfs(self, e, A, R, P):
+        group = Group.cyclic(self.m)
+        expected = tuple(
+            rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
+            for elems in (self.members, [*self.members, *range(e, self.m)])
+        )
+        if (self.decode(R), self.decode(P)) != expected:
+            raise VerificationError("incremental counters diverged from the profile")
+        return super()._dfs(e, A, R, P)
+
+
+class _CorruptedSearch(_CheckedSearch):
+    """The checked search handed a count at 0 one too high at one node."""
+
+    def _dfs(self, e, A, R, P):
+        return super()._dfs(e, A, R + 1 if self.nodes == 5 else R, P)
+
+
+def checked_exact(m, r, cls=_CheckedSearch):
+    """exact(m, r), run by cls; _dfs recurses through self, so every node
+    goes through the check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_ExactSearch", cls)
+        return exact(m, r)
+
+
 class TestSearchConfig:
     def test_validation(self):
         bad = [
@@ -32,8 +63,8 @@ class TestSearchConfig:
             dict(m=5, r=2, time_budget=-1.0),
             dict(m=5, r=2, threads=0),
             dict(m=5, r=2, threads=2),
-            dict(m=5, r=2, counter_check=1.5),
-            dict(m=5, r=2, counter_check=-0.1),
+            dict(m=5, r=2, seed=1),
+            dict(m=5, r=2, mode="heuristic", time_budget=1.0),
         ]
         for kwargs in bad:
             with pytest.raises(ValueError):
@@ -94,9 +125,14 @@ class TestExistsBasis:
 
     def test_counter_check_hook_clean(self):
         # cross-check the incremental counters at every single node
-        out = exact(6, 4, counter_check=1.0)
+        out = checked_exact(6, 4)
         assert out.status is SearchStatus.SAT
         assert out.certificate.verified
+
+    def test_counter_check_catches_a_corrupted_count(self):
+        # the check must see a single slot that is off by one
+        with pytest.raises(VerificationError, match="diverged"):
+            checked_exact(13, 3, cls=_CorruptedSearch)
 
     def test_notes_describe_reductions(self):
         assert any("translation" in n for n in exact(5, 3).notes)
@@ -164,7 +200,7 @@ class TestExistsBasis:
         # enumeration; the hook must not change the search either
         for m in range(1, 17):
             for r in range(1, 6):
-                checked = exact(m, r, counter_check=1.0)
+                checked = checked_exact(m, r)
                 plain = exact(m, r)
                 assert (checked.status, checked.nodes, checked.prunes) == (
                     plain.status, plain.nodes, plain.prunes
@@ -228,6 +264,21 @@ class TestRuzsaNumber:
         assert res.certificate.verified
         # the bracket must contain the true answer
         assert res.lo <= FROZEN_MIN_CAP[16] <= res.hi
+
+    def test_time_budget_yields_bracket(self):
+        # r=4 is UNSAT at m=16 in 1670 nodes, past the first deadline poll at
+        # 1024, so the probe there runs out; the heuristic fallback that
+        # brackets it takes no time budget
+        res = ruzsa_number(16, node_budget=10**9, time_budget=1e-6)
+        assert not res.exact
+        assert res.lo == 4
+        assert res.lo <= FROZEN_MIN_CAP[16] <= res.hi == res.certificate.claimed_r
+        assert res.certificate.verified
+
+    def test_modulus_below_one_refused(self):
+        for m in (0, -3):
+            with pytest.raises(ValueError, match="modulus"):
+                ruzsa_number(m)
 
 
 class TestMakeCertificate:
