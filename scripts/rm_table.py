@@ -23,7 +23,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repfn.search import SearchConfig, SearchStatus, exists_basis  # noqa: E402
+from repfn.search import SearchStatus, exists_basis  # noqa: E402
 
 # R_m for each row of the table, m = 26..48.
 R_M = {
@@ -42,9 +42,7 @@ HEADER = (
 def rerun_row(m: int) -> tuple[list[str], list[str]]:
     """The row's cells, and the statuses that were not the expected ones."""
     r = R_M[m]
-    unsat, sat = (
-        exists_basis(SearchConfig(m=m, r=cap, node_budget=NODE_BUDGET)) for cap in (r - 1, r)
-    )
+    unsat, sat = (exists_basis(m, cap, node_budget=NODE_BUDGET) for cap in (r - 1, r))
     wrong = [
         f"m={m} r={cap}: {out.status.value}, expected {want.value}"
         for out, cap, want in ((unsat, r - 1, SearchStatus.UNSAT), (sat, r, SearchStatus.SAT))

@@ -53,7 +53,6 @@ from .profiles import (
 from .search import (
     RuzsaResult,
     SearchCertificate,
-    SearchConfig,
     SearchOutcome,
     SearchStatus,
     exists_basis,
@@ -84,7 +83,6 @@ __all__ = [
     "RepSpectrum",
     "RuzsaResult",
     "SearchCertificate",
-    "SearchConfig",
     "SearchOutcome",
     "SearchStatus",
     "ShiftFamilyReport",

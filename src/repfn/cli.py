@@ -26,9 +26,9 @@ from .constructions import half_period_doubling, shift_family_report, shifted_do
 from .groups import VerificationError, parse_subset
 from .profiles import rep_diff_profile, rep_profile
 from .search import (
+    DEFAULT_MOVES,
     DEFAULT_NODE_BUDGET,
     SearchCertificate,
-    SearchConfig,
     SearchOutcome,
     SearchStatus,
     exists_basis,
@@ -43,8 +43,6 @@ EX_EXHAUSTED = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
-
-_HEURISTIC_BUDGET = 20_000
 
 
 class _InputError(Exception):
@@ -345,13 +343,12 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         threads = 1 if args.threads is None else args.threads
         if args.seed is None:
             args.seed = 0
-        cfg = SearchConfig(
-            m=args.m, r=args.m if args.r is None else args.r, mode="heuristic",
-            node_budget=_HEURISTIC_BUDGET if args.budget is None else args.budget,
+        r = args.m if args.r is None else args.r
+        out = heuristic_upper_bound(
+            args.m, r, moves=DEFAULT_MOVES if args.budget is None else args.budget,
             seed=args.seed, threads=threads,
         )
-        out = heuristic_upper_bound(cfg)
-        body = {"m": args.m, "mode": "heuristic", "r": cfg.r, "threads": threads}
+        body = {"m": args.m, "mode": "heuristic", "r": r, "threads": threads}
         body.update(_outcome_fields(out))
         body["achieved_r"] = out.certificate.claimed_r if out.certificate else None
         body["manifest"] = _manifest(args, t0)
@@ -365,7 +362,7 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
         delattr(args, flag)
     budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
     if args.r is not None:
-        out = exists_basis(SearchConfig(m=args.m, r=args.r, mode="exact", node_budget=budget))
+        out = exists_basis(args.m, args.r, node_budget=budget)
         body = {"m": args.m, "mode": "exact", "r": args.r}
         body.update(_outcome_fields(out))
         body["manifest"] = _manifest(args, t0)

@@ -262,13 +262,21 @@ def subset_from_json_dict(data: dict) -> GroupSubset:
     return GroupSubset._from_indices(group, idx)
 
 
+def _decimal(tok: str) -> int:
+    """A plain decimal integer: ASCII digits after an optional '-'."""
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a plain decimal integer: {tok!r}")
+    return int(tok)
+
+
 def subset_from_text(text: str) -> GroupSubset:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split()[0] != "orders":
         raise ValueError("text set format needs a leading 'orders m1 m2 ...' line")
-    orders = tuple(int(tok) for tok in lines[0].split()[1:])
+    orders = tuple(_decimal(tok) for tok in lines[0].split()[1:])
     group = Group(orders)
-    elems = [int(ln) for ln in lines[1:]]
+    elems = [_decimal(ln) for ln in lines[1:]]
     if len(set(elems)) != len(elems):
         raise ValueError("duplicate element index in set file")
     return GroupSubset.from_elements(group, elems)

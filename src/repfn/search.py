@@ -10,7 +10,7 @@ set containing {0, 1} with the same spectrum, so {0, 1} is fixed.  Case N:
 every difference in A is a non-unit; 0 is fixed by translation and an
 element with a unit difference to a member is never included.  UNSAT needs
 both cases drained.  The heuristic path is a seeded local search on two
-(members and representation counts), run by cfg.threads workers in turn;
+(members and representation counts), run by `threads` workers in turn;
 it only ever claims verified upper bounds.  Every SAT or heuristic result
 carries a certificate re-checked through the pair-enumeration profile,
 never through the search's own counters.
@@ -32,6 +32,7 @@ from .profiles import rep_profile_naive
 from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
 
 DEFAULT_NODE_BUDGET = 200_000
+DEFAULT_MOVES = 20_000
 _RESTART_EVERY = 400
 _TIME_CHECK_MASK = 1023
 
@@ -42,43 +43,13 @@ class SearchStatus(str, Enum):
     EXHAUSTED = "EXHAUSTED"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Parameters for one search run.
-
-    Each mode reads every field it accepts and refuses the rest.  Exact mode
-    reads node_budget (visited nodes) and time_budget; it has no randomness
-    and one worker, so it refuses seed != 0 and threads != 1.  Heuristic
-    mode reads node_budget (proposed moves per worker), seed and threads
-    (the worker count); its budget is moves alone, so it refuses a
-    time_budget.
-    """
-
-    m: int
-    r: int
-    mode: str = "exact"
-    node_budget: int = DEFAULT_NODE_BUDGET
-    time_budget: float | None = None
-    seed: int = 0
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("modulus m must be at least 1")
-        if self.r < 1:
-            raise ValueError("target cap r must be at least 1")
-        if self.mode not in ("exact", "heuristic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.node_budget < 1:
-            raise ValueError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time budget must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.mode == "exact" and (self.threads != 1 or self.seed != 0):
-            raise ValueError("threads and seed only apply to mode='heuristic'")
-        if self.mode == "heuristic" and self.time_budget is not None:
-            raise ValueError("time_budget only applies to mode='exact'")
+def _check_args(m: int, r: int, budget: int) -> None:
+    if m < 1:
+        raise ValueError("modulus m must be at least 1")
+    if r < 1:
+        raise ValueError("target cap r must be at least 1")
+    if budget < 1:
+        raise ValueError("node budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -183,11 +154,11 @@ class _ExactSearch(_Slots):
     cases run through one _dfs, whose per-e bar mask (the last entry of
     steps[e]) is 0 in case U."""
 
-    def __init__(self, cfg: SearchConfig):
-        super().__init__(cfg.m, cfg.r)
-        self.cfg = cfg
-        m, w, ones = self.m, self.w, self.ones
-        self.cap_add = self.cover_add - ones * cfg.r
+    def __init__(self, m: int, r: int, node_budget: int, time_budget: float | None):
+        super().__init__(m, r)
+        self.node_budget = node_budget
+        w, ones = self.w, self.ones
+        self.cap_add = self.cover_add - ones * r
         self.steps = [
             self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)), 0) for e in range(m)
         ]
@@ -196,9 +167,7 @@ class _ExactSearch(_Slots):
         self.case_nodes = [0, 0]
         self.barred = 0
         self.prunes = {"max_rep": 0, "coverage": 0}
-        self.deadline = (
-            time.monotonic() + cfg.time_budget if cfg.time_budget is not None else None
-        )
+        self.deadline = time.monotonic() + time_budget if time_budget is not None else None
         self.witness: list[int] | None = None
 
     def run(self) -> bool:
@@ -233,7 +202,7 @@ class _ExactSearch(_Slots):
 
     def _dfs(self, e: int, A: int, R: int, P: int) -> bool:
         self.nodes += 1
-        if self.nodes > self.cfg.node_budget:
+        if self.nodes > self.node_budget:
             raise _BudgetExceeded
         if (
             self.deadline is not None
@@ -272,7 +241,13 @@ class _ExactSearch(_Slots):
         return self._dfs(e + 1, A, R, P2)
 
 
-def exists_basis(cfg: SearchConfig) -> SearchOutcome:
+def exists_basis(
+    m: int,
+    r: int,
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    time_budget: float | None = None,
+) -> SearchOutcome:
     """Exact decision: does Z_m admit an additive basis with max count <= r.
 
     The space is split by differences (see _ExactSearch): case U, where some
@@ -280,12 +255,14 @@ def exists_basis(cfg: SearchConfig) -> SearchOutcome:
     then case N, where every difference is a non-unit.  UNSAT is only
     returned after both symmetry-reduced cases are fully drained; running
     out of budget in either yields EXHAUSTED instead.  The notes give each
-    case's argument and the nodes it took.
+    case's argument and the nodes it took.  node_budget caps the visited
+    nodes and time_budget (seconds) the wall time.
     """
-    if cfg.mode != "exact":
-        raise ValueError("exists_basis requires mode='exact'")
+    _check_args(m, r, node_budget)
+    if time_budget is not None and time_budget <= 0:
+        raise ValueError("time budget must be positive")
     t0 = time.monotonic()
-    search = _ExactSearch(cfg)
+    search = _ExactSearch(m, r, node_budget, time_budget)
     cert = None
     try:
         status = SearchStatus.SAT if search.run() else SearchStatus.UNSAT
@@ -308,7 +285,7 @@ def exists_basis(cfg: SearchConfig) -> SearchOutcome:
     if status is SearchStatus.EXHAUSTED:
         notes.append("budget exhausted before both cases were drained")
     if status is SearchStatus.SAT:
-        cert = make_certificate(cfg.m, search.witness, cfg.r)
+        cert = make_certificate(m, search.witness, r)
         if not cert.verified:
             raise VerificationError("witness failed the independent re-check")
     return SearchOutcome(
@@ -359,9 +336,7 @@ def ruzsa_number(
     probes: list[tuple[int, SearchStatus]] = []
     nodes = 0
     for r in range(1, m + 1):
-        out = exists_basis(
-            SearchConfig(m=m, r=r, mode="exact", node_budget=node_budget, time_budget=time_budget)
-        )
+        out = exists_basis(m, r, node_budget=node_budget, time_budget=time_budget)
         probes.append((r, out.status))
         nodes += out.nodes
         if out.status is SearchStatus.SAT:
@@ -373,11 +348,7 @@ def ruzsa_number(
             prev_unsat = out
             continue
         # Budget ran out at this r: bracket with a heuristic upper bound.
-        heur = heuristic_upper_bound(
-            SearchConfig(
-                m=m, r=m, mode="heuristic", node_budget=min(node_budget, 20_000)
-            )
-        )
+        heur = heuristic_upper_bound(m, m, moves=min(node_budget, DEFAULT_MOVES))
         hi_cert = heur.certificate
         hi = hi_cert.claimed_r if hi_cert is not None else m
         if hi < r:
@@ -528,33 +499,39 @@ class _LocalSearch(_Slots):
                     insort(members, out_e)
 
 
-def heuristic_upper_bound(cfg: SearchConfig) -> SearchOutcome:
+def heuristic_upper_bound(
+    m: int,
+    r: int,
+    *,
+    moves: int = DEFAULT_MOVES,
+    seed: int = 0,
+    threads: int = 1,
+) -> SearchOutcome:
     """Best verified basis certificate reachable within the move budget.
 
-    Workers run sequentially with seeds derived as Random(f"{seed}/{w}"), so
-    the outcome is a deterministic function of (m, r, seed, threads, budget).
-    The full group is always considered, so a verified certificate (possibly
-    the trivial one with max count m) is always returned; the status is SAT
-    when its cap meets cfg.r and EXHAUSTED otherwise.  UNSAT is never claimed.
+    Runs `threads` workers one after another, each proposing `moves` moves,
+    with seeds derived as Random(f"{seed}/{w}"), so the outcome is a
+    deterministic function of (m, r, moves, seed, threads).  The full group
+    is always considered, so a verified certificate (possibly the trivial
+    one with max count m) is always returned; the status is SAT when its cap
+    meets r and EXHAUSTED otherwise.  UNSAT is never claimed.
     """
-    if cfg.mode != "heuristic":
-        raise ValueError("heuristic_upper_bound requires mode='heuristic'")
+    _check_args(m, r, moves)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     t0 = time.monotonic()
-    m = cfg.m
     pool = _seed_pool(m)
     notes = ["restart seed pool: random draws" + ("" if len(pool) == 1 else " plus the perfect difference set")]
 
     # The full group has R(g) = m at every g, so its objective is closed form.
-    full_obj = (0, m, m * max(0, m - cfg.r), m)
+    full_obj = (0, m, m * max(0, m - r), m)
     # (objective, worker index) ordering makes the merge deterministic; the
     # full-group fallback ranks behind any worker's find of equal objective.
-    best = (full_obj, cfg.threads, tuple(range(m)))
+    best = (full_obj, threads, tuple(range(m)))
 
-    total_moves = 0
-    for w in range(cfg.threads):
-        worker = _LocalSearch(m, cfg.r, random.Random(f"{cfg.seed}/{w}"), pool)
-        worker.run(cfg.node_budget)
-        total_moves += cfg.node_budget
+    for w in range(threads):
+        worker = _LocalSearch(m, r, random.Random(f"{seed}/{w}"), pool)
+        worker.run(moves)
         if worker.best is not None:
             cand = (worker.best[0], w, worker.best[1])
             if cand < best:
@@ -564,14 +541,14 @@ def heuristic_upper_bound(cfg: SearchConfig) -> SearchOutcome:
     cert = make_certificate(m, elements, obj[1])
     if not cert.verified:
         raise VerificationError("heuristic winner failed the independent re-check")
-    met = cert.claimed_r <= cfg.r
+    met = cert.claimed_r <= r
     notes.append(
-        f"target cap r={cfg.r} {'met' if met else 'not reached'}; best verified cap {cert.claimed_r}"
+        f"target cap r={r} {'met' if met else 'not reached'}; best verified cap {cert.claimed_r}"
     )
     return SearchOutcome(
         SearchStatus.SAT if met else SearchStatus.EXHAUSTED,
         cert,
-        total_moves,
+        moves * threads,
         {},
         time.monotonic() - t0,
         tuple(notes),

@@ -18,7 +18,6 @@ from repfn.constructions import half_period_doubling, shift_family_report, sidon
 from repfn.groups import Group, GroupSubset
 from repfn.profiles import rep_diff_profile, rep_profile, rep_profile_naive
 from repfn.search import (
-    SearchConfig,
     SearchStatus,
     exists_basis,
     heuristic_upper_bound,
@@ -211,13 +210,11 @@ def test_criterion_09_certificates_reverify():
         res = ruzsa_number(m)
         certs.append(res.certificate)
     for m in range(2, 13):
-        out = exists_basis(SearchConfig(m=m, r=FROZEN_MIN_CAP[m]))
+        out = exists_basis(m, FROZEN_MIN_CAP[m])
         assert out.status is SearchStatus.SAT
         certs.append(out.certificate)
     for m in (20, 31, 45):
-        out = heuristic_upper_bound(
-            SearchConfig(m=m, r=4, mode="heuristic", node_budget=2000)
-        )
+        out = heuristic_upper_bound(m, 4, moves=2000)
         certs.append(out.certificate)
     unverified = [c for c in certs if c is None or not c.verified]
     # independent re-check, not trusting the stored flag
@@ -240,9 +237,7 @@ def test_criterion_10a_heuristic_coverage():
     t0 = time.monotonic()
     bad = []
     for m in range(2, 65):
-        out = heuristic_upper_bound(
-            SearchConfig(m=m, r=5, mode="heuristic", node_budget=2000, seed=1)
-        )
+        out = heuristic_upper_bound(m, 5, moves=2000, seed=1)
         if out.certificate is None or not out.certificate.verified:
             bad.append(m)
         if out.status is SearchStatus.UNSAT:
@@ -257,7 +252,7 @@ def test_criterion_10a_heuristic_coverage():
 
 def test_criterion_10b_hard_instance_guard():
     t0 = time.monotonic()
-    out = exists_basis(SearchConfig(m=36, r=5, node_budget=200_000))
+    out = exists_basis(36, 5, node_budget=200_000)
     dt = time.monotonic() - t0
     # Completing this instance with SAT at a modest budget would mean the
     # incremental counters are broken; UNSAT or EXHAUSTED are the only
@@ -265,8 +260,6 @@ def test_criterion_10b_hard_instance_guard():
     ok = out.status in (SearchStatus.UNSAT, SearchStatus.EXHAUSTED)
     detail = f"m=36 r=5 modest budget ended {out.status.value} after {out.nodes} nodes ({dt:.2f}s)"
     if os.environ.get("RFL_EXTENDED_SEARCH") == "1":
-        ext = exists_basis(
-            SearchConfig(m=36, r=5, node_budget=50_000_000, time_budget=3000.0)
-        )
+        ext = exists_basis(36, 5, node_budget=50_000_000, time_budget=3000.0)
         detail += f"; extended run ended {ext.status.value} after {ext.nodes} nodes"
     report("criterion-10b", ok, detail)

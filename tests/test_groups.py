@@ -302,6 +302,9 @@ class TestSetFiles:
             subset_from_text("orders 7\n1\n1\n")
         with pytest.raises(ValueError):
             subset_from_text("ordersx 7\n1\n")
+        for text in ("orders 2_0\n3\n", "orders 7\n+3\n", "orders 7\n\u0661\n"):
+            with pytest.raises(ValueError):
+                subset_from_text(text)
 
     def test_parse_sniffs_format(self):
         assert parse_subset('{"orders": [5], "elements": [2]}').elements() == [2]

@@ -5,17 +5,23 @@ Each certificate is rechecked here by a pair count that uses nothing from
 repfn.  R_37 = 4 follows from the UNSAT proof at (37, 3) and the basis at
 (37, 4); with ordered pairs and A in Z_m, as in the paper's abstract, these
 bases contradict the quoted "R_m >= 6 for all m >= 36" at m = 37 and 39.
+scripts/rm_table.py's --check is run here on the README rows m = 26, 27.
 """
 
+import runpy
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repfn.search import SearchConfig, SearchStatus, exists_basis
+from repfn.search import SearchStatus, exists_basis
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def exact(m, r):
-    return exists_basis(SearchConfig(m=m, r=r, mode="exact", node_budget=1_000_000))
+    return exists_basis(m, r, node_budget=1_000_000)
 
 
 def pair_counts(m, elements):
@@ -83,3 +89,22 @@ def test_cap6_bases_past_40(m):
     assert out.nodes == nodes
     assert out.certificate.elements == elements
     assert max(assert_basis(m, 6, elements)) == 6
+
+
+@pytest.fixture(scope="module")
+def rm_table_main():
+    return runpy.run_path(str(ROOT / "scripts" / "rm_table.py"))["main"]
+
+
+def test_script_matches_readme_rows(rm_table_main):
+    assert rm_table_main(["--check", str(README), "--max-m", "27"]) == 0
+
+
+def test_script_flags_an_altered_node_count(rm_table_main, tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    row = "| 27 | 5   | 63,419 "
+    assert row in text
+    altered = tmp_path / "README.md"
+    altered.write_text(text.replace(row, "| 27 | 5   | 63,418 "), encoding="utf-8")
+    assert rm_table_main(["--check", str(altered), "--max-m", "27"]) == 1
+    assert "MISMATCH m=27: README has" in capsys.readouterr().err

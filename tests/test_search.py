@@ -7,7 +7,6 @@ from repfn import search
 from repfn.groups import Group, GroupSubset, VerificationError
 from repfn.profiles import rep_profile_naive
 from repfn.search import (
-    SearchConfig,
     SearchStatus,
     _LocalSearch,
     exists_basis,
@@ -16,10 +15,6 @@ from repfn.search import (
     ruzsa_number,
 )
 from ruzsa_oracle import FROZEN_MIN_CAP, brute
-
-
-def exact(m, r, **kw):
-    return exists_basis(SearchConfig(m=m, r=r, mode="exact", **kw))
 
 
 class _CheckedSearch(search._ExactSearch):
@@ -45,73 +40,71 @@ class _CorruptedSearch(_CheckedSearch):
 
 
 def checked_exact(m, r, cls=_CheckedSearch):
-    """exact(m, r), run by cls; _dfs recurses through self, so every node
-    goes through the check."""
+    """exists_basis(m, r), run by cls; _dfs recurses through self, so every
+    node goes through the check."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_ExactSearch", cls)
-        return exact(m, r)
+        return exists_basis(m, r)
 
 
-class TestSearchConfig:
+class TestArguments:
     def test_validation(self):
         bad = [
-            dict(m=0, r=1),
-            dict(m=5, r=0),
-            dict(m=5, r=2, mode="annealing"),
-            dict(m=5, r=2, node_budget=0),
-            dict(m=5, r=2, time_budget=0),
-            dict(m=5, r=2, time_budget=-1.0),
-            dict(m=5, r=2, threads=0),
-            dict(m=5, r=2, threads=2),
-            dict(m=5, r=2, seed=1),
-            dict(m=5, r=2, mode="heuristic", time_budget=1.0),
+            (exists_basis, dict(m=0, r=1)),
+            (exists_basis, dict(m=5, r=0)),
+            (exists_basis, dict(m=5, r=2, node_budget=0)),
+            (heuristic_upper_bound, dict(m=5, r=2, moves=0)),
+            (exists_basis, dict(m=5, r=2, time_budget=0)),
+            (heuristic_upper_bound, dict(m=5, r=2, threads=0)),
         ]
-        for kwargs in bad:
+        for fn, kwargs in bad:
             with pytest.raises(ValueError):
-                SearchConfig(**kwargs)
+                fn(**kwargs)
 
-    def test_mode_guards(self):
-        with pytest.raises(ValueError):
-            exists_basis(SearchConfig(m=5, r=2, mode="heuristic"))
-        with pytest.raises(ValueError):
-            heuristic_upper_bound(SearchConfig(m=5, r=2, mode="exact"))
+    def test_each_search_refuses_the_others_keywords(self):
+        for kwargs in (dict(seed=1), dict(threads=2), dict(moves=100)):
+            with pytest.raises(TypeError):
+                exists_basis(5, 2, **kwargs)
+        for kwargs in (dict(node_budget=100), dict(time_budget=1.0)):
+            with pytest.raises(TypeError):
+                heuristic_upper_bound(5, 2, **kwargs)
 
 
 class TestExistsBasis:
     def test_trivial_group(self):
-        out = exact(1, 1)
+        out = exists_basis(1, 1)
         assert out.status is SearchStatus.SAT
         assert out.certificate.elements == (0,)
         assert out.certificate.verified
 
     def test_two_element_group(self):
-        assert exact(2, 1).status is SearchStatus.UNSAT
-        out = exact(2, 2)
+        assert exists_basis(2, 1).status is SearchStatus.UNSAT
+        out = exists_basis(2, 2)
         assert out.status is SearchStatus.SAT
         assert out.certificate.elements == (0, 1)
 
     def test_seven_needs_three(self):
-        unsat = exact(7, 2)
+        unsat = exists_basis(7, 2)
         assert unsat.status is SearchStatus.UNSAT
         assert unsat.certificate is None
         assert unsat.nodes == 12
         assert unsat.prunes == {"max_rep": 6, "coverage": 4}
 
-        sat = exact(7, 3)
+        sat = exists_basis(7, 3)
         assert sat.status is SearchStatus.SAT
         assert sat.certificate.elements == (0, 1, 2, 4)
         assert sat.certificate.claimed_r == 3
         assert sat.certificate.verified
 
     def test_witness_reverifies_through_naive_profile(self):
-        out = exact(10, 4)
+        out = exists_basis(10, 4)
         assert out.status is SearchStatus.SAT
         prof = rep_profile_naive(out.certificate.subset())
         assert min(prof.counts) >= 1
         assert prof.max_rep <= 4
 
     def test_node_budget_gives_exhausted_not_unsat(self):
-        out = exact(7, 3, node_budget=1)
+        out = exists_basis(7, 3, node_budget=1)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate is None
         assert "budget exhausted" in out.notes[-1]
@@ -119,7 +112,7 @@ class TestExistsBasis:
     def test_time_budget_fires(self):
         # m=36 at r=5 is far beyond 1024 nodes, where the deadline is first
         # polled, so a microscopic time budget must end in EXHAUSTED
-        out = exact(36, 5, node_budget=10**9, time_budget=1e-6)
+        out = exists_basis(36, 5, node_budget=10**9, time_budget=1e-6)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.nodes < 5000
 
@@ -135,7 +128,7 @@ class TestExistsBasis:
             checked_exact(13, 3, cls=_CorruptedSearch)
 
     def test_notes_describe_reductions(self):
-        assert any("translation" in n for n in exact(5, 3).notes)
+        assert any("translation" in n for n in exists_basis(5, 3).notes)
 
     # (m, r) -> (case U nodes, case N nodes, includes barred in case N)
     CASE_NODES = {(24, 4): (26685, 779, 481), (37, 3): (27883, 19, 19)}
@@ -152,7 +145,7 @@ class TestExistsBasis:
 
     def test_notes_give_nodes_per_case(self):
         for (m, r), expected in self.CASE_NODES.items():
-            out = exact(m, r)
+            out = exists_basis(m, r)
             assert out.status is SearchStatus.UNSAT
             *counts, case_n = self.case_notes(out)
             assert tuple(counts) == expected, (m, r)
@@ -163,11 +156,11 @@ class TestExistsBasis:
         # every nonzero e is a unit mod a prime, so each case-N node bars its
         # include and A stays {0}
         for m, r in ((7, 2), (13, 3), (37, 3)):
-            _, nodes_n, barred, _ = self.case_notes(exact(m, r))
+            _, nodes_n, barred, _ = self.case_notes(exists_basis(m, r))
             assert nodes_n == barred > 0, (m, r)
 
     def test_case_n_skipped_after_a_case_u_basis(self):
-        out = exact(24, 5)
+        out = exists_basis(24, 5)
         assert out.status is SearchStatus.SAT
         assert any(n.startswith("case N") and n.endswith("not searched") for n in out.notes)
 
@@ -193,7 +186,7 @@ class TestExistsBasis:
 
     def test_pinned_counts_on_a_grid(self):
         for (m, r), expected in self.PINNED_GRID.items():
-            assert self.pinned_fields(exact(m, r)) == expected, (m, r)
+            assert self.pinned_fields(exists_basis(m, r)) == expected, (m, r)
 
     def test_counter_check_on_a_grid(self):
         # decode R and P at every node and compare them with pair
@@ -201,7 +194,7 @@ class TestExistsBasis:
         for m in range(1, 17):
             for r in range(1, 6):
                 checked = checked_exact(m, r)
-                plain = exact(m, r)
+                plain = exists_basis(m, r)
                 assert (checked.status, checked.nodes, checked.prunes) == (
                     plain.status, plain.nodes, plain.prunes
                 ), (m, r)
@@ -218,7 +211,7 @@ class TestExistsBasis:
 
     def test_pinned_counts_on_workload_cases(self):
         for (m, r), expected in self.PINNED_WORKLOAD.items():
-            assert self.pinned_fields(exact(m, r)) == expected, (m, r)
+            assert self.pinned_fields(exists_basis(m, r)) == expected, (m, r)
 
 
 class TestRuzsaNumber:
@@ -332,22 +325,22 @@ class TestCounts:
 
 
 class TestHeuristic:
-    def cfg(self, m, r, **kw):
-        kw.setdefault("node_budget", 2000)
-        return SearchConfig(m=m, r=r, mode="heuristic", **kw)
+    def run(self, m, r, **kw):
+        kw.setdefault("moves", 2000)
+        return heuristic_upper_bound(m, r, **kw)
 
     def test_deterministic_for_fixed_seed(self):
-        a = heuristic_upper_bound(self.cfg(30, 4, seed=3, threads=2))
-        b = heuristic_upper_bound(self.cfg(30, 4, seed=3, threads=2))
+        a = self.run(30, 4, seed=3, threads=2)
+        b = self.run(30, 4, seed=3, threads=2)
         assert a.status == b.status
         assert a.certificate.elements == b.certificate.elements
         assert a.certificate.claimed_r == b.certificate.claimed_r
-        c = heuristic_upper_bound(self.cfg(30, 4, seed=4, threads=2))
+        c = self.run(30, 4, seed=4, threads=2)
         assert c.certificate.verified  # may or may not differ, must verify
 
     def test_seeded_result_is_pinned(self):
         # Any change to the RNG call sequence of the local search moves this.
-        out = heuristic_upper_bound(self.cfg(30, 4, seed=3, threads=2))
+        out = self.run(30, 4, seed=3, threads=2)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate.elements == (0, 2, 5, 9, 18, 19, 23, 24, 26)
         assert out.certificate.claimed_r == 6
@@ -356,18 +349,18 @@ class TestHeuristic:
 
     def test_upper_bounds_respect_true_minimum(self):
         for m in range(2, 17):
-            out = heuristic_upper_bound(self.cfg(m, FROZEN_MIN_CAP[m]))
+            out = self.run(m, FROZEN_MIN_CAP[m])
             assert out.certificate.verified
             assert out.certificate.claimed_r >= FROZEN_MIN_CAP[m], m
 
     def test_meets_reachable_targets(self):
         for m in (6, 10, 13, 16):
-            out = heuristic_upper_bound(self.cfg(m, FROZEN_MIN_CAP[m]))
+            out = self.run(m, FROZEN_MIN_CAP[m])
             assert out.status is SearchStatus.SAT, m
             assert out.certificate.claimed_r <= FROZEN_MIN_CAP[m]
 
     def test_never_unsat_even_with_no_budget(self):
-        out = heuristic_upper_bound(self.cfg(5, 1, node_budget=1))
+        out = self.run(5, 1, moves=1)
         assert out.status in (SearchStatus.SAT, SearchStatus.EXHAUSTED)
         assert out.status is not SearchStatus.UNSAT
         assert out.certificate is not None
@@ -375,7 +368,7 @@ class TestHeuristic:
 
     def test_full_group_fallback_always_certifies(self):
         # impossible target: certificate still present and verified
-        out = heuristic_upper_bound(self.cfg(9, 1))
+        out = self.run(9, 1)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate.verified
         assert out.certificate.claimed_r > 1
@@ -383,7 +376,7 @@ class TestHeuristic:
     def test_full_group_wins_when_no_worker_covers(self):
         # With seed 0, one move from a 10-element draw leaves Z_50 uncovered,
         # so the full group's closed-form objective wins and must re-verify.
-        out = heuristic_upper_bound(self.cfg(50, 4, node_budget=1))
+        out = self.run(50, 4, moves=1)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate.elements == tuple(range(50))
         assert out.certificate.claimed_r == 50
