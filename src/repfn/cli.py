@@ -7,7 +7,7 @@ set-consuming subcommands accept verbatim.
 
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
 64 usage error, 66 unreadable or invalid input file, 70 internal
-verification failure.
+verification failure, 73 output file cannot be written.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EX_EXHAUSTED = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
+EX_CANTCREAT = 73
 
 
 class _InputError(Exception):
@@ -188,9 +189,15 @@ def _emit(body: dict | str, out_path: str) -> None:
 
 def _load_subset(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise _InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"invalid set file: not UTF-8 ({exc})") from exc
     try:
         return parse_subset(text)
     except ValueError as exc:
@@ -423,7 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repfn: {exc}", file=sys.stderr)
         return EX_USAGE
-    _emit(body, args.out)
+    try:
+        _emit(body, args.out)
+    except OSError as exc:
+        print(f"repfn: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EX_CANTCREAT
     return code
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Group, GroupSubset, VerificationError
-from .profiles import rep_profile, rep_profile_naive
+from .profiles import _Slots, rep_profile, rep_profile_naive
 from .singer import PerfectDifferenceSet, singer_set
 
 
@@ -141,35 +141,26 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
 
     # E = 2D is even and E + c odd for odd c, so the two are disjoint and, by
     # bilinearity, R_{E ∪ (E+c)}(g) = R_E(g) + 2·R_E(g - c) + R_E(g - 2c).
-    # With R_E packed into w-bit slots of X, each shift's counts are the exact
-    # int S = X + 2·rot(X, c) + rot(X, 2c).  No slot of S exceeds 4·top_rep
-    # and 2^(w-1) > 4·top_rep + 1, so no add-and-mask test below carries
-    # across slots.
+    # With R_E packed into the slots of X, each shift's counts are the exact
+    # int S = X + 2·rot(X, c) + rot(X, 2c), and no slot of S exceeds
+    # 4·top_rep, the bound the slots are sized for.
     base = rep_profile(even_part).counts
     top_rep = max(base)
-    w = (4 * top_rep + 1).bit_length() + 1
-    full = (1 << (w * m)) - 1
-    ones = full // ((1 << w) - 1)
-    top = ones << (w - 1)
-    top_even = (full // ((1 << (2 * w)) - 1)) << (w - 1)
+    slots = _Slots(m, 4 * top_rep)
+    w, top = slots.w, slots.top
+    top_even = (slots.full // ((1 << (2 * w)) - 1)) << (w - 1)
     top_odd = top ^ top_even
-    cover_add = ones * ((1 << (w - 1)) - 1)
     X = sum(c << (w * g) for g, c in enumerate(base) if c)
-
-    def rot(e: int) -> int:
-        return ((X << (w * e)) | (X >> (w * (m - e)))) & full
 
     stats = []
     for l in range(n):
         c = 2 * l + 1
-        S = X + 2 * rot(c) + rot(2 * c % m)
-        nonzero = S + cover_add
+        S = X + 2 * slots.rot(X, c) + slots.rot(X, 2 * c % m)
+        nonzero = S + slots.cover_add
         x_even = n - (nonzero & top_even).bit_count()
         x_odd = n - (nonzero & top_odd).bit_count()
         # Odd slots hold 2·R_E(g - c), so the maximum is at least 2·top_rep.
-        max_rep = 2 * top_rep
-        while (nonzero - ones * max_rep) & top:
-            max_rep += 1
+        max_rep = slots.max_rep(S, 2 * top_rep)
         stats.append(ShiftStat(l, x_odd, x_even, x_odd + x_even, max_rep))
 
     odd_expected = (p * p - p) // 2

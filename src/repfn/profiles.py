@@ -23,16 +23,18 @@ The fast engine takes one of two routes.
 - Every other group: the indicators are laid out with radix 2*m_i - 1 per
   axis, so that no index sum wraps, and multiplied as two packed integers.
   No coefficient of the linear convolution exceeds min(|A|, |B|), so a
-  slot wider than that never carries into the next.  Large packs write
-  each slot as D decimal digits with 10^D > min(|A|, |B|) and multiply one
-  decimal.Decimal per operand in a context with prec=MAX_PREC and Inexact,
+  slot wider than that never carries into the next.  Each slot is D
+  decimal digits with 10^D > min(|A|, |B|), and the product is one
+  decimal.Decimal multiply in a context with prec=MAX_PREC and Inexact,
   Rounded and InvalidOperation trapped: the result is the exact integer
   product or an exception, and libmpdec multiplies large operands by a
-  number-theoretic transform.  Small packs, where libmpdec's word
-  Karatsuba is slower than CPython's, write each slot as 1, 2, 4 or 8
-  bytes of a CPython int.  The cost model picks the product; the slots
-  are read back in one numpy pass, a check that they sum to |A| |B|
-  catches any carry, and each axis is folded mod m_i.
+  number-theoretic transform.  The slots are read back in one numpy pass,
+  a check that they sum to |A| |B| catches any carry, and each axis is
+  folded mod m_i.
+
+_Slots is the slot-packed layout of counts over Z_m in one Python int that
+the basis searches and the 11b shift scan update and test by whole-word
+arithmetic.
 """
 
 from __future__ import annotations
@@ -143,15 +145,6 @@ def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
     return len(str(min(a.card, b.card)))
 
 
-def _slot_bytes(a: GroupSubset, b: GroupSubset) -> int:
-    """Bytes per packed slot of the integer product: the least of 1, 2, 4 and
-    8 with 256**width > min(|A|, |B|), by the same no-carry bound."""
-    width = 1
-    while (1 << (8 * width)) <= min(a.card, b.card):
-        width *= 2
-    return width
-
-
 @lru_cache(maxsize=1024)
 def _packed_layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Radices 2*m_i - 1, which leave room for every index sum before the
@@ -174,34 +167,10 @@ def _is_elementary_two(group: Group) -> bool:
 # wider shapes on a 2-core Xeon VM (Python 3.11, numpy 2.4, libmpdec 2.5.1).
 _PAIR_NS = 8  # per pair and cyclic factor; a 2-group counts as one factor
 _BINCOUNT_SLOT_NS = 2  # per group element, once per chunk of pairs
-_PACKED_BLOCK = 64  # bytes of packed integer per Karatsuba unit
-_KARATSUBA_UNIT_NS = 226
 _PRODUCT_CALL_NS = 10_000  # the decimal product's fixed cost above pairs'
 _PRODUCT_DIGIT_NS = 3  # per packed digit and bit of the digit count
-_STAGE_NS = 7_000  # per butterfly stage, for all three transforms
+_STAGE_NS = 7_000  # per butterfly stage, over the three Hadamard passes
 _BUTTERFLY_NS = 5  # per group element and butterfly stage
-
-
-def _karatsuba_units(blocks: int) -> int:
-    """About blocks**log2(3): CPython multiplies big ints by Karatsuba, three
-    half-size products per level.  Interpolated linearly between powers of
-    two so that the cost grows smoothly with the buffer."""
-    blocks = max(blocks, 1)
-    j = blocks.bit_length() - 1
-    return 3**j * (2 * blocks - (1 << j)) >> j
-
-
-@lru_cache(maxsize=1024)
-def _packed_costs(total: int, width: int, digits: int) -> tuple[int, int]:
-    """Predicted cost of the packed product of total slots as CPython ints
-    of width bytes per slot (Karatsuba over the packed bytes) and as
-    Decimals of that many digits per slot (N log2 N over the N packed
-    digits, the number-theoretic transform, plus a fixed cost per call)."""
-    n = total * digits
-    return (
-        _karatsuba_units(total * width // _PACKED_BLOCK) * _KARATSUBA_UNIT_NS,
-        _PRODUCT_CALL_NS + n * n.bit_length() * _PRODUCT_DIGIT_NS,
-    )
 
 
 def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
@@ -218,8 +187,10 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
         stages = group.order.bit_length() - 1
         fast_cost = stages * (_STAGE_NS + group.order * _BUTTERFLY_NS)
     else:
-        total = _packed_layout(group.orders)[2]
-        fast_cost = min(_packed_costs(total, _slot_bytes(a, b), _slot_digits(a, b)))
+        # N log2 N over the N packed digits (the number-theoretic
+        # transform), plus a fixed cost per call.
+        n = _packed_layout(group.orders)[2] * _slot_digits(a, b)
+        fast_cost = _PRODUCT_CALL_NS + n * n.bit_length() * _PRODUCT_DIGIT_NS
     return "fast" if fast_cost < pair_cost else "naive"
 
 
@@ -234,33 +205,9 @@ _ZERO, _ONE = ord("0"), ord("1")
 
 
 def _positions(group: Group, s: GroupSubset, strides: tuple[int, ...]) -> np.ndarray:
-    """The packed positions sum(c_i * stride_i) of the elements of s, each
-    coordinate c_i read off the flat index from the last factor up."""
-    orders = group.orders
-    rest = _indices(s)
-    pos = rest % orders[-1]  # the last coordinate has stride 1
-    for i in range(len(orders) - 2, -1, -1):
-        rest = rest // orders[i + 1]
-        pos += rest % orders[i] * strides[i]
-    return pos
-
-
-def _int_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, width: int) -> np.ndarray:
-    """Slots of the product of two packed indicators, lowest first, by one
-    CPython int multiply; slot j is the width bytes from byte width*j."""
-    dtype = f"<u{width}"
-
-    def pack(pos: np.ndarray) -> int:
-        buf = np.zeros(total, dtype=dtype)
-        buf[pos] = 1
-        return int.from_bytes(buf.tobytes(), "little")
-
-    pa = pack(pos_a)
-    product = pa * (pa if pos_b is pos_a else pack(pos_b))
-    if product.bit_length() > 8 * width * total:
-        raise VerificationError("packed product overflows its slots")
-    raw = product.to_bytes(total * width, "little")
-    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
+    """The packed positions sum(c_i * stride_i) of the elements of s."""
+    coords = _coord_arrays(group, _indices(s))
+    return sum(c * stride for c, stride in zip(coords, strides))
 
 
 def _decimal_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, digits: int) -> np.ndarray:
@@ -283,20 +230,15 @@ def _decimal_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, digits: i
 
 
 def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
-    """Exact linear convolution of the two indicator arrays by one product of
-    packed integers, as CPython ints or as Decimals, whichever _packed_costs
-    predicts cheaper, followed by per-axis cyclic folding."""
+    """Exact linear convolution of the two indicator arrays by one
+    _decimal_product of the packed integers, followed by per-axis cyclic
+    folding."""
     group = a.group
     radices, strides, total = _packed_layout(group.orders)
     pos_a = _positions(group, a, strides)
     pos_b = pos_a if b == a else _positions(group, b, strides)
-    width, digits = _slot_bytes(a, b), _slot_digits(a, b)
-    int_cost, decimal_cost = _packed_costs(total, width, digits)
-    if int_cost <= decimal_cost:
-        arr = _int_product(pos_a, pos_b, total, width)
-    else:
-        arr = _decimal_product(pos_a, pos_b, total, digits)
-    # A carry between slots loses 256**width - 1 or 10**digits - 1 of the mass.
+    arr = _decimal_product(pos_a, pos_b, total, _slot_digits(a, b))
+    # A carry between slots loses 10**digits - 1 of the mass.
     if int(arr.sum()) != a.card * b.card:
         raise VerificationError("packed product carried between slots")
     arr = arr.reshape(radices)
@@ -369,12 +311,11 @@ def rep_profile(
     factors, or times one when every order is a power of two (the lane-wise
     add of flat indices), plus a pass over the group per chunk of pairs.
     The fast engine costs, on Z_2^k, k butterfly stages over the 2^k
-    entries plus a fixed cost per stage; elsewhere, the cheaper packed
-    product: N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a
-    fixed cost per call as Decimals, or about B**log2(3) for the B packed
-    bytes as CPython ints.  Sparse sets such as Singer sets therefore
-    enumerate pairs; dense sets take the fast engine.  cross_check
-    recomputes through the other engine and compares.
+    entries plus a fixed cost per stage; elsewhere, the decimal product:
+    N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a fixed
+    cost per call.  Sparse sets such as Singer sets therefore enumerate
+    pairs; dense sets take the fast engine.  cross_check recomputes through
+    the other engine and compares.
     """
     if method == "auto":
         method = _choose_engine(a, a if b is None else b)
@@ -443,3 +384,58 @@ class RepSpectrum:
 
 def spectrum(a: GroupSubset, b: GroupSubset | None = None, *, method: str = "auto") -> RepSpectrum:
     return rep_profile(a, b, method=method).spectrum()
+
+
+class _Slots:
+    """Counts over Z_m packed in one int: slot g holds the count at g in
+    w = (bound + 2).bit_length() + 1 bits, bound the largest count the
+    caller stores.  No count (at most bound) or add-and-mask threshold
+    (at most bound + 1) reaches a slot's top bit, so no carry crosses slots
+    and every test on all of Z_m is one add and one mask.  With rot(X, e) moving slot x to
+    x + e mod m, adding e to a set A (member indicator, 0/1 slots) adds
+    2·rot(A, e) + dbl(e) to its representation counts."""
+
+    def __init__(self, m: int, bound: int):
+        self.m = m
+        w = self.w = (bound + 2).bit_length() + 1
+        self.full = (1 << (w * m)) - 1
+        ones = self.ones = self.full // ((1 << w) - 1)
+        self.top = ones << (w - 1)
+        self.cover_add = ones * ((1 << (w - 1)) - 1)
+
+    def rot(self, X: int, e: int) -> int:
+        """X with slot x moved to slot x + e mod m, for 0 <= e < m."""
+        w = self.w
+        return ((X << (w * e)) | (X >> (w * (self.m - e)))) & self.full
+
+    def step(self, e: int) -> tuple[int, int, int, int]:
+        """(up, down, bit(e), dbl(e)): 2·rot(X, e) for 0/1 slots is
+        ((X << up) | (X >> down)) & full, since bit w·(m - e) - 1 of X is
+        clear; bit(e) is slot e and dbl(e) = bit(2e mod m)."""
+        w, m = self.w, self.m
+        return w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m))
+
+    def exceeds(self, X: int, t: int) -> bool:
+        """Whether some slot of X is above t."""
+        return (X + self.cover_add - self.ones * t) & self.top != 0
+
+    def max_rep(self, X: int, guess: int) -> int:
+        """The largest slot of X by "some slot > t" tests, stepping from
+        guess, so a near guess costs a test or two.  Slot g of Y is
+        X[g] + 2^(w-1) - 1 - t, whose top bit is set iff X[g] > t."""
+        ones, top, t = self.ones, self.top, guess
+        Y = X + self.cover_add - ones * t
+        while Y & top:
+            Y -= ones
+            t += 1
+        while t and not (Y + ones) & top:
+            Y += ones
+            t -= 1
+        return t
+
+    def zeros(self, X: int) -> int:
+        return self.m - ((X + self.cover_add) & self.top).bit_count()
+
+    def decode(self, X: int) -> tuple[int, ...]:
+        w, mask = self.w, (1 << self.w) - 1
+        return tuple((X >> (w * g)) & mask for g in range(self.m))

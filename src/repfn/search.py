@@ -1,19 +1,20 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-Both paths keep their counters as slot-packed ints (_Slots), updated and
-tested by whole-word arithmetic.  The exact path is a depth-first branch and
-bound over subsets of Z_m on three of them (members, representation counts
-and pairs of still-available elements), with a lazy coverage-infeasibility
-prune; it can prove UNSAT.  It splits the space by differences.  Case U:
-some difference b - a in A is a unit u, and x -> u^-1(x - a) maps A onto a
-set containing {0, 1} with the same spectrum, so {0, 1} is fixed.  Case N:
-every difference in A is a non-unit; 0 is fixed by translation and an
-element with a unit difference to a member is never included.  UNSAT needs
-both cases drained.  The heuristic path is a seeded local search on two
-(members and representation counts), run by `threads` workers in turn;
-it only ever claims verified upper bounds.  Every SAT or heuristic result
-carries a certificate re-checked through the pair-enumeration profile,
-never through the search's own counters.
+Both paths keep their counters as slot-packed ints (profiles._Slots),
+updated and tested by whole-word arithmetic.  The exact path is a
+depth-first branch and bound over subsets of Z_m on three of them (members,
+representation counts and pairs of still-available elements), with a lazy
+coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
+differences.  Case U: some difference b - a in A is a unit u, and
+x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
+spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
+non-unit; 0 is fixed by translation and an element with a unit difference
+to a member is never included.  UNSAT needs both cases drained.  The
+heuristic path is a seeded local search on two (members and representation
+counts), run by `threads` workers in turn; it only ever claims verified
+upper bounds.  Every SAT or heuristic result carries a certificate
+re-checked through the pair-enumeration profile, never through the
+search's own counters.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable
 
 from .bounds import ceil_sqrt
 from .groups import Group, GroupSubset, VerificationError
-from .profiles import rep_profile_naive
+from .profiles import _Slots, rep_profile_naive
 from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -89,43 +90,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _Slots:
-    """The slot-packed layout over Z_m that both searches keep their
-    counters in: slot g of an int holds the count at g in
-    w = (max(m, r) + 2).bit_length() + 1 bits.  No count (at most
-    max(m, r)) or add-and-mask threshold below reaches a slot's top bit, so
-    no carry crosses slots and every test on all of Z_m is one add and one
-    mask.  With rot(X, e) moving slot x to x + e mod m, adding e to a set A
-    (member indicator, 0/1 slots) adds 2·rot(A, e) + dbl(e) to its
-    representation counts."""
-
-    def __init__(self, m: int, r: int):
-        self.m = m
-        w = self.w = (max(m, r) + 2).bit_length() + 1
-        self.full = (1 << (w * m)) - 1
-        ones = self.ones = self.full // ((1 << w) - 1)
-        self.top = ones << (w - 1)
-        self.cover_add = ones * ((1 << (w - 1)) - 1)
-
-    def step(self, e: int) -> tuple[int, int, int, int]:
-        """(up, down, bit(e), dbl(e)): 2·rot(X, e) for 0/1 slots is
-        ((X << up) | (X >> down)) & full, since bit w·(m - e) - 1 of X is
-        clear; bit(e) is slot e and dbl(e) = bit(2e mod m)."""
-        w, m = self.w, self.m
-        return w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m))
-
-    def exceeds(self, X: int, t: int) -> bool:
-        """Whether some slot of X is above t."""
-        return (X + self.cover_add - self.ones * t) & self.top != 0
-
-    def zeros(self, X: int) -> int:
-        return self.m - ((X + self.cover_add) & self.top).bit_count()
-
-    def decode(self, X: int) -> tuple[int, ...]:
-        w, mask = self.w, (1 << self.w) - 1
-        return tuple((X >> (w * g)) & mask for g in range(self.m))
-
-
 class _ExactSearch(_Slots):
     """DFS over subsets of Z_m in ascending element order, include branch
     first, on three slot-packed ints: A (member indicator), R
@@ -155,7 +119,8 @@ class _ExactSearch(_Slots):
     steps[e]) is 0 in case U."""
 
     def __init__(self, m: int, r: int, node_budget: int, time_budget: float | None):
-        super().__init__(m, r)
+        # No count exceeds m, and the largest threshold is the cap r.
+        super().__init__(m, max(m, r))
         self.node_budget = node_budget
         w, ones = self.w, self.ones
         self.cap_add = self.cover_add - ones * r
@@ -172,7 +137,7 @@ class _ExactSearch(_Slots):
 
     def run(self) -> bool:
         """Case U, then case N; True as soon as either finds a basis."""
-        m, full = self.m, self.full
+        m = self.m
         P = m * self.ones
         if m > 1:
             # The forced include of 1 into A = {0} takes the max_rep test.
@@ -189,10 +154,7 @@ class _ExactSearch(_Slots):
                     self.case_nodes[0] = self.nodes
         w = self.w
         units = sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
-        self.steps = [
-            s[:5] + (((units << (w * e)) | (units >> (w * (m - e)))) & full,)
-            for e, s in enumerate(self.steps)
-        ]
+        self.steps = [s[:5] + (self.rot(units, e),) for e, s in enumerate(self.steps)]
         self.members = [0]
         start = self.nodes
         try:
@@ -390,7 +352,7 @@ class _LocalSearch(_Slots):
     elements uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
-        super().__init__(m, r)
+        super().__init__(m, max(m, r))
         self.r = r
         self.rng = rng
         self.pool = pool
@@ -413,16 +375,6 @@ class _LocalSearch(_Slots):
         A = self.A = self.A ^ bit
         self.R -= (((A << up) | (A >> down)) & self.full) + dbl
 
-    def _max_rep(self, guess: int) -> int:
-        """max R by "some slot > t" tests, stepping from guess; one move
-        changes each slot by at most 2, so the previous max is a near guess."""
-        R, t = self.R, guess
-        while self.exceeds(R, t):
-            t += 1
-        while t and not self.exceeds(R, t - 1):
-            t -= 1
-        return t
-
     def _excess(self) -> int:
         """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
         bit where R[g] >= r, so masking the rest leaves the terms, which are
@@ -434,7 +386,9 @@ class _LocalSearch(_Slots):
         return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
 
     def _objective(self, uncovered: int, guess: int) -> tuple[int, int, int, int]:
-        peak = self._max_rep(guess)
+        # One move changes each slot by at most 2, so the previous max is a
+        # near guess.
+        peak = self.max_rep(self.R, guess)
         return (uncovered, peak, self._excess() if peak > self.r else 0, len(self.members))
 
     def _restart(self) -> tuple[int, int, int, int]:

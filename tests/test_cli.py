@@ -355,6 +355,30 @@ class TestErrorPaths:
         assert out == ""
         assert "integers" in err
 
+    def test_non_utf8_set_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"orders 7\n1\n\xff\n")
+        code, out, err = run_cli(["spectrum", "--in", str(bad)], capsys)
+        assert code == 66
+        assert out == ""
+        assert "not UTF-8" in err
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"orders 7\n1\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(["diff-profile"], capsys)
+        assert code == 66
+        assert out == ""
+        assert "not UTF-8" in err
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run_cli(["singer", "--p", "7", "--out", str(target)], capsys)
+        assert code == 73
+        assert out == ""
+        assert err.startswith(f"repfn: cannot write {target}: ")
+        assert not target.parent.exists()
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

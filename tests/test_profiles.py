@@ -239,16 +239,8 @@ class TestTwoGroups:
         assert rep_profile_fast(a).counts == want
 
 
-@pytest.fixture(params=["int", "decimal"])
-def packed_route(request, monkeypatch):
-    """Force the packed product through one of its two multiplies."""
-    costs = (0, 1) if request.param == "int" else (1, 0)
-    monkeypatch.setattr(profiles, "_packed_costs", lambda total, width, digits: costs)
-    return request.param
-
-
 class TestExactTransforms:
-    """The packed products and the Walsh-Hadamard route against pair
+    """The packed product and the Walsh-Hadamard route against pair
     enumeration and a repfn-free Counter over ordered pairs."""
 
     SHAPES = [
@@ -258,7 +250,7 @@ class TestExactTransforms:
     ]
 
     @pytest.mark.parametrize("orders", SHAPES, ids=lambda o: "x".join(map(str, o)))
-    def test_fast_equals_naive_equals_counter(self, orders, packed_route):
+    def test_fast_equals_naive_equals_counter(self, orders):
         g = Group(orders)
         n = g.order
         rng = random.Random(n * 131 + len(orders))
@@ -272,7 +264,7 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (list(xs), list(ys))
             assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
 
-    def test_random_groups(self, packed_route):
+    def test_random_groups(self):
         rng = random.Random(12)
         for trial in range(60):
             kind = trial % 3
@@ -290,15 +282,11 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (orders, xs, ys)
             assert rep_profile_naive(sa, sb).counts == want, (orders, xs, ys)
 
-    def test_narrow_slots_raise_never_miscount(self, monkeypatch, packed_route):
-        # One decimal digit fewer, or half the bytes, lets the middle slots
-        # of a full Z_300 carry; the mass check must catch every carry.
-        if packed_route == "decimal":
-            digits = profiles._slot_digits
-            monkeypatch.setattr(profiles, "_slot_digits", lambda a, b: digits(a, b) - 1)
-        else:
-            width = profiles._slot_bytes
-            monkeypatch.setattr(profiles, "_slot_bytes", lambda a, b: max(1, width(a, b) // 2))
+    def test_narrow_slots_raise_never_miscount(self, monkeypatch):
+        # One decimal digit fewer lets the middle slots of a full Z_300
+        # carry; the mass check must catch every carry.
+        digits = profiles._slot_digits
+        monkeypatch.setattr(profiles, "_slot_digits", lambda a, b: digits(a, b) - 1)
         with pytest.raises(VerificationError):
             rep_profile_fast(GroupSubset.full(Group.cyclic(300)))
         rng = random.Random(5)
@@ -312,19 +300,6 @@ class TestExactTransforms:
                 except VerificationError:
                     continue
                 assert counts == rep_profile_naive(a, b).counts
-
-    def test_small_packs_multiply_as_ints_large_as_decimals(self, monkeypatch):
-        # Below a few tens of thousands of digits CPython beats libmpdec.
-        calls = []
-        for name in ("_int_product", "_decimal_product"):
-            real = getattr(profiles, name)
-            monkeypatch.setattr(
-                profiles, name, lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
-            )
-        small, large = _sample([1000], 500), _sample([65536], 32768)
-        assert rep_profile_fast(small).counts == rep_profile_naive(small).counts
-        rep_profile_fast(large)
-        assert calls == ["_int_product", "_decimal_product"]
 
     def test_hadamard_is_exact_modulo_the_word(self):
         # The butterflies are ring operations, so in uint8 every entry is the
@@ -459,6 +434,28 @@ class TestRepProfileType:
         with pytest.raises(InvalidElementError):
             prof[2.7]
         assert prof[2.0] == prof[2] == prof.counts[2]
+
+
+class TestSlots:
+    """The slot-packed counts of the searches and the 11b scan against a
+    plain list of counts."""
+
+    def test_rot_max_rep_zeros_match_a_list(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            m = rng.randint(1, 40)
+            bound = rng.randint(1, 50)
+            counts = [rng.choice((0, rng.randint(0, bound))) for _ in range(m)]
+            slots = profiles._Slots(m, bound)
+            X = sum(c << (slots.w * g) for g, c in enumerate(counts))
+            assert slots.decode(X) == tuple(counts)
+            e = rng.randrange(m)
+            assert slots.decode(slots.rot(X, e)) == tuple(counts[(g - e) % m] for g in range(m))
+            for guess in (0, max(counts), bound, rng.randint(0, bound)):
+                assert slots.max_rep(X, guess) == max(counts)
+            assert slots.zeros(X) == counts.count(0)
+            for t in (0, max(counts) - 1, max(counts), bound + 1):
+                assert slots.exceeds(X, t) == (max(counts) > t)
 
 
 def test_verification_error_is_runtime_error():
