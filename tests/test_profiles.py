@@ -239,6 +239,12 @@ class TestTwoGroups:
         assert rep_profile_fast(a).counts == want
 
 
+@pytest.fixture(params=["decimal"])
+def packed_product(request):
+    """The packed route's one exact product, named in each test id."""
+    return request.param
+
+
 class TestExactTransforms:
     """The packed product and the Walsh-Hadamard route against pair
     enumeration and a repfn-free Counter over ordered pairs."""
@@ -250,7 +256,7 @@ class TestExactTransforms:
     ]
 
     @pytest.mark.parametrize("orders", SHAPES, ids=lambda o: "x".join(map(str, o)))
-    def test_fast_equals_naive_equals_counter(self, orders):
+    def test_fast_equals_naive_equals_counter(self, orders, packed_product):
         g = Group(orders)
         n = g.order
         rng = random.Random(n * 131 + len(orders))
@@ -264,7 +270,7 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (list(xs), list(ys))
             assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
 
-    def test_random_groups(self):
+    def test_random_groups(self, packed_product):
         rng = random.Random(12)
         for trial in range(60):
             kind = trial % 3
@@ -282,7 +288,7 @@ class TestExactTransforms:
             assert rep_profile_fast(sa, sb).counts == want, (orders, xs, ys)
             assert rep_profile_naive(sa, sb).counts == want, (orders, xs, ys)
 
-    def test_narrow_slots_raise_never_miscount(self, monkeypatch):
+    def test_narrow_slots_raise_never_miscount(self, monkeypatch, packed_product):
         # One decimal digit fewer lets the middle slots of a full Z_300
         # carry; the mass check must catch every carry.
         digits = profiles._slot_digits
