@@ -6,7 +6,7 @@ between identical runs.  Set-producing subcommands emit documents that the
 set-consuming subcommands accept verbatim.
 
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
-64 usage error, 66 unreadable or invalid input file, 70 internal
+64 usage error, 66 unreadable, invalid or too large input file, 70 internal
 verification failure, 73 output file cannot be written.
 """
 
@@ -188,19 +188,20 @@ def _emit(body: dict | str, out_path: str) -> None:
 
 
 def _load_subset(path: str):
+    """The set in the file at path, or on stdin for '-'.  Both are read as
+    bytes and decoded as strict UTF-8, so the locale never decides."""
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        return parse_subset(data.decode("utf-8"))
     except OSError as exc:
         raise _InputError(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise _InputError(f"invalid set file: not UTF-8 ({exc})") from exc
-    try:
-        return parse_subset(text)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise _InputError(f"invalid set file: {exc}") from exc
 
 

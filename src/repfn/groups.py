@@ -134,7 +134,10 @@ class GroupSubset:
     @classmethod
     def _from_indices(cls, group: Group, idx) -> "GroupSubset":
         """The subset of flat indices already checked to lie in the group."""
-        mask = np.zeros(group.order, dtype=np.uint8)
+        try:
+            mask = np.zeros(group.order, dtype=np.uint8)
+        except MemoryError as exc:
+            raise MemoryError(f"a group of order {group.order} is too large to load") from exc
         mask[idx] = 1
         return cls(group, _pack_mask(mask))
 

@@ -415,10 +415,6 @@ class _Slots:
         w, m = self.w, self.m
         return w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m))
 
-    def exceeds(self, X: int, t: int) -> bool:
-        """Whether some slot of X is above t."""
-        return (X + self.cover_add - self.ones * t) & self.top != 0
-
     def max_rep(self, X: int, guess: int) -> int:
         """The largest slot of X by "some slot > t" tests, stepping from
         guess, so a near guess costs a test or two.  Slot g of Y is

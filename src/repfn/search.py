@@ -11,16 +11,16 @@ spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is a seeded local search on two (members and representation
-counts), run by `threads` workers in turn; it only ever claims verified
-upper bounds.  Every SAT or heuristic result carries a certificate
-re-checked through the pair-enumeration profile, never through the
-search's own counters.
+counts), run `threads` times in turn; it only ever claims verified upper
+bounds.  Every SAT or heuristic result carries a certificate re-checked
+through the pair-enumeration profile, never through the search's own
+counters.  No clock enters a search: each outcome is a function of its
+arguments alone, and work is counted in nodes or moves.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +35,6 @@ from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
 DEFAULT_NODE_BUDGET = 200_000
 DEFAULT_MOVES = 20_000
 _RESTART_EVERY = 400
-_TIME_CHECK_MASK = 1023
 
 
 class SearchStatus(str, Enum):
@@ -82,7 +81,6 @@ class SearchOutcome:
     certificate: SearchCertificate | None
     nodes: int
     prunes: dict[str, int]
-    wall_time_s: float
     notes: tuple[str, ...]
 
 
@@ -107,10 +105,10 @@ class _ExactSearch(_Slots):
     excludes), so an exclude is a coverage prune iff a slot of P | R is 0.
 
     The space is split by differences, and run() drains the two cases in
-    turn on one node counter, budget and deadline.  Case U: some difference
-    b - a in A is a unit u; then x -> u^-1(x - a) maps A onto a set
-    containing {0, 1} with R_{phi A}(u^-1(g - 2a)) = R_A(g), so the DFS
-    starts at e = 2 on the members [0, 1], every element still available.
+    turn on one node counter and budget.  Case U: some difference b - a in
+    A is a unit u; then x -> u^-1(x - a) maps A onto a set containing
+    {0, 1} with R_{phi A}(u^-1(g - 2a)) = R_A(g), so the DFS starts at
+    e = 2 on the members [0, 1], every element still available.
     Case N: every difference in A is a non-unit; 0 is fixed by translation
     and the include of e is barred when A & rot(Units, e) != 0, i.e. when
     e - a is a unit for some member a (units are closed under negation).  A
@@ -118,7 +116,7 @@ class _ExactSearch(_Slots):
     cases run through one _dfs, whose per-e bar mask (the last entry of
     steps[e]) is 0 in case U."""
 
-    def __init__(self, m: int, r: int, node_budget: int, time_budget: float | None):
+    def __init__(self, m: int, r: int, node_budget: int):
         # No count exceeds m, and the largest threshold is the cap r.
         super().__init__(m, max(m, r))
         self.node_budget = node_budget
@@ -132,7 +130,6 @@ class _ExactSearch(_Slots):
         self.case_nodes = [0, 0]
         self.barred = 0
         self.prunes = {"max_rep": 0, "coverage": 0}
-        self.deadline = time.monotonic() + time_budget if time_budget is not None else None
         self.witness: list[int] | None = None
 
     def run(self) -> bool:
@@ -165,12 +162,6 @@ class _ExactSearch(_Slots):
     def _dfs(self, e: int, A: int, R: int, P: int) -> bool:
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise _BudgetExceeded
-        if (
-            self.deadline is not None
-            and (self.nodes & _TIME_CHECK_MASK) == 0
-            and time.monotonic() > self.deadline
-        ):
             raise _BudgetExceeded
         top, cover_add, members = self.top, self.cover_add, self.members
         if (R + cover_add) & top == top:
@@ -208,7 +199,6 @@ def exists_basis(
     r: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: float | None = None,
 ) -> SearchOutcome:
     """Exact decision: does Z_m admit an additive basis with max count <= r.
 
@@ -218,13 +208,11 @@ def exists_basis(
     returned after both symmetry-reduced cases are fully drained; running
     out of budget in either yields EXHAUSTED instead.  The notes give each
     case's argument and the nodes it took.  node_budget caps the visited
-    nodes and time_budget (seconds) the wall time.
+    nodes, and is the only stop, so the outcome is a function of
+    (m, r, node_budget) alone.
     """
     _check_args(m, r, node_budget)
-    if time_budget is not None and time_budget <= 0:
-        raise ValueError("time budget must be positive")
-    t0 = time.monotonic()
-    search = _ExactSearch(m, r, node_budget, time_budget)
+    search = _ExactSearch(m, r, node_budget)
     cert = None
     try:
         status = SearchStatus.SAT if search.run() else SearchStatus.UNSAT
@@ -250,9 +238,7 @@ def exists_basis(
         cert = make_certificate(m, search.witness, r)
         if not cert.verified:
             raise VerificationError("witness failed the independent re-check")
-    return SearchOutcome(
-        status, cert, search.nodes, dict(search.prunes), time.monotonic() - t0, tuple(notes)
-    )
+    return SearchOutcome(status, cert, search.nodes, dict(search.prunes), tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -272,7 +258,6 @@ class RuzsaResult:
     unsat_record: SearchOutcome | None
     probes: tuple[tuple[int, SearchStatus], ...]
     nodes: int
-    wall_time_s: float
 
     @property
     def exact(self) -> bool:
@@ -283,29 +268,26 @@ def ruzsa_number(
     m: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: float | None = None,
 ) -> RuzsaResult:
     """Least r such that Z_m has an additive basis with max count <= r.
 
     Probes r = 1, 2, ... with the exact search; the full group is a basis
-    with max count m, so the loop always terminates by r = m.  If a probe
-    exhausts its budget the result degrades to a bracket, never to a guess.
+    with max count m, so the loop always terminates by r = m.  Each probe
+    gets node_budget nodes.  If a probe exhausts its budget the result
+    degrades to a bracket, never to a guess; its upper end comes from the
+    seed-0 heuristic, so the result is a function of (m, node_budget) alone.
     """
     if m < 1:
         raise ValueError("modulus m must be at least 1")
-    t0 = time.monotonic()
     prev_unsat: SearchOutcome | None = None
     probes: list[tuple[int, SearchStatus]] = []
     nodes = 0
     for r in range(1, m + 1):
-        out = exists_basis(m, r, node_budget=node_budget, time_budget=time_budget)
+        out = exists_basis(m, r, node_budget=node_budget)
         probes.append((r, out.status))
         nodes += out.nodes
         if out.status is SearchStatus.SAT:
-            return RuzsaResult(
-                m, r, r, r, out.certificate, prev_unsat, tuple(probes), nodes,
-                time.monotonic() - t0,
-            )
+            return RuzsaResult(m, r, r, r, out.certificate, prev_unsat, tuple(probes), nodes)
         if out.status is SearchStatus.UNSAT:
             prev_unsat = out
             continue
@@ -315,10 +297,7 @@ def ruzsa_number(
         hi = hi_cert.claimed_r if hi_cert is not None else m
         if hi < r:
             raise VerificationError("certified upper bound contradicts an UNSAT proof")
-        return RuzsaResult(
-            m, None, r, hi, hi_cert, prev_unsat, tuple(probes), nodes,
-            time.monotonic() - t0,
-        )
+        return RuzsaResult(m, None, r, hi, hi_cert, prev_unsat, tuple(probes), nodes)
     raise VerificationError("the full group must be found as a basis by r = m")
 
 
@@ -338,8 +317,11 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
 
 
 class _LocalSearch(_Slots):
-    """One worker: hill-climb with sideways moves and periodic restarts over
-    the lexicographic objective (uncovered, max count, excess over r, |A|).
+    """Hill-climb with sideways moves and periodic restarts over the
+    lexicographic objective (uncovered, max count, excess over r, |A|).
+    Each run() is one stream of moves from its own rng, starting over at
+    the first restart seed; best is the first find of the least objective
+    over every run so far.
 
     The state is two slot-packed ints, A (member indicator) and R
     (representation counts), plus the sorted member list that rng.choice
@@ -351,10 +333,9 @@ class _LocalSearch(_Slots):
     and the terms past uncovered are taken only for moves that leave no more
     elements uncovered than the current objective."""
 
-    def __init__(self, m: int, r: int, rng: random.Random, pool: list[tuple[int, ...] | None]):
+    def __init__(self, m: int, r: int, pool: list[tuple[int, ...] | None]):
         super().__init__(m, max(m, r))
         self.r = r
-        self.rng = rng
         self.pool = pool
         self.restarts = 0
         self.A = self.R = 0
@@ -391,12 +372,12 @@ class _LocalSearch(_Slots):
         peak = self.max_rep(self.R, guess)
         return (uncovered, peak, self._excess() if peak > self.r else 0, len(self.members))
 
-    def _restart(self) -> tuple[int, int, int, int]:
+    def _restart(self, rng: random.Random) -> tuple[int, int, int, int]:
         base = self.pool[self.restarts % len(self.pool)]
         self.restarts += 1
         if base is None:
             size = max(1, min(self.m, ceil_sqrt(2 * self.m)))
-            base = self.rng.sample(range(self.m), size)
+            base = rng.sample(range(self.m), size)
         self.A = self.R = 0
         self.members = []
         for e in base:
@@ -409,14 +390,14 @@ class _LocalSearch(_Slots):
         if obj[0] == 0 and (self.best is None or obj < self.best[0]):
             self.best = (obj, tuple(self.members))
 
-    def run(self, moves: int) -> None:
-        cur = self._restart()
-        rng = self.rng
+    def run(self, moves: int, rng: random.Random) -> None:
+        self.restarts = 0
+        cur = self._restart(rng)
         m, w = self.m, self.w
         add, remove = self.add, self.remove
         for step in range(moves):
             if step and step % _RESTART_EVERY == 0:
-                cur = self._restart()
+                cur = self._restart(rng)
             members = self.members
             card = len(members)
             roll = rng.random()
@@ -463,35 +444,29 @@ def heuristic_upper_bound(
 ) -> SearchOutcome:
     """Best verified basis certificate reachable within the move budget.
 
-    Runs `threads` workers one after another, each proposing `moves` moves,
-    with seeds derived as Random(f"{seed}/{w}"), so the outcome is a
-    deterministic function of (m, r, moves, seed, threads).  The full group
-    is always considered, so a verified certificate (possibly the trivial
-    one with max count m) is always returned; the status is SAT when its cap
-    meets r and EXHAUSTED otherwise.  UNSAT is never claimed.
+    Runs one local search `threads` times in turn, each run proposing
+    `moves` moves from Random(f"{seed}/{w}") for w = 0, 1, ..., so the
+    outcome is a function of (m, r, moves, seed, threads) alone.  The first
+    find of the least objective wins, and the full group stands in when no
+    find is at least as good, so a verified certificate (possibly the
+    trivial one with max count m) is always returned; the status is SAT
+    when its cap meets r and EXHAUSTED otherwise.  UNSAT is never claimed.
     """
     _check_args(m, r, moves)
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    t0 = time.monotonic()
     pool = _seed_pool(m)
     notes = ["restart seed pool: random draws" + ("" if len(pool) == 1 else " plus the perfect difference set")]
 
+    search = _LocalSearch(m, r, pool)
+    for w in range(threads):
+        search.run(moves, random.Random(f"{seed}/{w}"))
     # The full group has R(g) = m at every g, so its objective is closed form.
     full_obj = (0, m, m * max(0, m - r), m)
-    # (objective, worker index) ordering makes the merge deterministic; the
-    # full-group fallback ranks behind any worker's find of equal objective.
-    best = (full_obj, threads, tuple(range(m)))
-
-    for w in range(threads):
-        worker = _LocalSearch(m, r, random.Random(f"{seed}/{w}"), pool)
-        worker.run(moves)
-        if worker.best is not None:
-            cand = (worker.best[0], w, worker.best[1])
-            if cand < best:
-                best = cand
-
-    obj, _, elements = best
+    if search.best is not None and search.best[0] <= full_obj:
+        obj, elements = search.best
+    else:
+        obj, elements = full_obj, tuple(range(m))
     cert = make_certificate(m, elements, obj[1])
     if not cert.verified:
         raise VerificationError("heuristic winner failed the independent re-check")
@@ -504,6 +479,5 @@ def heuristic_upper_bound(
         cert,
         moves * threads,
         {},
-        time.monotonic() - t0,
         tuple(notes),
     )

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repfn.cli import _HANDLERS, _json_text, build_parser, main
@@ -146,7 +148,7 @@ class TestPipelines:
         assert body["counts"][1:] == [1] * 12
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("orders 5\n0\n1\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"orders 5\n0\n1\n")))
         code, body = run_json(["spectrum"], capsys)
         assert code == 0
         assert body["histogram"] == {"0": 2, "1": 2, "2": 1}
@@ -370,6 +372,39 @@ class TestErrorPaths:
         assert code == 66
         assert out == ""
         assert "not UTF-8" in err
+
+    def test_non_utf8_stdin_under_the_c_locale(self):
+        # stdin is read as bytes and decoded as UTF-8 whatever the locale
+        env = {k: v for k, v in os.environ.items() if k not in ("LANG", "LC_CTYPE")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repfn", "spectrum"],
+            input=b"orders 7\n1\n\xff\n", capture_output=True, timeout=60,
+            env={**env, "LC_ALL": "C"},
+        )
+        assert proc.returncode == 66
+        assert proc.stdout == b""
+        assert b"not UTF-8" in proc.stderr
+
+    def test_group_too_large_to_load(self, capsys, monkeypatch, tmp_path):
+        # The mask of a group of order 10^12 is refused before any
+        # allocation, as a MemoryError like numpy's own.
+        zeros = np.zeros
+
+        def refuse_huge(shape, *args, **kwargs):
+            if shape == 10**12:
+                raise MemoryError
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", refuse_huge)
+        text = tmp_path / "big.txt"
+        text.write_text("orders 1000000000000\n1\n")
+        doc = tmp_path / "big.json"
+        doc.write_text('{"orders": [1000000000000], "elements": [1]}')
+        for path in (text, doc):
+            code, out, err = run_cli(["spectrum", "--in", str(path)], capsys)
+            assert code == 66, path
+            assert out == ""
+            assert err == "repfn: invalid set file: a group of order 1000000000000 is too large to load\n"
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

@@ -460,8 +460,6 @@ class TestSlots:
             for guess in (0, max(counts), bound, rng.randint(0, bound)):
                 assert slots.max_rep(X, guess) == max(counts)
             assert slots.zeros(X) == counts.count(0)
-            for t in (0, max(counts) - 1, max(counts), bound + 1):
-                assert slots.exceeds(X, t) == (max(counts) > t)
 
 
 def test_verification_error_is_runtime_error():

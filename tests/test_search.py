@@ -7,6 +7,7 @@ from repfn import search
 from repfn.groups import Group, GroupSubset, VerificationError
 from repfn.profiles import rep_profile_naive
 from repfn.search import (
+    DEFAULT_NODE_BUDGET,
     SearchStatus,
     _LocalSearch,
     exists_basis,
@@ -54,7 +55,6 @@ class TestArguments:
             (exists_basis, dict(m=5, r=0)),
             (exists_basis, dict(m=5, r=2, node_budget=0)),
             (heuristic_upper_bound, dict(m=5, r=2, moves=0)),
-            (exists_basis, dict(m=5, r=2, time_budget=0)),
             (heuristic_upper_bound, dict(m=5, r=2, threads=0)),
         ]
         for fn, kwargs in bad:
@@ -68,6 +68,30 @@ class TestArguments:
         for kwargs in (dict(node_budget=100), dict(time_budget=1.0)):
             with pytest.raises(TypeError):
                 heuristic_upper_bound(5, 2, **kwargs)
+
+    def test_no_search_takes_a_time_budget(self):
+        # node_budget is the one stop: no clock decides an outcome
+        with pytest.raises(TypeError):
+            exists_basis(5, 2, time_budget=1.0)
+        with pytest.raises(TypeError):
+            ruzsa_number(5, time_budget=1.0)
+
+    def test_two_runs_give_equal_outcomes(self):
+        # No clock or float enters a result, so a repeat compares equal.
+        runs = [
+            (lambda: exists_basis(10, 4), SearchStatus.SAT),
+            (lambda: exists_basis(13, 3), SearchStatus.UNSAT),
+            (lambda: exists_basis(36, 5, node_budget=2000), SearchStatus.EXHAUSTED),
+            (lambda: heuristic_upper_bound(30, 4, moves=500, seed=3, threads=2), None),
+        ]
+        for run, status in runs:
+            first = run()
+            assert status is None or first.status is status
+            assert run() == first
+        for m, node_budget, exact in ((10, DEFAULT_NODE_BUDGET, True), (16, 50, False)):
+            first = ruzsa_number(m, node_budget=node_budget)
+            assert first.exact is exact
+            assert ruzsa_number(m, node_budget=node_budget) == first
 
 
 class TestExistsBasis:
@@ -108,13 +132,6 @@ class TestExistsBasis:
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate is None
         assert "budget exhausted" in out.notes[-1]
-
-    def test_time_budget_fires(self):
-        # m=36 at r=5 is far beyond 1024 nodes, where the deadline is first
-        # polled, so a microscopic time budget must end in EXHAUSTED
-        out = exists_basis(36, 5, node_budget=10**9, time_budget=1e-6)
-        assert out.status is SearchStatus.EXHAUSTED
-        assert out.nodes < 5000
 
     def test_counter_check_hook_clean(self):
         # cross-check the incremental counters at every single node
@@ -258,16 +275,6 @@ class TestRuzsaNumber:
         # the bracket must contain the true answer
         assert res.lo <= FROZEN_MIN_CAP[16] <= res.hi
 
-    def test_time_budget_yields_bracket(self):
-        # r=4 is UNSAT at m=16 in 1670 nodes, past the first deadline poll at
-        # 1024, so the probe there runs out; the heuristic fallback that
-        # brackets it takes no time budget
-        res = ruzsa_number(16, node_budget=10**9, time_budget=1e-6)
-        assert not res.exact
-        assert res.lo == 4
-        assert res.lo <= FROZEN_MIN_CAP[16] <= res.hi == res.certificate.claimed_r
-        assert res.certificate.verified
-
     def test_modulus_below_one_refused(self):
         for m in (0, -3):
             with pytest.raises(ValueError, match="modulus"):
@@ -297,7 +304,7 @@ class TestCounts:
             rng = random.Random(seed)
             m = rng.randint(1, 40)
             r = rng.randint(1, 6)
-            counts = _LocalSearch(m, r, random.Random(0), [None])
+            counts = _LocalSearch(m, r, [None])
             present: set[int] = set()
             for _ in range(80):
                 e = rng.randrange(m)
@@ -346,6 +353,16 @@ class TestHeuristic:
         assert out.certificate.claimed_r == 6
         assert out.certificate.verified
         assert out.nodes == 4000
+
+    def test_each_run_starts_at_the_first_restart_seed(self):
+        # 57 = 7^2 + 7 + 1, so the restart pool alternates a random draw and
+        # the Singer set; a second run that went on from the first run's
+        # place in the pool would move this.
+        out = self.run(57, 4, moves=1000, seed=0, threads=2)
+        assert out.status is SearchStatus.EXHAUSTED
+        assert out.certificate.elements == (1, 2, 3, 8, 13, 22, 27, 31, 33, 35, 41, 43, 44, 47)
+        assert out.certificate.claimed_r == 7
+        assert out.certificate.verified
 
     def test_upper_bounds_respect_true_minimum(self):
         for m in range(2, 17):
