@@ -136,7 +136,8 @@ class GroupSubset:
         """The subset of flat indices already checked to lie in the group."""
         try:
             mask = np.zeros(group.order, dtype=np.uint8)
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses an order of 2^63 or more with a ValueError.
             raise MemoryError(f"a group of order {group.order} is too large to load") from exc
         mask[idx] = 1
         return cls(group, _pack_mask(mask))

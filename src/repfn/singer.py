@@ -4,13 +4,19 @@ For a prime p, powers of a primitive element of GF(p^3) whose coordinate on
 x^2 vanishes give a (p+1)-element set D with R_{D,-D}(t) = 1 for every
 t != 0.  All field arithmetic is done on coefficient triples mod p; the
 construction is deterministic, picking the lexicographically least monic
-irreducible cubic and the least primitive element under it.
+irreducible cubic and the least primitive element under it.  The x^2
+coordinates of alpha^i over one period obey a linear recurrence of order 3,
+which is evaluated in baby-step/giant-step blocks by one exact int64 matrix
+product rather than one step per exponent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
+
+import numpy as np
 
 from .groups import Group, GroupSubset, VerificationError
 from .profiles import rep_diff_profile
@@ -172,10 +178,13 @@ def _x2_recurrence(ctx: FieldCtx) -> tuple[int, int, int]:
 def singer_set(p: int, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> PerfectDifferenceSet:
     """Build the perfect difference set for the prime p and verify it.
 
-    Walks alpha^i for i in [0, n): scaling by alpha^n multiplies an element
+    Decides alpha^i for i in [0, n): scaling by alpha^n multiplies an element
     by a nonzero scalar of the base field, which preserves vanishing of the
     x^2 coordinate, so every membership class is decided inside one period.
-    The result is immutable, so it is built once per p and then shared.
+    The x^2 coordinates over that period come from _x2_coordinates, one
+    exact int64 product of baby-step and giant-step blocks, and the set is
+    then re-checked by pair enumeration.  The result is immutable, so it is
+    built once per p and then shared.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -184,22 +193,49 @@ def singer_set(p: int, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> PerfectDiff
     return _build_singer_set(p)
 
 
+def _x2_coordinates(ctx: FieldCtx, n: int) -> np.ndarray:
+    """The x^2 coordinate c_i of alpha^i, in [0, p), for i in [0, n).
+
+    With S_j = (c_j, c_{j+1}, c_{j+2}) and C the companion matrix of the
+    recurrence, S_{j+1} = C*S_j, so c_{kB+j} = u_k . S_j with u_k the first
+    row of C^{kB}.  Baby steps: the recurrence run from S_0 gives S_j for
+    j < B = isqrt(n - 1) + 1.  Giant steps: u_{k+1} = u_k*C^B for
+    k < K = ceil(n/B), where column i of C^B is the state B steps after the
+    i-th unit vector.  Every entry of the (K x 3) @ (3 x B) product is at
+    most 3(p - 1)^2 < 2^63 for any p whose n fits in memory, so it is exact.
+    """
+    p = ctx.p
+    t, s, d = _x2_recurrence(ctx)
+    b = isqrt(n - 1) + 1
+
+    def run(c0: int, c1: int, c2: int) -> list[int]:
+        """c_0 .. c_{b+2} of the sequence that starts (c0, c1, c2)."""
+        seq = [c0, c1, c2]
+        for _ in range(b):
+            c0, c1, c2 = c1, c2, (t * c2 - s * c1 + d * c0) % p
+            seq.append(c2)
+        return seq
+
+    # x^2 coordinates of alpha^0, alpha^1 and alpha^2.
+    baby = run(0, ctx.primitive[2], field_mul(ctx, ctx.primitive, ctx.primitive)[2])
+    states = np.array([baby[0:b], baby[1 : b + 1], baby[2 : b + 2]], dtype=np.int64)
+    jump = [run(*e)[b : b + 3] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rows = [(1, 0, 0)]
+    for _ in range(-(-n // b) - 1):
+        u = rows[-1]
+        rows.append(tuple((u[0] * x + u[1] * y + u[2] * z) % p for x, y, z in jump))
+    return (np.array(rows, dtype=np.int64) @ states % p).ravel()[:n]
+
+
 @lru_cache(maxsize=32)
 def _build_singer_set(p: int) -> PerfectDifferenceSet:
     ctx = field_ctx_build(p)
     n = p * p + p + 1
-    t, s, d = _x2_recurrence(ctx)
-    # x^2 coordinates of alpha^0, alpha^1 and alpha^2.
-    c0, c1, c2 = 0, ctx.primitive[2], field_mul(ctx, ctx.primitive, ctx.primitive)[2]
-    elems = []
-    for i in range(n):
-        if c0 == 0:
-            elems.append(i)
-        c0, c1, c2 = c1, c2, (t * c2 - s * c1 + d * c0) % p
+    elems = np.flatnonzero(_x2_coordinates(ctx, n) == 0).tolist()
     subset = GroupSubset.from_elements(Group.cyclic(n), elems)
     if subset.card != p + 1:
         raise VerificationError(f"expected {p + 1} elements, built {subset.card}")
     diff = rep_diff_profile(subset)
-    if diff.counts[0] != p + 1 or any(c != 1 for c in diff.counts[1:]):
+    if diff.counts[0] != p + 1 or diff.counts[1:].count(1) != n - 1:
         raise VerificationError("difference profile is not identically 1 off zero")
     return PerfectDifferenceSet(p, n, subset)

@@ -406,6 +406,21 @@ class TestErrorPaths:
             assert out == ""
             assert err == "repfn: invalid set file: a group of order 1000000000000 is too large to load\n"
 
+    def test_order_past_int64_too_large_to_load(self, capsys, monkeypatch):
+        # numpy refuses a length of 2^63 or more with a ValueError before it
+        # allocates anything; that reads as the same message as a MemoryError.
+        order = 2**63
+        for data in (
+            f"orders {order}\n1\n",
+            f'{{"orders": [{order // 2}, 2], "elements": [1]}}',
+        ):
+            stdin = io.TextIOWrapper(io.BytesIO(data.encode()), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            code, out, err = run_cli(["spectrum", "--in", "-"], capsys)
+            assert code == 66, data
+            assert out == ""
+            assert err == f"repfn: invalid set file: a group of order {order} is too large to load\n"
+
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"
         code, out, err = run_cli(["singer", "--p", "7", "--out", str(target)], capsys)

@@ -1,6 +1,10 @@
+import hashlib
+
 import pytest
 
-from repfn.profiles import rep_diff_profile, rep_profile
+from repfn import singer
+from repfn.groups import VerificationError
+from repfn.profiles import RepProfile, rep_diff_profile, rep_profile
 from repfn.singer import (
     DEFAULT_PRIME_BOUND,
     field_ctx_build,
@@ -157,3 +161,57 @@ class TestWalk:
         assert singer_set(17, prime_bound=20) is singer_set(17)
         with pytest.raises(ValueError):
             singer_set(17, prime_bound=13)
+
+
+class TestBlockEvaluation:
+    # sha256 of ",".join(map(str, singer_set(p).elements)), recorded from the
+    # one-step-per-exponent walk; p = 401 is also perfbench/singer401.json.
+    PINNED = {
+        211: "885870f6ac6cc1feea17475ceca602026a1fa20bd9ba11b07233ad6f132ce200",
+        307: "a6793466b5d1e66798f6a400a605c7ffffcaf89cebe6386f0e9d6567fdf4918a",
+        401: "d1d8a98624e3eba500ac591640abd2a02aa9be57ef7a1c532c04114c22697303",
+        997: "634c6103760456aba787434e4a75eb9300005f492668a4d06564b3b31ab40b1e",
+    }
+
+    def test_benchmark_sets_are_pinned(self):
+        for p, digest in self.PINNED.items():
+            text = ",".join(map(str, singer_set(p).elements))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, p
+
+    def test_every_small_prime_matches_field_multiplication(self):
+        # Each p < 60 gives another (B, K) block shape, p = 2 included.
+        for p in (n for n in range(2, 60) if is_prime(n)):
+            ctx = field_ctx_build(p)
+            u, want = (1, 0, 0), []
+            for i in range(p * p + p + 1):
+                if u[2] == 0:
+                    want.append(i)
+                u = field_mul(ctx, u, ctx.primitive)
+            assert singer_set(p).elements == want, p
+
+    @pytest.mark.parametrize("slot", [0, 1, -1])
+    def test_certificate_rejects_a_count_off_by_one(self, monkeypatch, slot):
+        def one_off(subset):
+            counts = list(rep_diff_profile(subset).counts)
+            counts[slot] += 1
+            return RepProfile(subset.group, tuple(counts))
+
+        monkeypatch.setattr(singer, "rep_diff_profile", one_off)
+        before = singer._build_singer_set.cache_info()
+        with pytest.raises(VerificationError, match="difference profile"):
+            singer._build_singer_set.__wrapped__(13)
+        assert singer._build_singer_set.cache_info() == before
+        monkeypatch.undo()
+        assert singer_set(13).subset.card == 14
+
+    def test_certificate_rejects_a_wrong_member_count(self, monkeypatch):
+        walk = singer._x2_coordinates
+
+        def one_more_zero(ctx, n):
+            vals = walk(ctx, n)
+            vals[vals.nonzero()[0][0]] = 0
+            return vals
+
+        monkeypatch.setattr(singer, "_x2_coordinates", one_more_zero)
+        with pytest.raises(VerificationError, match="expected 14 elements, built 15"):
+            singer._build_singer_set.__wrapped__(13)
