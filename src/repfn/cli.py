@@ -1,9 +1,11 @@
 """Command-line interface: one binary, six subcommands, exact machine output.
 
-Every JSON body embeds a manifest; all numbers are integers or {num, den}
-rationals, and the manifest's wall_time_us is the only field that varies
-between identical runs.  Set-producing subcommands emit documents that the
-set-consuming subcommands accept verbatim.
+Each handler takes the parsed arguments and returns (body, exit code);
+`main` alone attaches the manifest, to every JSON body and to no text or
+CSV body.  All numbers are integers or {num, den} rationals, and the
+manifest's wall_time_us is the only field that varies between identical
+runs.  Set-producing subcommands emit documents that the set-consuming
+subcommands accept verbatim.
 
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
 64 usage error, 66 unreadable, invalid or too large input file, 70 internal
@@ -63,23 +65,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("singer", help="perfect difference set in Z_{p^2+p+1}")
     p.add_argument("--p", type=int, required=True, help="prime p")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="as_text", action="store_false",
-                     help="emit the JSON set format (default)")
-    fmt.add_argument("--text", dest="as_text", action="store_true",
-                     help="emit the plain-text set format")
-    p.set_defaults(as_text=False)
+    p.add_argument("--text", dest="as_text", action="store_true",
+                   help="emit the plain-text set format, not JSON")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p = sub.add_parser("construct", help="extremal subsets from difference sets")
     p.add_argument("--theorem", required=True, choices=("11b", "12b", "13b"),
                    help="which construction family")
     p.add_argument("--p", type=int, required=True, help="prime p")
-    pick = p.add_mutually_exclusive_group()
-    pick.add_argument("--l", type=int, default=None,
-                      help="shift parameter (11b only); omit to scan")
-    pick.add_argument("--scan", action="store_true",
-                      help="full shift scan report (11b only; the default)")
+    p.add_argument("--l", type=int, default=None,
+                   help="shift parameter (11b only); omit for the full shift scan")
     p.add_argument("--out", default="-")
 
     for name, blurb in (
@@ -222,64 +217,56 @@ def _outcome_fields(out: SearchOutcome) -> dict:
         "nodes": out.nodes,
         "prunes": out.prunes,
         "notes": list(out.notes),
-        "certificate": _cert_dict(out.certificate),
     }
+
+
+_STATUS_EXIT = {
+    SearchStatus.SAT: EX_OK,
+    SearchStatus.UNSAT: EX_FAIL,
+    SearchStatus.EXHAUSTED: EX_EXHAUSTED,
+}
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_singer(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
+def _cmd_singer(args: argparse.Namespace) -> tuple[dict | str, int]:
     pds = singer_set(args.p)
     if args.as_text:
         return pds.subset.to_text(), EX_OK
     body = pds.subset.to_json_dict()
     body.update({"p": pds.p, "n": pds.n, "card": pds.subset.card})
-    body["manifest"] = _manifest(args, t0)
     return body, EX_OK
 
 
-def _cmd_construct(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
-    if args.theorem != "11b" and (args.l is not None or args.scan):
-        raise ValueError("--l/--scan only apply to --theorem 11b")
-    body: dict
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict | str, int]:
+    if args.theorem != "11b" and args.l is not None:
+        raise ValueError("--l only applies to --theorem 11b")
     if args.theorem == "12b":
         subset = sidon_set(args.p)
-        body = subset.to_json_dict()
-        m = subset.group.order
-        body.update({"theorem": "12b", "p": args.p, "m": m, "card": subset.card,
-                     "s2": (m - 1) // 2})
+        fields = {"s2": (subset.group.order - 1) // 2}
     elif args.theorem == "13b":
         subset = half_period_doubling(args.p)
-        body = subset.to_json_dict()
-        m = subset.group.order
-        body.update({"theorem": "13b", "p": args.p, "m": m, "card": subset.card,
-                     "s4": m // 2 - 1})
+        fields = {"s4": subset.group.order // 2 - 1}
     elif args.l is not None:
         subset = shifted_doubling(args.p, args.l)
-        body = subset.to_json_dict()
-        body.update({"theorem": "11b", "p": args.p, "m": subset.group.order,
-                     "card": subset.card, "l": args.l})
+        fields = {"l": args.l}
     else:
         report = shift_family_report(args.p)
         subset = report.best_set
-        body = subset.to_json_dict()
-        body.update({
-            "theorem": "11b",
-            "p": args.p,
-            "m": report.m,
-            "card": subset.card,
+        fields = {
             "best_l": report.best_l,
             "best_s0": report.best_s0,
             "x_odd": report.x_odd,
             "avg_even": report.avg_even,
             "per_l": [[s.x_odd, s.x_even, s.s0] for s in report.per_l],
-        })
-    body["manifest"] = _manifest(args, t0)
+        }
+    body = subset.to_json_dict()
+    body.update(theorem=args.theorem, p=args.p, m=subset.group.order, card=subset.card, **fields)
     return body, EX_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
     profile = rep_profile(subset, method=args.method, cross_check=args.cross_check)
     spec = profile.spectrum()
@@ -293,12 +280,11 @@ def _cmd_spectrum(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]
         "histogram": {str(i): spec.histogram[i] for i in spec.support()},
         "max_rep": spec.max_rep,
         "mass": profile.mass(),
-        "manifest": _manifest(args, t0),
     }
     return body, EX_OK
 
 
-def _cmd_diff_profile(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
+def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
     profile = rep_diff_profile(subset, method=args.method, cross_check=args.cross_check)
     if args.format == "csv":
@@ -307,12 +293,11 @@ def _cmd_diff_profile(args: argparse.Namespace, t0: float) -> tuple[dict | str, 
         "orders": list(subset.group.orders),
         "card": subset.card,
         "counts": list(profile.counts),
-        "manifest": _manifest(args, t0),
     }
     return body, EX_OK
 
 
-def _cmd_verify(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
     result = run_verification_suite(args.suite, args.trials, args.seed, args.max_m)
     reports = []
     for case in result.cases:
@@ -341,12 +326,11 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
             "not_applicable": result.not_applicable,
         },
         "reports": reports,
-        "manifest": _manifest(args, t0),
     }
     return body, EX_OK if result.ok else EX_FAIL
 
 
-def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
+def _cmd_ruzsa(args: argparse.Namespace) -> tuple[dict | str, int]:
     if args.mode == "heuristic":
         threads = 1 if args.threads is None else args.threads
         if args.seed is None:
@@ -356,55 +340,36 @@ def _cmd_ruzsa(args: argparse.Namespace, t0: float) -> tuple[dict | str, int]:
             args.m, r, moves=DEFAULT_MOVES if args.budget is None else args.budget,
             seed=args.seed, threads=threads,
         )
-        body = {"m": args.m, "mode": "heuristic", "r": r, "threads": threads}
-        body.update(_outcome_fields(out))
-        body["achieved_r"] = out.certificate.claimed_r if out.certificate else None
-        body["manifest"] = _manifest(args, t0)
-        return body, EX_OK if out.status is SearchStatus.SAT else EX_EXHAUSTED
-
-    # Exact mode reads neither flag, so it refuses both and its manifest
-    # echoes neither.
-    for flag in ("threads", "seed"):
-        if getattr(args, flag) is not None:
-            raise ValueError(f"--{flag} only applies to --mode heuristic")
-        delattr(args, flag)
-    budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
-    if args.r is not None:
+        body = {"m": args.m, "mode": "heuristic", "r": r, "threads": threads,
+                "achieved_r": out.certificate.claimed_r if out.certificate else None}
+    else:
+        # Exact mode reads neither flag, so it refuses both and its manifest
+        # echoes neither.
+        for flag in ("threads", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} only applies to --mode heuristic")
+            delattr(args, flag)
+        budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+        if args.r is None:
+            result = ruzsa_number(args.m, node_budget=budget)
+            body = {
+                "m": args.m,
+                "mode": "exact",
+                "status": "VALUE" if result.exact else "EXHAUSTED",
+                "value": result.value,
+                "lo": result.lo,
+                "hi": result.hi,
+                "probes": [[r, status.value] for r, status in result.probes],
+                "nodes": result.nodes,
+                "certificate": _cert_dict(result.certificate),
+                "unsat_record": (None if result.unsat_record is None
+                                 else _outcome_fields(result.unsat_record)),
+            }
+            return body, EX_OK if result.exact else EX_EXHAUSTED
         out = exists_basis(args.m, args.r, node_budget=budget)
         body = {"m": args.m, "mode": "exact", "r": args.r}
-        body.update(_outcome_fields(out))
-        body["manifest"] = _manifest(args, t0)
-        code = {
-            SearchStatus.SAT: EX_OK,
-            SearchStatus.UNSAT: EX_FAIL,
-            SearchStatus.EXHAUSTED: EX_EXHAUSTED,
-        }[out.status]
-        return body, code
-
-    result = ruzsa_number(args.m, node_budget=budget)
-    body = {
-        "m": args.m,
-        "mode": "exact",
-        "status": "VALUE" if result.exact else "EXHAUSTED",
-        "value": result.value,
-        "lo": result.lo,
-        "hi": result.hi,
-        "probes": [[r, status.value] for r, status in result.probes],
-        "nodes": result.nodes,
-        "certificate": _cert_dict(result.certificate),
-        "unsat_record": (
-            None
-            if result.unsat_record is None
-            else {
-                "status": result.unsat_record.status.value,
-                "nodes": result.unsat_record.nodes,
-                "prunes": result.unsat_record.prunes,
-                "notes": list(result.unsat_record.notes),
-            }
-        ),
-        "manifest": _manifest(args, t0),
-    }
-    return body, EX_OK if result.exact else EX_EXHAUSTED
+    body.update(_outcome_fields(out), certificate=_cert_dict(out.certificate))
+    return body, _STATUS_EXIT[out.status]
 
 
 _HANDLERS = {
@@ -421,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
-        body, code = _HANDLERS[args.command](args, t0)
+        body, code = _HANDLERS[args.command](args)
     except _InputError as exc:
         print(f"repfn: {exc}", file=sys.stderr)
         return EX_NOINPUT
@@ -431,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repfn: {exc}", file=sys.stderr)
         return EX_USAGE
+    if isinstance(body, dict):
+        body["manifest"] = _manifest(args, t0)
     try:
         _emit(body, args.out)
     except OSError as exc:

@@ -43,13 +43,13 @@ class SearchStatus(str, Enum):
     EXHAUSTED = "EXHAUSTED"
 
 
-def _check_args(m: int, r: int, budget: int) -> None:
+def _check_args(m: int, r: int, budget: int, unit: str) -> None:
     if m < 1:
         raise ValueError("modulus m must be at least 1")
     if r < 1:
         raise ValueError("target cap r must be at least 1")
     if budget < 1:
-        raise ValueError("node budget must be positive")
+        raise ValueError(f"{unit} budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def exists_basis(
     nodes, and is the only stop, so the outcome is a function of
     (m, r, node_budget) alone.
     """
-    _check_args(m, r, node_budget)
+    _check_args(m, r, node_budget, "node")
     search = _ExactSearch(m, r, node_budget)
     cert = None
     try:
@@ -452,7 +452,7 @@ def heuristic_upper_bound(
     trivial one with max count m) is always returned; the status is SAT
     when its cap meets r and EXHAUSTED otherwise.  UNSAT is never claimed.
     """
-    _check_args(m, r, moves)
+    _check_args(m, r, moves, "move")
     if threads < 1:
         raise ValueError("threads must be at least 1")
     pool = _seed_pool(m)

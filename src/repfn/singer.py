@@ -175,8 +175,9 @@ def _x2_recurrence(ctx: FieldCtx) -> tuple[int, int, int]:
     return t % ctx.p, s % ctx.p, d % ctx.p
 
 
-def singer_set(p: int, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> PerfectDifferenceSet:
-    """Build the perfect difference set for the prime p and verify it.
+def singer_set(p: int) -> PerfectDifferenceSet:
+    """Build the perfect difference set for the prime p <= DEFAULT_PRIME_BOUND
+    and verify it.
 
     Decides alpha^i for i in [0, n): scaling by alpha^n multiplies an element
     by a nonzero scalar of the base field, which preserves vanishing of the
@@ -188,8 +189,8 @@ def singer_set(p: int, *, prime_bound: int = DEFAULT_PRIME_BOUND) -> PerfectDiff
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > prime_bound:
-        raise ValueError(f"prime {p} exceeds the configured bound {prime_bound}")
+    if p > DEFAULT_PRIME_BOUND:
+        raise ValueError(f"prime {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
     return _build_singer_set(p)
 
 

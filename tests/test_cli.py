@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repfn.cli import _HANDLERS, _json_text, build_parser, main
+from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
 
@@ -24,6 +24,19 @@ def run_cli(argv, capsys):
 def run_json(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     return code, json.loads(out)
+
+
+def json_argvs(setfile):
+    """One JSON-emitting command per subcommand, both ruzsa modes included."""
+    return (
+        ["singer", "--p", "3"],
+        ["construct", "--theorem", "12b", "--p", "5"],
+        ["spectrum", "--in", str(setfile)],
+        ["diff-profile", "--in", str(setfile)],
+        ["ruzsa", "--m", "7", "--r", "3"],
+        ["ruzsa", "--m", "12", "--mode", "heuristic", "--seed", "3"],
+        ["verify", "--trials", "5", "--seed", "11"],
+    )
 
 
 def assert_no_floats(obj, path="$"):
@@ -193,27 +206,36 @@ class TestVerify:
         assert len(body["reports"]) == body["counts"]["holds"] + body["counts"]["fails"] + body["counts"]["not_applicable"]
         assert_no_floats(body)
 
-    def test_byte_identical_up_to_wall_time(self, capsys):
-        outs = []
-        for _ in range(2):
-            code, out, _ = run_cli(["verify", "--trials", "5", "--seed", "11"], capsys)
-            assert code == 0
-            outs.append(out)
+    def test_byte_identical_up_to_wall_time(self, capsys, tmp_path):
+        # every subcommand: two runs give the same bytes but wall_time_us,
+        # every JSON body carries the same manifest keys, and text and CSV
+        # bodies carry none
+        setfile = tmp_path / "set.json"
+        run_cli(["singer", "--p", "3", "--out", str(setfile)], capsys)
         scrub = lambda s: re.sub(r'"wall_time_us": \d+', '"wall_time_us": 0', s)
-        assert scrub(outs[0]) == scrub(outs[1])
+        for argv in json_argvs(setfile):
+            outs = []
+            for _ in range(2):
+                code, out, _ = run_cli(argv, capsys)
+                assert code == 0, argv
+                outs.append(scrub(out))
+            assert outs[0] == outs[1], argv
+            assert set(json.loads(out)["manifest"]) == {
+                "subcommand", "version", "flags", "input", "output", "wall_time_us",
+            }, argv
+        for argv in (
+            ["singer", "--p", "3", "--text"],
+            ["spectrum", "--in", str(setfile), "--format", "csv"],
+            ["diff-profile", "--in", str(setfile), "--format", "csv"],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            assert "manifest" not in out and "wall_time_us" not in out, argv
 
     def test_seed_is_echoed_once_under_flags(self, capsys, tmp_path):
         setfile = tmp_path / "set.json"
         run_cli(["singer", "--p", "3", "--out", str(setfile)], capsys)
-        for argv in (
-            ["singer", "--p", "3"],
-            ["construct", "--theorem", "12b", "--p", "5"],
-            ["spectrum", "--in", str(setfile)],
-            ["diff-profile", "--in", str(setfile)],
-            ["ruzsa", "--m", "7", "--r", "3"],
-            ["ruzsa", "--m", "12", "--mode", "heuristic", "--seed", "3"],
-            ["verify", "--trials", "5", "--seed", "11"],
-        ):
+        for argv in json_argvs(setfile):
             _, body = run_json(argv, capsys)
             assert "seed" not in body["manifest"], argv
         assert body["manifest"]["flags"]["seed"] == 11
@@ -282,11 +304,16 @@ class TestRuzsa:
         assert body["achieved_r"] > 1
 
     def test_zero_budget_usage_error(self, capsys):
-        for extra in (["--r", "3"], [], ["--r", "3", "--mode", "heuristic"]):
+        # the message names the budget the mode reads: nodes or moves
+        for extra, unit in (
+            (["--r", "3"], "node"),
+            ([], "node"),
+            (["--r", "3", "--mode", "heuristic"], "move"),
+        ):
             code, out, err = run_cli(["ruzsa", "--m", "10", "--budget", "0", *extra], capsys)
             assert code == 64
             assert out == ""
-            assert "budget" in err
+            assert err == f"repfn: {unit} budget must be positive\n"
 
     def test_threads_flag_needs_heuristic_mode(self, capsys):
         for extra in (["--r", "3"], []):
@@ -468,20 +495,44 @@ def test_python_dash_m_entry_point():
     assert proc.stdout == "orders 7\n0\n1\n3\n"
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
     # every repfn command in the README's command-line block, pipelines
-    # split on |, must parse with the current flags
+    # split on |, parses with the current flags and runs in a fresh cwd: a
+    # repfn after | reads the output of the stage before it, each command
+    # exits with the code of its "# exit N" comment (0 without one), and
+    # "# a,b" lines under a command are its CSV output
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = []
+    commands = []  # (argv, reads the previous output, exit code, CSV lines)
     for line in block.splitlines():
+        if re.fullmatch(r"# \w+,\d+", line):
+            commands[-1][3].append(line[2:])
+            continue
+        want = re.search(r"# exit (\d+)", line)
         words = shlex.split(line, comments=True)
+        piped = False
         while words:
             cut = words.index("|") if "|" in words else len(words)
             if words[0] == "repfn":
-                commands.append(words[1:cut])
+                commands.append((words[1:cut], piped, int(want[1]) if want else 0, []))
             words = words[cut + 1:]
-    for argv in commands:
-        build_parser().parse_args(argv)
-    assert {argv[0] for argv in commands} == set(_HANDLERS)
+            piped = True
+    assert {argv[0] for argv, *_ in commands} == set(_HANDLERS)
+    monkeypatch.chdir(tmp_path)
+    out = ""
+    for argv, piped, want, csv in commands:
+        if piped:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
+        code, out, err = run_cli(argv, capsys)
+        assert code == want, (argv, err)
+        if csv:
+            assert out.splitlines() == csv, argv
+    # the scan and the JSON format are defaults, with no flag to restate them
+    for argv in (
+        ["construct", "--theorem", "11b", "--p", "3", "--scan"],
+        ["singer", "--p", "3", "--json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64

@@ -61,6 +61,12 @@ class TestArguments:
             with pytest.raises(ValueError):
                 fn(**kwargs)
 
+    def test_budget_error_names_the_budget(self):
+        with pytest.raises(ValueError, match="^node budget must be positive$"):
+            exists_basis(5, 2, node_budget=0)
+        with pytest.raises(ValueError, match="^move budget must be positive$"):
+            heuristic_upper_bound(5, 2, moves=0)
+
     def test_each_search_refuses_the_others_keywords(self):
         for kwargs in (dict(seed=1), dict(threads=2), dict(moves=100)):
             with pytest.raises(TypeError):

@@ -131,12 +131,9 @@ class TestSingerSet:
     def test_rejects_nonprime_and_over_bound(self):
         with pytest.raises(ValueError):
             singer_set(6)
-        with pytest.raises(ValueError):
-            singer_set(1009, prime_bound=DEFAULT_PRIME_BOUND)
-
-    def test_custom_bound_enforced(self):
-        with pytest.raises(ValueError):
-            singer_set(13, prime_bound=12)
+        assert is_prime(1009) and 1009 > DEFAULT_PRIME_BOUND
+        with pytest.raises(ValueError, match="bound"):
+            singer_set(1009)
 
     def test_medium_prime(self):
         pds = singer_set(29)
@@ -158,9 +155,6 @@ class TestWalk:
 
     def test_built_once_per_prime(self):
         assert singer_set(17) is singer_set(17)
-        assert singer_set(17, prime_bound=20) is singer_set(17)
-        with pytest.raises(ValueError):
-            singer_set(17, prime_bound=13)
 
 
 class TestBlockEvaluation:
