@@ -286,11 +286,8 @@ def random_subset(seed: int, group: Group, density: Fraction | float) -> GroupSu
         raise ValueError("density must lie strictly inside (0, 1)")
     threshold = (frac.numerator << 64) // frac.denominator
     rng = random.Random(seed)
-    bits = 0
-    for g in range(group.order):
-        if rng.getrandbits(64) < threshold:
-            bits |= 1 << g
-    return GroupSubset(group, bits)
+    kept = [g for g in range(group.order) if rng.getrandbits(64) < threshold]
+    return GroupSubset._from_indices(group, kept)
 
 
 def random_group(rng: random.Random, max_order: int) -> Group:

@@ -85,9 +85,8 @@ def build_parser() -> _Parser:
         p.add_argument("--in", dest="inp", default="-",
                        help="input set file (JSON or text), '-' for stdin")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--method", choices=("auto", "naive", "fast"), default="auto")
         p.add_argument("--cross-check", dest="cross_check", action="store_true",
-                       help="recompute through the second engine path and compare")
+                       help="rerun the engine that was not picked and compare")
         p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="machine-check the inequality suites")
@@ -268,7 +267,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
-    profile = rep_profile(subset, method=args.method, cross_check=args.cross_check)
+    profile = rep_profile(subset, cross_check=args.cross_check)
     spec = profile.spectrum()
     if args.format == "csv":
         lines = [f"{i},{spec.histogram[i]}" for i in spec.support()]
@@ -286,7 +285,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
-    profile = rep_diff_profile(subset, method=args.method, cross_check=args.cross_check)
+    profile = rep_diff_profile(subset, cross_check=args.cross_check)
     if args.format == "csv":
         return "\n".join(f"{g},{c}" for g, c in enumerate(profile.counts)), EX_OK
     body = {

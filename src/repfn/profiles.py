@@ -1,16 +1,20 @@
 """Exact representation-function profiles over finite abelian groups.
 
 R_{A,B}(g) counts ordered pairs (a, b) in A x B with a + b = g.  Two exact
-engines are provided: a vectorized pair-enumeration baseline ("naive") and
-an engine of exact transforms and packed products ("fast").  Both return identical integer
-counts, and rep_profile can cross-check one against the other.
+engines are provided: a vectorized pair-enumeration baseline
+(rep_profile_naive) and an engine of exact transforms and packed products
+(rep_profile_fast).  Both return identical integer counts; rep_profile
+picks one by _choose_engine and can cross-check it against the other.
+Flat indices and coordinates convert one way, by numpy's row-major
+np.ravel_multi_index and np.unravel_index.
 
-Pair enumeration adds flat indices mod m in a cyclic group and factor by
-factor in other groups, except where every order is a power of two: there
-the flat index packs the coordinates in lanes of log2(m_i) bits, and a sum
-is one lane-wise add with each lane's carry out dropped,
-((a & L) + (b & L)) ^ ((a ^ b) & H), H the top bit of each lane and L the
-bits below it.
+Pair enumeration takes one of two branches.  Where every order is a power
+of two, cyclic groups such as Z_65536 included, the flat index packs the
+coordinates in lanes of log2(m_i) bits, and a sum is one lane-wise add
+with each lane's carry out dropped, ((a & L) + (b & L)) ^ ((a ^ b) & H),
+H the top bit of each lane and L the bits below it.  Every other group
+adds coordinates and ravels the sums with mode="wrap", which reduces each
+coordinate mod m_i.
 
 The fast engine takes one of two routes.
 
@@ -51,7 +55,8 @@ from decimal import (
     InvalidOperation,
     Rounded,
 )
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -65,17 +70,6 @@ from .groups import (
 )
 
 _CHUNK = 1 << 16
-
-
-def _coord_arrays(group: Group, idx: np.ndarray) -> list[np.ndarray]:
-    # Row-major decode of many flat indices at once, last coordinate fastest.
-    coords: list[np.ndarray] = []
-    rest = idx.astype(np.int64, copy=True)
-    for mi in reversed(group.orders):
-        coords.append(rest % mi)
-        rest //= mi
-    coords.reverse()
-    return coords
 
 
 def _lane_masks(group: Group) -> tuple[int, int] | None:
@@ -112,12 +106,7 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
     eb = _indices(b)
     if ea.size and eb.size:
         step = max(1, _CHUNK // eb.size)
-        if group.is_cyclic:
-            m = group.orders[0]
-            for lo in range(0, ea.size, step):
-                block = (ea[lo : lo + step, None] + eb[None, :]) % m
-                counts += np.bincount(block.ravel(), minlength=m)
-        elif (masks := _lane_masks(group)) is not None:
+        if (masks := _lane_masks(group)) is not None:
             # Lane-wise add: in a lane of b bits the low parts are each below
             # 2^(b-1), so their sum may carry into the lane's top bit but never
             # out of the lane, and the XOR adds the top bits mod 2.
@@ -128,12 +117,11 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
                 block = (la[lo:hi, None] + lb[None, :]) ^ (ha[lo:hi, None] ^ hb[None, :])
                 counts += np.bincount(block.ravel(), minlength=group.order)
         else:
-            ca = _coord_arrays(group, ea)
-            cb = _coord_arrays(group, eb)
+            ca = np.unravel_index(ea, group.orders)
+            cb = np.unravel_index(eb, group.orders)
             for lo in range(0, ea.size, step):
-                flat = np.zeros((min(step, ea.size - lo), eb.size), dtype=np.int64)
-                for xa, xb, mi in zip(ca, cb, group.orders):
-                    flat = flat * mi + (xa[lo : lo + step, None] + xb[None, :]) % mi
+                sums = [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)]
+                flat = np.ravel_multi_index(sums, group.orders, mode="wrap")
                 counts += np.bincount(flat.ravel(), minlength=group.order)
     return RepProfile(group, tuple(counts.tolist()))
 
@@ -143,19 +131,6 @@ def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
     No coefficient of the linear convolution exceeds min(|A|, |B|), so none
     can carry into the next slot."""
     return len(str(min(a.card, b.card)))
-
-
-@lru_cache(maxsize=1024)
-def _packed_layout(orders: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Radices 2*m_i - 1, which leave room for every index sum before the
-    fold, their row-major strides, and the slot count prod(2*m_i - 1)."""
-    radices = tuple(2 * mi - 1 for mi in orders)
-    strides = [0] * len(radices)
-    acc = 1
-    for i in range(len(radices) - 1, -1, -1):
-        strides[i] = acc
-        acc *= radices[i]
-    return radices, tuple(strides), acc
 
 
 def _is_elementary_two(group: Group) -> bool:
@@ -189,7 +164,7 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
     else:
         # N log2 N over the N packed digits (the number-theoretic
         # transform), plus a fixed cost per call.
-        n = _packed_layout(group.orders)[2] * _slot_digits(a, b)
+        n = prod(2 * mi - 1 for mi in group.orders) * _slot_digits(a, b)
         fast_cost = _PRODUCT_CALL_NS + n * n.bit_length() * _PRODUCT_DIGIT_NS
     return "fast" if fast_cost < pair_cost else "naive"
 
@@ -202,12 +177,6 @@ _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded, InvalidOperation]
 )
 _ZERO, _ONE = ord("0"), ord("1")
-
-
-def _positions(group: Group, s: GroupSubset, strides: tuple[int, ...]) -> np.ndarray:
-    """The packed positions sum(c_i * stride_i) of the elements of s."""
-    coords = _coord_arrays(group, _indices(s))
-    return sum(c * stride for c, stride in zip(coords, strides))
 
 
 def _decimal_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, digits: int) -> np.ndarray:
@@ -234,10 +203,15 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     _decimal_product of the packed integers, followed by per-axis cyclic
     folding."""
     group = a.group
-    radices, strides, total = _packed_layout(group.orders)
-    pos_a = _positions(group, a, strides)
-    pos_b = pos_a if b == a else _positions(group, b, strides)
-    arr = _decimal_product(pos_a, pos_b, total, _slot_digits(a, b))
+    # Radices 2*m_i - 1 leave room for every index sum before the fold.
+    radices = tuple(2 * mi - 1 for mi in group.orders)
+
+    def positions(s: GroupSubset) -> np.ndarray:
+        return np.ravel_multi_index(np.unravel_index(_indices(s), group.orders), radices)
+
+    pos_a = positions(a)
+    pos_b = pos_a if b == a else positions(b)
+    arr = _decimal_product(pos_a, pos_b, prod(radices), _slot_digits(a, b))
     # A carry between slots loses 10**digits - 1 of the mass.
     if int(arr.sum()) != a.card * b.card:
         raise VerificationError("packed product carried between slots")
@@ -298,44 +272,35 @@ def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfil
 
 
 def rep_profile(
-    a: GroupSubset,
-    b: GroupSubset | None = None,
-    *,
-    method: str = "auto",
-    cross_check: bool = False,
+    a: GroupSubset, b: GroupSubset | None = None, *, cross_check: bool = False
 ) -> "RepProfile":
-    """Dispatch between the exact engines.  method: auto | naive | fast.
+    """Exact R_{A,B} by the engine that _choose_engine picks.
 
-    auto predicts each engine's cost in integer nanoseconds and runs the
-    cheaper.  Pair enumeration costs |A|*|B| times the number of cyclic
-    factors, or times one when every order is a power of two (the lane-wise
-    add of flat indices), plus a pass over the group per chunk of pairs.
-    The fast engine costs, on Z_2^k, k butterfly stages over the 2^k
-    entries plus a fixed cost per stage; elsewhere, the decimal product:
-    N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a fixed
-    cost per call.  Sparse sets such as Singer sets therefore enumerate
-    pairs; dense sets take the fast engine.  cross_check recomputes through
-    the other engine and compares.
+    _choose_engine predicts each engine's cost in integer nanoseconds and
+    the cheaper runs.  Pair enumeration costs |A|*|B| times the number of
+    cyclic factors, or times one when every order is a power of two (the
+    lane-wise add of flat indices), plus a pass over the group per chunk of
+    pairs.  The fast engine costs, on Z_2^k, k butterfly stages over the
+    2^k entries plus a fixed cost per stage; elsewhere, the decimal
+    product: N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a
+    fixed cost per call.  Sparse sets such as Singer sets therefore
+    enumerate pairs; dense sets take the fast engine.  cross_check reruns
+    the engine that was not picked and compares.  To force one engine,
+    call rep_profile_naive or rep_profile_fast.
     """
-    if method == "auto":
-        method = _choose_engine(a, a if b is None else b)
-    if method == "naive":
+    if _choose_engine(a, a if b is None else b) == "naive":
         engine, other = rep_profile_naive, rep_profile_fast
-    elif method == "fast":
-        engine, other = rep_profile_fast, rep_profile_naive
     else:
-        raise ValueError(f"unknown method {method!r}")
+        engine, other = rep_profile_fast, rep_profile_naive
     profile = engine(a, b)
     if cross_check and other(a, b).counts != profile.counts:
         raise VerificationError("pair enumeration and the fast engine disagree")
     return profile
 
 
-def rep_diff_profile(
-    a: GroupSubset, *, method: str = "auto", cross_check: bool = False
-) -> "RepProfile":
+def rep_diff_profile(a: GroupSubset, *, cross_check: bool = False) -> "RepProfile":
     """R_{A,-A}: counts of ordered pairs with a - a' = g."""
-    return rep_profile(a, a.negate(), method=method, cross_check=cross_check)
+    return rep_profile(a, a.negate(), cross_check=cross_check)
 
 
 @dataclass(frozen=True)
@@ -382,8 +347,8 @@ class RepSpectrum:
         return sorted(self.histogram)
 
 
-def spectrum(a: GroupSubset, b: GroupSubset | None = None, *, method: str = "auto") -> RepSpectrum:
-    return rep_profile(a, b, method=method).spectrum()
+def spectrum(a: GroupSubset, b: GroupSubset | None = None) -> RepSpectrum:
+    return rep_profile(a, b).spectrum()
 
 
 class _Slots:

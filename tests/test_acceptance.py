@@ -16,7 +16,7 @@ from repfn.bounds import (
 )
 from repfn.constructions import half_period_doubling, shift_family_report, sidon_set
 from repfn.groups import Group, GroupSubset
-from repfn.profiles import rep_diff_profile, rep_profile, rep_profile_naive
+from repfn.profiles import rep_diff_profile, rep_profile, rep_profile_fast, rep_profile_naive
 from repfn.search import (
     SearchStatus,
     exists_basis,
@@ -175,8 +175,8 @@ def test_criterion_07_engine_equivalence():
             )
         else:
             b = None
-        fast = rep_profile(a, b, method="fast")
-        naive = rep_profile(a, b, method="naive")
+        fast = rep_profile_fast(a, b)
+        naive = rep_profile_naive(a, b)
         assert fast.counts == naive.counts, (i, g.orders)
         agreements += 1
     dt = time.monotonic() - t0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import isqrt
@@ -235,6 +236,22 @@ class TestRandomSubset:
         b = random_subset(123, g, Fraction(1, 2))
         assert a == b
         assert random_subset(124, g, Fraction(1, 2)) != a
+
+    @pytest.mark.parametrize(
+        "seed, orders, density, card, digest",
+        [
+            (1, (1 << 20,), Fraction(1, 2), 525405,
+             "80bef430ccd839ceb2622869c98d91dbc7f9f33481972c6f441b27021c60c7c1"),
+            (3, (4, 5, 7, 9), Fraction(1, 3), 419,
+             "c7972957fb9e05e2a965aae5aa7b7d7b27894ff24f6892e73e552f9562460bad"),
+        ],
+        ids=["z2^20", "z4xz5xz7xz9"],
+    )
+    def test_pinned_draws(self, seed, orders, density, card, digest):
+        # The same draws pick the same sets: one getrandbits(64) per index, in order.
+        s = random_subset(seed, Group(orders), density)
+        assert s.card == card
+        assert hashlib.sha256(",".join(map(str, s.elements())).encode()).hexdigest() == digest
 
     def test_density_validated(self):
         g = Group.cyclic(8)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repfn import profiles
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
@@ -179,19 +180,40 @@ class TestPipelines:
         setfile = tmp_path / "set.json"
         run_cli(["construct", "--theorem", "13b", "--p", "3", "--out", str(setfile)], capsys)
         code, body = run_json(
-            ["spectrum", "--in", str(setfile), "--method", "fast", "--cross-check"], capsys
+            ["spectrum", "--in", str(setfile), "--cross-check"], capsys
         )
         assert code == 0
         assert body["max_rep"] == 4
 
-    def test_methods_agree_byte_for_byte(self, capsys, tmp_path):
+    def test_cross_check_disagreement_exits_70(self, capsys, monkeypatch, tmp_path):
+        setfile = tmp_path / "set.json"
+        run_cli(["construct", "--theorem", "13b", "--p", "3", "--out", str(setfile)], capsys)
+        fast = profiles.rep_profile_fast
+
+        def one_count_off(a, b=None):
+            counts = fast(a, b).counts
+            return profiles.RepProfile(a.group, (counts[0] + 1, *counts[1:]))
+
+        monkeypatch.setattr(profiles, "rep_profile_fast", one_count_off)
+        code, _, err = run_cli(["spectrum", "--in", str(setfile), "--cross-check"], capsys)
+        assert code == 70
+        assert "disagree" in err
+
+    def test_no_engine_override_flag(self, capsys):
+        # The engine is picked from the input; there is no flag to force one.
+        for command in ("spectrum", "diff-profile"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--method", "naive"])
+            assert exc.value.code == 64
+            assert "--method" in capsys.readouterr().err
+
+    def test_methods_agree_byte_for_byte(self, capsys, monkeypatch, tmp_path):
         setfile = tmp_path / "set.json"
         run_cli(["construct", "--theorem", "12b", "--p", "5", "--out", str(setfile)], capsys)
         bodies = []
-        for method in ("naive", "fast"):
-            _, body = run_json(
-                ["spectrum", "--in", str(setfile), "--method", method], capsys
-            )
+        for engine in ("naive", "fast"):
+            monkeypatch.setattr(profiles, "_choose_engine", lambda a, b, engine=engine: engine)
+            _, body = run_json(["spectrum", "--in", str(setfile)], capsys)
             del body["manifest"]
             bodies.append(json.dumps(body, sort_keys=True))
         assert bodies[0] == bodies[1]

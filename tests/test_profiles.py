@@ -99,24 +99,44 @@ class TestFast:
 
     def test_cross_check_mode(self):
         a = subset([31], [0, 1, 4, 10, 12, 17])
-        assert rep_profile(a, method="fast", cross_check=True).counts == rep_profile_naive(a).counts
+        assert rep_profile(a, cross_check=True).counts == rep_profile_naive(a).counts
 
 
 class TestDispatcher:
     def test_methods_agree(self):
         a = subset([13], [0, 1, 3, 9])
         want = rep_profile_naive(a).counts
-        for method in ("auto", "naive", "fast"):
-            assert rep_profile(a, method=method).counts == want
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            rep_profile(subset([5], [0]), method="psychic")
+        assert rep_profile(a).counts == want
+        assert rep_profile_fast(a).counts == want
 
     def test_cross_check_through_dispatcher(self):
         a = subset([11], [0, 2, 3])
-        assert rep_profile(a, method="naive", cross_check=True).counts == \
-            rep_profile(a, method="fast", cross_check=True).counts
+        assert rep_profile(a, cross_check=True).counts == rep_profile(a).counts
+
+    @pytest.mark.parametrize(
+        "a, picked, patched",
+        [
+            (subset([401], [0, 1, 5]), "naive", "rep_profile_fast"),
+            (subset([1000], range(0, 1000, 2)), "fast", "rep_profile_naive"),
+        ],
+        ids=["sparse", "dense"],
+    )
+    def test_cross_check_catches_a_disagreement(self, monkeypatch, a, picked, patched):
+        assert _choose_engine(a, a) == picked
+        monkeypatch.setattr(profiles, patched, _one_count_off(getattr(profiles, patched)))
+        rep_profile(a)  # the picked engine alone does not notice
+        with pytest.raises(VerificationError):
+            rep_profile(a, cross_check=True)
+
+
+def _one_count_off(engine):
+    """engine with its count at 0 raised by one."""
+
+    def off(a, b=None):
+        counts = engine(a, b).counts
+        return RepProfile(a.group, (counts[0] + 1, *counts[1:]))
+
+    return off
 
 
 
@@ -225,7 +245,8 @@ class TestTwoGroups:
             want = _counter_profile(g.orders, xs, ys)
             sa, sb = GroupSubset.from_elements(g, xs), GroupSubset.from_elements(g, ys)
             assert rep_profile_naive(sa, sb).counts == want, (list(xs), list(ys))
-        assert rep_diff_profile(GroupSubset.from_elements(g, a), method="naive").counts == \
+        s = GroupSubset.from_elements(g, a)
+        assert rep_profile_naive(s, s.negate()).counts == \
             _counter_profile(g.orders, a, [g.neg(x) for x in a])
 
     def test_half_of_z2_12_takes_hadamard_not_3_to_the_12_slots(self, monkeypatch):
