@@ -116,45 +116,103 @@ def build_parser() -> _Parser:
 # -- serialization helpers ---------------------------------------------------
 
 
-def _json_text(value: Any, pad: str = "\n") -> str:
-    """The text json.dumps(value, indent=2, sort_keys=True) would give, in
-    one pass: keys become str(k) and are sorted, a Fraction is written as
-    {"den", "num"} and an Enum as its value.  Anything else that is not a
-    str, int, bool, None, list, tuple or dict, floats included, is refused.
-    pad is the newline and indent of the line the value starts on."""
-    if isinstance(value, Enum):
-        return _json_text(value.value, pad)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Fraction):
-        value = {"num": value.numerator, "den": value.denominator}
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = sorted({str(k): v for k, v in value.items()}.items())
-        body = ("," + inner).join(
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in items
-        )
-        return "{" + inner + body + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # Profile bodies are long lists of plain ints: write those in one join.
-        if all(type(v) is int for v in value):
-            body = ("," + inner).join(map(str, value))
+def _json_text(value: Any) -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) gives, in one
+    pass, except that a Fraction is written as {"den", "num"} and an Enum as
+    its value.  A dict key that is not a str is refused, and so is any value
+    that is not a str, int, bool, None, list, tuple, dict, Fraction or Enum,
+    floats included.
+
+    Values are dispatched on their exact type first, so the plain dicts,
+    lists, strs and ints that make up every body skip the isinstance chain;
+    subclasses (a namedtuple, an int or str Enum) reach it at the end."""
+    chunks: list[str] = []
+    emit = chunks.append
+    # Runs of chunks already joined: a long list of small records (a verify
+    # body's reports) never holds all its small pieces at once.
+    done: list[str] = []
+    quote = encode_basestring_ascii
+    int_text = int.__repr__
+    # For each (pad, key tuple) met in this call, the keys in sorted order,
+    # each with the text that precedes its value: a verify body's thousands
+    # of reports share one entry.
+    layouts: dict[tuple[str, tuple], list[tuple[str, str]]] = {}
+
+    def encode(value: Any, pad: str) -> None:
+        # pad is the newline and indent of the line the value starts on.
+        t = type(value)
+        if t is dict:
+            if not value:
+                emit("{}")
+                return
+            keys = tuple(value)
+            inner = pad + "  "
+            layout = layouts.get((pad, keys))
+            if layout is None:
+                # quote raises TypeError on a key that is not a str.
+                layout = layouts[pad, keys] = [
+                    (k, ("," if i else "{") + inner + quote(k) + ": ")
+                    for i, k in enumerate(sorted(keys))
+                ]
+            for k, prefix in layout:
+                v = value[k]
+                tv = type(v)
+                if tv is str:
+                    emit(prefix + quote(v))
+                elif tv is int:
+                    emit(prefix + int_text(v))
+                else:
+                    emit(prefix)
+                    encode(v, inner)
+            emit(pad + "}")
+        elif t is list or t is tuple:
+            if not value:
+                emit("[]")
+                return
+            inner = pad + "  "
+            sep = "," + inner
+            # Profile bodies are long lists of plain ints: write those in one join.
+            if all(type(v) is int for v in value):
+                emit("[" + inner + sep.join(map(str, value)) + pad + "]")
+                return
+            emit("[")
+            for i, v in enumerate(value):
+                emit(sep if i else inner)
+                encode(v, inner)
+                if len(chunks) > 4096:
+                    done.append("".join(chunks))
+                    chunks.clear()
+            emit(pad + "]")
+        elif t is str:
+            emit(quote(value))
+        elif t is int:
+            emit(int_text(value))
+        elif value is None:
+            emit("null")
+        elif value is True:
+            emit("true")
+        elif value is False:
+            emit("false")
+        elif isinstance(value, Fraction):
+            inner = pad + "  "
+            emit("{" + inner + '"den": ' + int_text(value.denominator) + "," + inner
+                 + '"num": ' + int_text(value.numerator) + pad + "}")
+        elif isinstance(value, Enum):
+            encode(value.value, pad)
+        elif isinstance(value, str):
+            emit(quote(value))
+        elif isinstance(value, int):
+            emit(int_text(value))
+        elif isinstance(value, dict):
+            encode(dict(value), pad)
+        elif isinstance(value, (list, tuple)):
+            encode(list(value), pad)
         else:
-            body = ("," + inner).join(_json_text(v, inner) for v in value)
-        return "[" + inner + body + pad + "]"
-    raise TypeError(f"refusing inexact serialization of {type(value).__name__}")
+            raise TypeError(f"refusing inexact serialization of {t.__name__}")
+
+    encode(value, "\n")
+    done.append("".join(chunks))
+    return "".join(done)
 
 
 def _manifest(args: argparse.Namespace, t0: float) -> dict:
@@ -297,6 +355,8 @@ def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
+    if args.max_m < 2:
+        raise ValueError("--max-m must be at least 2")
     result = run_verification_suite(args.suite, args.trials, args.seed, args.max_m)
     reports = []
     for case in result.cases:

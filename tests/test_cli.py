@@ -5,6 +5,10 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
+from decimal import Decimal
+from enum import Enum, IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,24 @@ from repfn import profiles
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import subset_from_text
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Colour(str, Enum):
+    RED = "red"
+    GREEN = "gr\u00fcn"
+
+
+class Phase(Enum):
+    DONE = "done"
+    STEP = 3
+
+
+class Level(IntEnum):
+    LOW = -1
+    HIGH = 2**70
 
 
 def run_cli(argv, capsys):
@@ -253,6 +275,21 @@ class TestVerify:
             code, out, _ = run_cli(argv, capsys)
             assert code == 0, argv
             assert "manifest" not in out and "wall_time_us" not in out, argv
+
+    def test_every_json_body_has_the_json_dumps_layout(self, capsys, tmp_path):
+        setfile = tmp_path / "set.json"
+        run_cli(["singer", "--p", "3", "--out", str(setfile)], capsys)
+        for argv in json_argvs(setfile):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+
+    def test_max_m_below_two_names_the_flag(self, capsys):
+        for max_m in ("1", "0", "-5"):
+            code, out, err = run_cli(["verify", "--max-m", max_m, "--trials", "2"], capsys)
+            assert code == 64
+            assert out == ""
+            assert err == "repfn: --max-m must be at least 2\n"
 
     def test_seed_is_echoed_once_under_flags(self, capsys, tmp_path):
         setfile = tmp_path / "set.json"
@@ -506,6 +543,82 @@ class TestSerialization:
             _json_text([1, 2, 3.0])
         with pytest.raises(TypeError):
             _json_text({"counts": (0, 1, 0.5)})
+
+    @staticmethod
+    def plain(value):
+        """value with each Fraction and Enum replaced as the encoder writes it."""
+        if isinstance(value, Fraction):
+            return {"num": value.numerator, "den": value.denominator}
+        if isinstance(value, Enum):
+            return TestSerialization.plain(value.value)
+        if isinstance(value, dict):
+            return {k: TestSerialization.plain(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [TestSerialization.plain(v) for v in value]
+        return value
+
+    CORPUS = (
+        {},
+        [],
+        "",
+        0,
+        None,
+        True,
+        {"a": {"b": {}, "c": [], "d": [[], {}, [[]]]}, "e": [{"f": {}}]},
+        (1, (2, 3), ("x", None)),
+        Pair(1, "two"),
+        OrderedDict(b=1, a=[2]),
+        {"pair": Pair(Pair(0, -1), [Fraction(4)])},
+        {"s": 'quote " back \\ tab \t nul \x00 bell \x07 del \x7f',
+         "u": "\u00e9 \u2211 \U0001d53d \u2028 \u2029 \ufeff", "": ""},
+        ["\x1f", " ", 'a"b'],
+        [-1, 0, -(2**64), 2**200, -(3**150), 10**18],
+        {"n": -(2**70), "m": 2**64 + 1},
+        [1, True, False, 0, None],
+        {"flags": [True, 1, 0, False]},
+        {"status": Colour.RED, "list": [Colour.GREEN, Level.HIGH], "level": Level.LOW},
+        {"phase": Phase.DONE, "step": [Phase.STEP, Phase.DONE]},
+        {"deep": [{"x": Fraction(-3, 4)}, [Fraction(4), {"y": [Fraction(-3, 4)]}]]},
+        Fraction(-3, 4),
+        [{"b": 1, "a": 2, "c": [3]}, {"c": [3], "a": 2, "b": 1}],
+        {"z": 1, "10": 2, "9": 3, "1": 4, "A": 5, "a": 6, "_": 7, "é": 8},
+        {"reports": [{"i": i, "q": Fraction(i, 7), "s": str(i)} for i in range(2000)]},
+    )
+
+    @pytest.mark.parametrize("value", CORPUS, ids=range(len(CORPUS)))
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(self.plain(value), indent=2, sort_keys=True)
+
+    REFUSED = (
+        1.5,
+        Decimal("1"),
+        np.int64(3),
+        {1, 2},
+        b"bytes",
+    )
+
+    @pytest.mark.parametrize("bad", REFUSED, ids=lambda v: type(v).__name__)
+    def test_refuses_inexact_values(self, bad):
+        for value in (
+            bad,
+            {"a": 1, "bad": bad, "z": "s"},  # the inline scalar path of the dict loop
+            ["s", bad],
+            [1, 2, bad],
+            {"a": [{"b": (0, {"c": bad})}]},
+        ):
+            with pytest.raises(TypeError):
+                _json_text(value)
+
+    @pytest.mark.parametrize("key", (1, True, None, 2.5, ("a",)), ids=repr)
+    def test_refuses_non_str_keys(self, key):
+        for value in (
+            {key: 0},
+            [{"a": 1}, {key: 0, "b": 1}],
+            {"a": {"b": [{key: 0}]}},
+            [{str(key): 0}, {key: 0}],  # after the str key's text is kept for the call
+        ):
+            with pytest.raises(TypeError):
+                _json_text(value)
 
 
 def test_python_dash_m_entry_point():
