@@ -10,11 +10,18 @@ subcommands accept verbatim.
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
 64 usage error, 66 unreadable, invalid or too large input file, 70 internal
 verification failure, 73 output file cannot be written.
+
+`main` is the process entry point: each command is one interpreter.  It
+starts with gc.freeze(), so neither the command's own collections nor the
+one at interpreter shutdown walk the objects that importing numpy and
+repfn left alive.  A caller that keeps running after `main` returns should
+call gc.unfreeze().
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from enum import Enum
@@ -103,11 +110,11 @@ def build_parser() -> _Parser:
                    help="cap to decide at; omit to search for the least cap")
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
     p.add_argument("--budget", type=int, default=None,
-                   help="nodes (exact) or moves per worker (heuristic)")
+                   help="nodes (exact) or moves per run (heuristic)")
     p.add_argument("--seed", type=int, default=None,
                    help="heuristic random seed (default 0)")
     p.add_argument("--threads", type=int, default=None,
-                   help="heuristic worker count (default 1)")
+                   help="number of heuristic runs, made in turn (default 1)")
     p.add_argument("--out", default="-")
 
     return parser
@@ -171,9 +178,10 @@ def _json_text(value: Any) -> str:
                 return
             inner = pad + "  "
             sep = "," + inner
-            # Profile bodies are long lists of plain ints: write those in one join.
+            # Profile bodies are long lists of plain ints: write those from one
+            # repr (of a list, as a 1-tuple's repr keeps a trailing comma).
             if all(type(v) is int for v in value):
-                emit("[" + inner + sep.join(map(str, value)) + pad + "]")
+                emit("[" + inner + repr(list(value))[1:-1].replace(", ", sep) + pad + "]")
                 return
             emit("[")
             for i, v in enumerate(value):
@@ -442,6 +450,13 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code (argparse raises SystemExit).
+
+    The first statement freezes every object alive at the call into the
+    collector's permanent generation; objects the command makes are still
+    tracked and collected.  `main` is the process entry point: a caller that
+    keeps running after it returns should call gc.unfreeze()."""
+    gc.freeze()
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:

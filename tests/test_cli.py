@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from collections import OrderedDict, namedtuple
 from decimal import Decimal
 from enum import Enum, IntEnum
@@ -573,6 +575,12 @@ class TestSerialization:
          "u": "\u00e9 \u2211 \U0001d53d \u2028 \u2029 \ufeff", "": ""},
         ["\x1f", " ", 'a"b'],
         [-1, 0, -(2**64), 2**200, -(3**150), 10**18],
+        (7,),
+        [7],
+        (-3,),
+        (0, 1),
+        [0, -1, 2**70, -(10**30)],
+        {"one": (5,), "two": [(6,), (-8,)]},
         {"n": -(2**70), "m": 2**64 + 1},
         [1, True, False, 0, None],
         {"flags": [True, 1, 0, False]},
@@ -619,6 +627,44 @@ class TestSerialization:
         ):
             with pytest.raises(TypeError):
                 _json_text(value)
+
+
+class TestFreeze:
+    """main freezes what is alive at its start, and only that, on every path.
+    Each test starts unfrozen: conftest unfreezes after every test."""
+
+    @staticmethod
+    def assert_frozen():
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+
+    def test_success(self, capsys):
+        code, out, _ = run_cli(["singer", "--p", "2", "--text"], capsys)
+        assert (code, out) == (0, "orders 7\n0\n1\n3\n")
+        self.assert_frozen()
+
+    def test_malformed_set_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"orders": [7]}')
+        assert run_cli(["spectrum", "--in", str(bad)], capsys)[0] == 66
+        self.assert_frozen()
+
+    def test_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["singer"])
+        assert exc.value.code == 64
+        self.assert_frozen()
+
+    def test_later_cycles_are_collected(self, capsys):
+        run_cli(["singer", "--p", "2"], capsys)
+        marker = set()  # a set, unlike a list, takes a weak reference
+        cycle = [marker]
+        cycle.append(cycle)
+        alive = weakref.ref(marker)
+        del marker, cycle
+        assert alive() is not None  # the cycle alone holds it
+        gc.collect()
+        assert alive() is None
 
 
 def test_python_dash_m_entry_point():
