@@ -9,7 +9,7 @@ subcommands accept verbatim.
 
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
 64 usage error, 66 unreadable, invalid or too large input file, 70 internal
-verification failure, 73 output file cannot be written.
+verification failure, 71 out of memory, 73 output file cannot be written.
 
 `main` is the process entry point: each command is one interpreter.  It
 starts with gc.freeze(), so neither the command's own collections nor the
@@ -52,6 +52,7 @@ EX_EXHAUSTED = 2
 EX_USAGE = 64
 EX_NOINPUT = 66
 EX_SOFTWARE = 70
+EX_OSERR = 71
 EX_CANTCREAT = 73
 
 
@@ -455,9 +456,19 @@ def main(argv: list[str] | None = None) -> int:
     The first statement freezes every object alive at the call into the
     collector's permanent generation; objects the command makes are still
     tracked and collected.  `main` is the process entry point: a caller that
-    keeps running after it returns should call gc.unfreeze()."""
+    keeps running after it returns should call gc.unfreeze().  A MemoryError
+    anywhere in the command exits 71 with one line on stderr, and a set too
+    large to load exits 66."""
     gc.freeze()
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except MemoryError as exc:
+        print(f"repfn: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EX_OSERR
+
+
+def _run(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     try:
         body, code = _HANDLERS[args.command](args)

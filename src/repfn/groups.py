@@ -66,6 +66,14 @@ class Group:
             n *= x
         return n
 
+    @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """The orders above 1, as the numpy shape of the flat indices: an
+        order-1 factor has no coordinate and leaves the row-major flat index
+        as it is, so any number of them fits numpy's 64 dimensions.  (1,)
+        for the trivial group."""
+        return tuple(mi for mi in self.orders if mi > 1) or (1,)
+
     @property
     def is_cyclic(self) -> bool:
         return len(self.orders) == 1
@@ -179,7 +187,7 @@ class GroupSubset:
         g = self.group
         # -c = (m_i - 1 - c) + 1 mod m_i on every axis: flip all axes, then
         # roll each by one.
-        mask = _unpack_mask(self.bits, g.order).reshape(g.orders)
+        mask = _unpack_mask(self.bits, g.order).reshape(g.shape)
         flipped = np.roll(np.flip(mask), 1, axis=tuple(range(mask.ndim)))
         return GroupSubset(g, _pack_mask(flipped.ravel()))
 

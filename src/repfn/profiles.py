@@ -6,7 +6,8 @@ engines are provided: a vectorized pair-enumeration baseline
 (rep_profile_fast).  Both return identical integer counts; rep_profile
 picks one by _choose_engine and can cross-check it against the other.
 Flat indices and coordinates convert one way, by numpy's row-major
-np.ravel_multi_index and np.unravel_index.
+np.ravel_multi_index and np.unravel_index over Group.shape, which leaves
+out the order-1 factors.
 
 Pair enumeration takes one of two branches.  Where every order is a power
 of two, cyclic groups such as Z_65536 included, the flat index packs the
@@ -117,11 +118,12 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
                 block = (la[lo:hi, None] + lb[None, :]) ^ (ha[lo:hi, None] ^ hb[None, :])
                 counts += np.bincount(block.ravel(), minlength=group.order)
         else:
-            ca = np.unravel_index(ea, group.orders)
-            cb = np.unravel_index(eb, group.orders)
+            shape = group.shape
+            ca = np.unravel_index(ea, shape)
+            cb = np.unravel_index(eb, shape)
             for lo in range(0, ea.size, step):
                 sums = [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)]
-                flat = np.ravel_multi_index(sums, group.orders, mode="wrap")
+                flat = np.ravel_multi_index(sums, shape, mode="wrap")
                 counts += np.bincount(flat.ravel(), minlength=group.order)
     return RepProfile(group, tuple(counts.tolist()))
 
@@ -155,7 +157,7 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
     pair_cost = 0
     if a.card and b.card:
         chunks = -(-a.card // max(1, _CHUNK // b.card))
-        factors = len(group.orders) if _lane_masks(group) is None else 1
+        factors = len(group.shape) if _lane_masks(group) is None else 1
         pair_cost = a.card * b.card * factors * _PAIR_NS
         pair_cost += chunks * group.order * _BINCOUNT_SLOT_NS
     if _is_elementary_two(group):
@@ -202,12 +204,12 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     """Exact linear convolution of the two indicator arrays by one
     _decimal_product of the packed integers, followed by per-axis cyclic
     folding."""
-    group = a.group
+    group, shape = a.group, a.group.shape
     # Radices 2*m_i - 1 leave room for every index sum before the fold.
-    radices = tuple(2 * mi - 1 for mi in group.orders)
+    radices = tuple(2 * mi - 1 for mi in shape)
 
     def positions(s: GroupSubset) -> np.ndarray:
-        return np.ravel_multi_index(np.unravel_index(_indices(s), group.orders), radices)
+        return np.ravel_multi_index(np.unravel_index(_indices(s), shape), radices)
 
     pos_a = positions(a)
     pos_b = pos_a if b == a else positions(b)
@@ -216,9 +218,7 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     if int(arr.sum()) != a.card * b.card:
         raise VerificationError("packed product carried between slots")
     arr = arr.reshape(radices)
-    for axis, mi in enumerate(group.orders):
-        if mi == 1:
-            continue
+    for axis, mi in enumerate(shape):
         head = arr[(slice(None),) * axis + (slice(0, mi),)]
         tail = arr[(slice(None),) * axis + (slice(mi, 2 * mi - 1),)]
         head[(slice(None),) * axis + (slice(0, mi - 1),)] += tail
@@ -278,9 +278,9 @@ def rep_profile(
 
     _choose_engine predicts each engine's cost in integer nanoseconds and
     the cheaper runs.  Pair enumeration costs |A|*|B| times the number of
-    cyclic factors, or times one when every order is a power of two (the
-    lane-wise add of flat indices), plus a pass over the group per chunk of
-    pairs.  The fast engine costs, on Z_2^k, k butterfly stages over the
+    cyclic factors above order 1, or times one when every order is a power
+    of two (the lane-wise add of flat indices), plus a pass over the group
+    per chunk of pairs.  The fast engine costs, on Z_2^k, k butterfly stages over the
     2^k entries plus a fixed cost per stage; elsewhere, the decimal
     product: N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a
     fixed cost per call.  Sparse sets such as Singer sets therefore

@@ -84,10 +84,6 @@ class SearchOutcome:
     notes: tuple[str, ...]
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class _ExactSearch(_Slots):
     """DFS over subsets of Z_m in ascending element order, include branch
     first, on three slot-packed ints: A (member indicator), R
@@ -95,8 +91,9 @@ class _ExactSearch(_Slots):
     summing to g; at the node for e these are the members, all below e, and
     every x >= e).  Including e gives R + 2·rot(A, e) + dbl(e) and
     excluding it P - 2·rot(A | above(e), e) - dbl(e), above(e) being the
-    slots x > e.  Children get their ints as arguments, so undo is the
-    caller keeping its own.
+    slots x > e.  The DFS is one loop: a node whose exclude branch is still
+    to come waits on an explicit stack as (e, A, R, P), so undo is a pop
+    and no depth limit applies to m.
 
     The whole-word checks equal checks on the touched slots alone.  Every
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
@@ -108,13 +105,17 @@ class _ExactSearch(_Slots):
     turn on one node counter and budget.  Case U: some difference b - a in
     A is a unit u; then x -> u^-1(x - a) maps A onto a set containing
     {0, 1} with R_{phi A}(u^-1(g - 2a)) = R_A(g), so the DFS starts at
-    e = 2 on the members [0, 1], every element still available.
+    e = 2 on the members {0, 1}, every element still available.
     Case N: every difference in A is a non-unit; 0 is fixed by translation
     and the include of e is barred when A & rot(Units, e) != 0, i.e. when
     e - a is a unit for some member a (units are closed under negation).  A
     barred e still takes the exclude branch, so P keeps its meaning.  Both
-    cases run through one _dfs, whose per-e bar mask (the last entry of
+    cases run through one _drain, whose per-e bar mask (the last entry of
     steps[e]) is 0 in case U."""
+
+    # The type of the DFS stack; a test swaps in a list whose append checks
+    # the counters of every node pushed.
+    _stack = list
 
     def __init__(self, m: int, r: int, node_budget: int):
         # No count exceeds m, and the largest threshold is the cap r.
@@ -125,15 +126,15 @@ class _ExactSearch(_Slots):
         self.steps = [
             self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)), 0) for e in range(m)
         ]
-        self.members = [0]
         self.nodes = 0
         self.case_nodes = [0, 0]
         self.barred = 0
         self.prunes = {"max_rep": 0, "coverage": 0}
         self.witness: list[int] | None = None
 
-    def run(self) -> bool:
-        """Case U, then case N; True as soon as either finds a basis."""
+    def run(self) -> bool | None:
+        """Case U, then case N: True as soon as either finds a basis, False
+        once both are drained, None when the node budget runs out first."""
         m = self.m
         P = m * self.ones
         if m > 1:
@@ -143,55 +144,73 @@ class _ExactSearch(_Slots):
             if (R + self.cap_add) & self.top:
                 self.prunes["max_rep"] += 1
             else:
-                self.members = [0, 1]
-                try:
-                    if self._dfs(2, 1 | bit, R, P):
-                        return True
-                finally:
-                    self.case_nodes[0] = self.nodes
+                found = self._drain(2, 1 | bit, R, P)
+                self.case_nodes[0] = self.nodes
+                if found is not False:
+                    return found
         w = self.w
         units = sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
         self.steps = [s[:5] + (self.rot(units, e),) for e, s in enumerate(self.steps)]
-        self.members = [0]
         start = self.nodes
-        try:
-            return self._dfs(1, 1, 1, P)
-        finally:
-            self.case_nodes[1] = self.nodes - start
+        found = self._drain(1, 1, 1, P)
+        self.case_nodes[1] = self.nodes - start
+        return found
 
-    def _dfs(self, e: int, A: int, R: int, P: int) -> bool:
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise _BudgetExceeded
-        top, cover_add, members = self.top, self.cover_add, self.members
-        if (R + cover_add) & top == top:
-            self.witness = list(members)
-            return True
-        if e == self.m:
-            return False
-
-        # Include branch first.  In case N, e is barred if it has a unit
-        # difference to a member.
-        up, down, bit, dbl, above, bar = self.steps[e]
-        if A & bar:
-            self.barred += 1
-        else:
-            R2 = R + (((A << up) | (A >> down)) & self.full) + dbl
-            if (R2 + self.cap_add) & top:
-                self.prunes["max_rep"] += 1
+    def _drain(self, e: int, A: int, R: int, P: int) -> bool | None:
+        """The DFS from the node (e, A, R, P): True at a basis, whose members
+        become the witness, False once drained, None past the node budget.
+        The counters live in locals and are written back once, at the end."""
+        m, steps, full, top = self.m, self.steps, self.full, self.top
+        cover_add, cap_add = self.cover_add, self.cap_add
+        nodes, budget, barred = self.nodes, self.node_budget, self.barred
+        max_rep = coverage = 0
+        stack = self._stack()
+        push, pop = stack.append, stack.pop
+        found: bool | None = False
+        while True:
+            nodes += 1
+            if nodes > budget:
+                found = None
+                break
+            if (R + cover_add) & top == top:
+                self.witness = [x for x, a in enumerate(self.decode(A)) if a]
+                found = True
+                break
+            if e < m:
+                # Include branch first; the exclude branch waits on the
+                # stack.  In case N, e is barred if it has a unit difference
+                # to a member.
+                push((e, A, R, P))
+                up, down, bit, dbl, _, bar = steps[e]
+                if A & bar:
+                    barred += 1
+                else:
+                    R2 = R + (((A << up) | (A >> down)) & full) + dbl
+                    if (R2 + cap_add) & top:
+                        max_rep += 1
+                    else:
+                        e, A, R = e + 1, A | bit, R2
+                        continue
+            # Take the exclude branch of the deepest waiting node that
+            # passes the coverage test; none left means drained.
+            while stack:
+                e, A, R, P = pop()
+                up, down, _, dbl, above, _ = steps[e]
+                X = A | above
+                P2 = P - (((X << up) | (X >> down)) & full) - dbl
+                if ((P2 | R) + cover_add) & top == top:
+                    e, P = e + 1, P2
+                    break
+                coverage += 1
             else:
-                members.append(e)
-                ok = self._dfs(e + 1, A | bit, R2, P)
-                members.pop()
-                if ok:
-                    return True
+                break
+        self.nodes, self.barred = nodes, barred
+        self.prunes["max_rep"] += max_rep
+        self.prunes["coverage"] += coverage
+        return found
 
-        X = A | above
-        P2 = P - (((X << up) | (X >> down)) & self.full) - dbl
-        if ((P2 | R) + cover_add) & top != top:
-            self.prunes["coverage"] += 1
-            return False
-        return self._dfs(e + 1, A, R, P2)
+
+_RUN_STATUS = {True: SearchStatus.SAT, False: SearchStatus.UNSAT, None: SearchStatus.EXHAUSTED}
 
 
 def exists_basis(
@@ -214,10 +233,7 @@ def exists_basis(
     _check_args(m, r, node_budget, "node")
     search = _ExactSearch(m, r, node_budget)
     cert = None
-    try:
-        status = SearchStatus.SAT if search.run() else SearchStatus.UNSAT
-    except _BudgetExceeded:
-        status = SearchStatus.EXHAUSTED
+    status = _RUN_STATUS[search.run()]
     nodes_u, nodes_n = search.case_nodes
     notes = [
         "case U: some difference b - a in A is a unit u; x -> u^-1(x - a) maps A "

@@ -337,6 +337,14 @@ class TestRuzsa:
         )
         assert code == 2 and body["status"] == "EXHAUSTED"
 
+    def test_deep_decision_exhausts(self, capsys):
+        # 2000 nodes reach more than a thousand elements deep
+        code, body = run_json(["ruzsa", "--m", "1200", "--r", "8", "--budget", "2000"], capsys)
+        assert code == 2
+        assert body["status"] == "EXHAUSTED"
+        assert body["nodes"] == 2001
+        assert body["certificate"] is None
+
     def test_exhausted_value_search_brackets(self, capsys):
         code, body = run_json(["ruzsa", "--m", "16", "--budget", "50"], capsys)
         assert code == 2
@@ -508,6 +516,40 @@ class TestErrorPaths:
             assert code == 66, data
             assert out == ""
             assert err == f"repfn: invalid set file: a group of order {order} is too large to load\n"
+
+    def test_out_of_memory_exits_71(self, capsys, monkeypatch):
+        # A MemoryError past loading the set; nothing is allocated here
+        for exc, line in (
+            (MemoryError("Unable to allocate 2.00 GiB"), "out of memory: Unable to allocate 2.00 GiB"),
+            (MemoryError(), "out of memory"),
+        ):
+            def exhaust(args, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(_HANDLERS, "ruzsa", exhaust)
+            code, out, err = run_cli(["ruzsa", "--m", "7", "--r", "3"], capsys)
+            assert code == 71
+            assert out == ""
+            assert err == f"repfn: {line}\n"
+
+    def test_more_factors_than_numpy_dimensions(self, capsys, monkeypatch):
+        # Seventy order-1 factors and Z_5: a group of order 5 whose orders
+        # are echoed as given
+        orders = [1] * 70 + [5]
+        text = "orders " + " ".join(map(str, orders)) + "\n0\n1\n"
+        bodies = []
+        for cmd in ("spectrum", "diff-profile"):
+            for data in (text, "orders 5\n0\n1\n"):
+                stdin = io.TextIOWrapper(io.BytesIO(data.encode()), encoding="utf-8")
+                monkeypatch.setattr("sys.stdin", stdin)
+                code, body = run_json([cmd, "--cross-check"], capsys)
+                assert code == 0, cmd
+                bodies.append(body)
+        for many, bare in zip(bodies[::2], bodies[1::2]):
+            assert many.pop("orders") == orders
+            assert bare.pop("orders") == [5]
+            del many["manifest"], bare["manifest"]
+            assert many == bare
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "x.json"

@@ -243,7 +243,7 @@ class TestLinearConversions:
     def test_negate_matches_group_neg(self):
         rng = random.Random(22)
         for orders in [(1,), (2,), (7,), (4096,), (65539,), (2, 3), (1, 5), (4, 1, 6),
-                       (2,) * 10, (16, 16, 16), (4, 5, 7, 9)]:
+                       (2,) * 10, (16, 16, 16), (4, 5, 7, 9), (1,) * 70 + (5,), (1,) * 70]:
             g = Group(orders)
             for size in {0, 1, min(g.order, 3), g.order // 3, g.order}:
                 a = GroupSubset.from_elements(g, rng.sample(range(g.order), size))

@@ -351,6 +351,25 @@ class TestExactTransforms:
             rep_profile_fast(GroupSubset.empty(Group((2,) * 32)))
 
 
+class TestOrderOneFactors:
+    """numpy arrays have at most 64 dimensions; an order-1 factor takes none,
+    so a group with more factors than that still profiles when the rest fit."""
+
+    CASES = (((1,) * 70 + (5,), (5,)), ((1,) * 40 + (3,) + (1,) * 30 + (4,), (3, 4)))
+
+    def test_same_counts_as_the_group_without_them(self):
+        for orders, bare in self.CASES:
+            order = Group(bare).order
+            for elems in ([], [0, 1], [0, 2, 3], list(range(order))):
+                a, b = subset(orders, elems), subset(bare, elems)
+                for engine in (rep_profile_naive, rep_profile_fast):
+                    assert engine(a).counts == engine(b).counts, (bare, elems, engine)
+                assert (
+                    rep_diff_profile(a, cross_check=True).counts == rep_diff_profile(b).counts
+                ), (bare, elems)
+                assert _choose_engine(a, a) == _choose_engine(b, b), (bare, elems)
+
+
 class TestDiffProfile:
     def test_singer_difference_table(self):
         a = subset([7], [1, 2, 4])

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 
@@ -18,34 +19,64 @@ from repfn.search import (
 from ruzsa_oracle import FROZEN_MIN_CAP, brute
 
 
-class _CheckedSearch(search._ExactSearch):
-    """The exact search with R and P decoded at every node and compared with
-    pair enumeration of the members, and of the members plus every x >= e."""
+class _CheckedStack(list):
+    """The DFS stack with R and P of every node pushed decoded and compared
+    with pair enumeration of the members, and of the members plus every
+    x >= e.  Every node with an element left to decide is pushed before its
+    include branch is tried."""
 
-    def _dfs(self, e, A, R, P):
-        group = Group.cyclic(self.m)
+    def __init__(self, search):
+        super().__init__()
+        self.search = search
+
+    def append(self, node):
+        e, A, R, P = node
+        s = self.search
+        s.checked += 1
+        members = [x for x, a in enumerate(s.decode(A)) if a]
+        group = Group.cyclic(s.m)
         expected = tuple(
             rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
-            for elems in (self.members, [*self.members, *range(e, self.m)])
+            for elems in (members, [*members, *range(e, s.m)])
         )
-        if (self.decode(R), self.decode(P)) != expected:
+        if (s.decode(R), s.decode(P)) != expected:
             raise VerificationError("incremental counters diverged from the profile")
-        return super()._dfs(e, A, R, P)
+        super().append(node)
+
+
+class _CheckedSearch(search._ExactSearch):
+    """The exact search on a _CheckedStack; checked counts the nodes pushed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checked = 0
+
+    def _stack(self):
+        return _CheckedStack(self)
 
 
 class _CorruptedSearch(_CheckedSearch):
-    """The checked search handed a count at 0 one too high at one node."""
+    """The checked search with dbl(2) one too high: including or excluding
+    2 puts a count at 0 one off."""
 
-    def _dfs(self, e, A, R, P):
-        return super()._dfs(e, A, R + 1 if self.nodes == 5 else R, P)
+    def __init__(self, *args):
+        super().__init__(*args)
+        up, down, bit, dbl, above, bar = self.steps[2]
+        self.steps[2] = (up, down, bit, dbl + 1, above, bar)
 
 
 def checked_exact(m, r, cls=_CheckedSearch):
-    """exists_basis(m, r), run by cls; _dfs recurses through self, so every
-    node goes through the check."""
+    """exists_basis(m, r), run by cls, and the number of nodes it checked."""
+    runs = []
+
+    def make(*args):
+        runs.append(cls(*args))
+        return runs[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_ExactSearch", cls)
-        return exists_basis(m, r)
+        mp.setattr(search, "_ExactSearch", make)
+        out = exists_basis(m, r)
+    return out, runs[0].checked
 
 
 class TestArguments:
@@ -139,11 +170,22 @@ class TestExistsBasis:
         assert out.certificate is None
         assert "budget exhausted" in out.notes[-1]
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # Each decided element is one level of the DFS, and these budgets
+        # reach deeper than Python's recursion limit before they run out.
+        assert 1200 > sys.getrecursionlimit()
+        for m, r, budget in ((1200, 8, 2000), (1500, 3, 3000)):
+            out = exists_basis(m, r, node_budget=budget)
+            assert out.status is SearchStatus.EXHAUSTED, (m, r)
+            assert out.nodes == budget + 1, (m, r)
+            assert out.certificate is None
+
     def test_counter_check_hook_clean(self):
-        # cross-check the incremental counters at every single node
-        out = checked_exact(6, 4)
+        # cross-check the incremental counters at every node pushed
+        out, checked = checked_exact(6, 4)
         assert out.status is SearchStatus.SAT
         assert out.certificate.verified
+        assert checked > 0
 
     def test_counter_check_catches_a_corrupted_count(self):
         # the check must see a single slot that is off by one
@@ -212,15 +254,17 @@ class TestExistsBasis:
             assert self.pinned_fields(exists_basis(m, r)) == expected, (m, r)
 
     def test_counter_check_on_a_grid(self):
-        # decode R and P at every node and compare them with pair
+        # decode R and P at every node pushed and compare them with pair
         # enumeration; the hook must not change the search either
         for m in range(1, 17):
             for r in range(1, 6):
-                checked = checked_exact(m, r)
+                checked, count = checked_exact(m, r)
                 plain = exists_basis(m, r)
                 assert (checked.status, checked.nodes, checked.prunes) == (
                     plain.status, plain.nodes, plain.prunes
                 ), (m, r)
+                # A second node is only reached through the stack.
+                assert count > 0 or plain.nodes == 1, (m, r)
 
     # (m, r) -> (status, nodes, max_rep, coverage, witness) on the decisions
     # the search-exact benchmark workload makes, plus r > m and the smallest
