@@ -414,6 +414,52 @@ class TestHeuristic:
         assert out.certificate.claimed_r == 7
         assert out.certificate.verified
 
+    # Outcomes recorded before the local search loop was rewritten with its
+    # state in locals and its draws taken from getrandbits; each pins the
+    # RNG call sequence of one shape.
+    HEURISTIC_PINS = [
+        (
+            (240, 240, dict(moves=3000, seed=11)),
+            SearchStatus.SAT, 12,
+            (1, 9, 12, 27, 33, 34, 35, 45, 53, 64, 66, 77, 80, 86, 91, 92, 120, 135, 150,
+             157, 166, 167, 171, 176, 190, 207, 211, 213, 216, 225, 227, 228, 231),
+        ),
+        (
+            # 993 = 31^2 + 31 + 1: the Singer set is a restart seed.
+            (993, 993, dict(moves=2000, seed=13)),
+            SearchStatus.SAT, 16,
+            (4, 16, 25, 29, 31, 44, 47, 60, 66, 77, 87, 88, 94, 113, 116, 122, 128, 146,
+             164, 195, 228, 237, 240, 253, 257, 276, 291, 331, 366, 372, 382, 390, 410,
+             416, 419, 424, 442, 444, 467, 468, 469, 492, 515, 562, 573, 585, 590, 591,
+             606, 611, 625, 633, 647, 658, 692, 711, 713, 717, 721, 731, 752, 761, 792,
+             798, 799, 804, 841, 853, 867, 892, 906, 907, 912, 925, 945, 961, 978, 980,
+             981, 988, 990),
+        ),
+        (
+            # r < m, so the excess term is taken.
+            (100, 8, dict(moves=20000, seed=5)),
+            SearchStatus.SAT, 8,
+            (13, 15, 21, 34, 40, 41, 43, 44, 51, 54, 55, 60, 62, 64, 67, 80, 91, 97, 99),
+        ),
+        (
+            # Two runs, each crossing restart boundaries.
+            (120, 6, dict(moves=1500, seed=7, threads=2)),
+            SearchStatus.EXHAUSTED, 9,
+            (0, 5, 14, 22, 44, 55, 62, 63, 65, 69, 75, 76, 77, 78, 80, 89, 92, 96, 97,
+             109, 115, 116, 119),
+        ),
+    ]
+
+    @pytest.mark.parametrize("shape, status, cap, elements", HEURISTIC_PINS)
+    def test_pinned_outcomes_on_larger_shapes(self, shape, status, cap, elements):
+        m, r, kw = shape
+        out = heuristic_upper_bound(m, r, **kw)
+        assert out.status is status
+        assert out.certificate.claimed_r == cap
+        assert out.certificate.elements == elements
+        assert out.certificate.verified
+        assert out.nodes == kw["moves"] * kw.get("threads", 1)
+
     def test_upper_bounds_respect_true_minimum(self):
         for m in range(2, 17):
             out = self.run(m, FROZEN_MIN_CAP[m])
