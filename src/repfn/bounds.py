@@ -12,7 +12,7 @@ cap, lhs and rhs, and the exact decision where rhs is only an enclosure.
 EQ22 and EQ41 are the k = 3 and k = 2 rows of the quadratic lemma.  One
 evaluator turns a set and a list of (claim, parameter) pairs into reports,
 taking every |S_i| and every moment sum (R(g) - k)^2 from one spectrum
-histogram of A + A.
+histogram of A + A; the moments share its one sum of squares.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .constructions import half_period_doubling, shifted_doubling, sidon_set
 from .groups import Group, GroupSubset
@@ -86,13 +88,10 @@ class BoundReport:
         return self.status is not CheckStatus.NOT_APPLICABLE
 
 
-def _moment(s: RepSpectrum, k: int) -> int:
-    """Sum of (R(g) - k)^2 over the group, taken over the histogram's levels."""
-    return sum(n * (i - k) * (i - k) for i, n in s.histogram.items())
-
-
-def _quadratic_lhs(m: int, card: int, s: RepSpectrum, k: int) -> int:
-    return _moment(s, k)
+def _moment(m: int, card: int, s: RepSpectrum, k: int) -> int:
+    """Sum of (R(g) - k)^2 over the group: sum R^2 - 2k sum R + k^2 m, with
+    sum R = |A|^2, so one sum of squares per spectrum serves every k."""
+    return s.square_sum - 2 * k * card * card + k * k * m
 
 
 def _quadratic_rhs(m: int, card: int, s: RepSpectrum, k: int) -> int:
@@ -126,7 +125,7 @@ class _Claim(NamedTuple):
 # their own ids and notes; the suites pass k as their parameter.
 _CLAIMS = {
     ClaimId.QUADRATIC: _Claim(
-        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        True, None, _moment, _quadratic_rhs, None,
         "quadratic moment about k={p}; all-integer comparison",
         lambda m, k, mr: {"k": k},
     ),
@@ -162,19 +161,19 @@ _CLAIMS = {
         "3m/4 + sqrt(7m) + 3/4",
     ),
     ClaimId.SQ3_UPPER: _Claim(
-        False, 5, lambda m, n, s, p: _moment(s, 3), lambda m, n, s, p: 8 * s[0] + 3 * n + m,
+        False, 5, lambda m, n, s, p: _moment(m, n, s, 3), lambda m, n, s, p: 8 * s[0] + 3 * n + m,
         None, "upper chain for the k=3 moment; uses the parity cap on odd classes",
     ),
     ClaimId.SQ3_LOWER: _Claim(
-        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        True, None, _moment, _quadratic_rhs, None,
         "k=3 instance of the quadratic moment bound; unconditional",
     ),
     ClaimId.SQ2_LOWER: _Claim(
-        True, None, _quadratic_lhs, _quadratic_rhs, None,
+        True, None, _moment, _quadratic_rhs, None,
         "k=2 instance of the quadratic moment bound; unconditional",
     ),
     ClaimId.SQ2_UPPER: _Claim(
-        False, 5, lambda m, n, s, p: _moment(s, 2), lambda m, n, s, p: 4 * (s[0] + s[4]) + 9 * n,
+        False, 5, lambda m, n, s, p: _moment(m, n, s, 2), lambda m, n, s, p: 4 * (s[0] + s[4]) + 9 * n,
         None, "upper chain for the k=2 moment; uses the parity cap on odd classes",
     ),
     ClaimId.S4_CHAIN: _Claim(
@@ -279,15 +278,17 @@ def random_subset(seed: int, group: Group, density: Fraction | float) -> GroupSu
 
     Driven by random.Random(seed) (Mersenne Twister): index g is included iff
     the g-th draw of getrandbits(64) falls below floor(density * 2^64).  The
-    same seed on the same build reproduces the same set exactly.
+    same seed on the same build reproduces the same set exactly.  The draws
+    are taken as one getrandbits(64 * order), whose little-endian 64-bit
+    words are those draws in turn.
     """
     frac = Fraction(density)
     if not 0 < frac < 1:
         raise ValueError("density must lie strictly inside (0, 1)")
     threshold = (frac.numerator << 64) // frac.denominator
-    rng = random.Random(seed)
-    kept = [g for g in range(group.order) if rng.getrandbits(64) < threshold]
-    return GroupSubset._from_indices(group, kept)
+    n = group.order
+    draws = np.frombuffer(random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
+    return GroupSubset._from_indices(group, np.flatnonzero(draws < np.uint64(threshold)))
 
 
 def random_group(rng: random.Random, max_order: int) -> Group:

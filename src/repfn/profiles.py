@@ -346,6 +346,11 @@ class RepSpectrum:
     def support(self) -> list[int]:
         return sorted(self.histogram)
 
+    @cached_property
+    def square_sum(self) -> int:
+        """Sum of R(g)^2 over the group, from the histogram."""
+        return sum(n * i * i for i, n in self.histogram.items())
+
 
 def spectrum(a: GroupSubset, b: GroupSubset | None = None) -> RepSpectrum:
     return rep_profile(a, b).spectrum()

@@ -11,11 +11,12 @@ spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is a seeded local search on two (members and representation
-counts), run `threads` times in turn; it only ever claims verified upper
-bounds.  Every SAT or heuristic result carries a certificate re-checked
-through the pair-enumeration profile, never through the search's own
-counters.  No clock enters a search: each outcome is a function of its
-arguments alone, and work is counted in nodes or moves.
+counts), run `threads` times in turn, as one loop in which a rejected move
+leaves the state alone and every element is drawn from getrandbits; it only
+ever claims verified upper bounds.  Every SAT or heuristic result carries a
+certificate re-checked through the pair-enumeration profile, never through
+the search's own counters.  No clock enters a search: each outcome is a
+function of its arguments alone, and work is counted in nodes or moves.
 """
 
 from __future__ import annotations
@@ -340,14 +341,17 @@ class _LocalSearch(_Slots):
     over every run so far.
 
     The state is two slot-packed ints, A (member indicator) and R
-    (representation counts), plus the sorted member list that rng.choice
-    draws from.  Moves update them in place; a rejected move is undone by
-    restoring the A and R saved before it and putting each moved element
-    back in the member list.  The shift constants of each e are made per
-    call, since a table of them for every e of a large m costs more memory
-    than the moves save.  Each objective term is a whole-word test or count,
-    and the terms past uncovered are taken only for moves that leave no more
-    elements uncovered than the current objective."""
+    (representation counts), plus the sorted member list that out-moves
+    draw from.  run() is one loop with that state in locals: a move builds
+    the candidate A and R from the current ones, and only an accepted move
+    replaces them and updates the member list, so a rejected move changes
+    nothing.  Elements are drawn by getrandbits exactly as CPython's
+    rng.choice and rng.randrange draw them, so the call sequence is theirs.
+    The shift constants of each e are made per move, since a table of them
+    for every e of a large m costs more memory than the moves save.  Each
+    objective term is a whole-word test or count, and the terms past
+    uncovered are taken only for moves that leave no more elements
+    uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, pool: list[tuple[int, ...] | None]):
         super().__init__(m, max(m, r))
@@ -372,12 +376,12 @@ class _LocalSearch(_Slots):
         A = self.A = self.A ^ bit
         self.R -= (((A << up) | (A >> down)) & self.full) + dbl
 
-    def _excess(self) -> int:
+    def _excess(self, R: int) -> int:
         """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
         bit where R[g] >= r, so masking the rest leaves the terms, which are
         summed one bit plane at a time."""
         w, ones = self.w, self.ones
-        Y = self.R + ones * ((1 << (w - 1)) - self.r)
+        Y = R + ones * ((1 << (w - 1)) - self.r)
         hit = Y & self.top
         Y &= hit - (hit >> (w - 1))
         return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
@@ -385,8 +389,9 @@ class _LocalSearch(_Slots):
     def _objective(self, uncovered: int, guess: int) -> tuple[int, int, int, int]:
         # One move changes each slot by at most 2, so the previous max is a
         # near guess.
-        peak = self.max_rep(self.R, guess)
-        return (uncovered, peak, self._excess() if peak > self.r else 0, len(self.members))
+        R = self.R
+        peak = self.max_rep(R, guess)
+        return (uncovered, peak, self._excess(R) if peak > self.r else 0, len(self.members))
 
     def _restart(self, rng: random.Random) -> tuple[int, int, int, int]:
         base = self.pool[self.restarts % len(self.pool)]
@@ -407,47 +412,79 @@ class _LocalSearch(_Slots):
             self.best = (obj, tuple(self.members))
 
     def run(self, moves: int, rng: random.Random) -> None:
+        """moves moves from rng.  A, R and the member flags live in locals;
+        the member list is self.members itself, changed in place.  A and R
+        are written back at the end; a restart rebuilds all three from its
+        seed, so nothing needs writing back before it."""
+        m, r, w, full, top, cover_add = self.m, self.r, self.w, self.full, self.top, self.cover_add
+        wm, km = w * m, m.bit_length()
+        max_rep, excess = self.max_rep, self._excess
+        random_, getrandbits = rng.random, rng.getrandbits
         self.restarts = 0
-        cur = self._restart(rng)
-        m, w = self.m, self.w
-        add, remove = self.add, self.remove
+        A, R = self.A, self.R
         for step in range(moves):
-            if step and step % _RESTART_EVERY == 0:
+            if step % _RESTART_EVERY == 0:
                 cur = self._restart(rng)
-            members = self.members
-            card = len(members)
-            roll = rng.random()
+                A, R, members = self.A, self.R, self.members
+                card = len(members)
+                flags = bytearray(m)
+                for e in members:
+                    flags[e] = 1
+            roll = random_()
+            # A swap takes out_e out and puts in_e in; add and remove do
+            # one each.
             if card == 0:
-                kind = "add"
+                take, put = False, True
             elif card == m:
-                kind = "remove"
-            elif cur[0] > 0:
-                kind = "add" if roll < 0.6 else ("swap" if roll < 0.9 else "remove")
+                take, put = True, False
+            elif cur[0]:
+                # add below 0.6, swap below 0.9, else remove
+                take, put = roll >= 0.6, roll < 0.9
             else:
-                kind = "remove" if roll < 0.4 else ("swap" if roll < 0.9 else "add")
-            # A swap removes out_e and adds in_e; add and remove do one each.
-            out_e = in_e = None
-            if kind != "add":
-                out_e = rng.choice(members)
-            if kind != "remove":
-                in_e = rng.randrange(m)
-                while self.A >> (w * in_e) & 1:
-                    in_e = rng.randrange(m)
-            saved = self.A, self.R
-            if out_e is not None:
-                remove(out_e)
-            if in_e is not None:
-                add(in_e)
-            uncovered = self.zeros(self.R)
-            if uncovered <= cur[0] and (cand := self._objective(uncovered, cur[1])) <= cur:
-                cur = cand
-                self._record(cur)
-            else:
-                self.A, self.R = saved
-                if in_e is not None:
-                    del members[bisect_left(members, in_e)]
-                if out_e is not None:
-                    insort(members, out_e)
+                # remove below 0.4, swap below 0.9, else add
+                take, put = roll < 0.9, roll >= 0.4
+            # Draws as rng.choice(members) and rng.randrange(m) make them:
+            # getrandbits(n.bit_length()) until the value is below n.
+            A2, R2, card2 = A, R, card
+            if take:
+                k = card.bit_length()
+                i = getrandbits(k)
+                while i >= card:
+                    i = getrandbits(k)
+                out_e = members[i]
+                # remove out_e: R2 -= 2·rot(A2, out_e) + dbl(out_e)
+                up = w * out_e + 1
+                A2 = A ^ (1 << (up - 1))
+                R2 = R - (((A2 << up) | (A2 >> (wm - up))) & full) - (1 << (w * (2 * out_e % m)))
+                card2 -= 1
+            if put:
+                while True:
+                    in_e = getrandbits(km)
+                    while in_e >= m:
+                        in_e = getrandbits(km)
+                    if not flags[in_e]:
+                        break
+                # add in_e: R2 += 2·rot(A2, in_e) + dbl(in_e)
+                up = w * in_e + 1
+                R2 += (((A2 << up) | (A2 >> (wm - up))) & full) + (1 << (w * (2 * in_e % m)))
+                A2 |= 1 << (up - 1)
+                card2 += 1
+            uncovered = m - ((R2 + cover_add) & top).bit_count()
+            if uncovered > cur[0]:
+                continue
+            peak = max_rep(R2, cur[1])
+            cand = (uncovered, peak, excess(R2) if peak > r else 0, card2)
+            if cand > cur:
+                continue
+            A, R, card, cur = A2, R2, card2, cand
+            if take:
+                del members[bisect_left(members, out_e)]
+                flags[out_e] = 0
+            if put:
+                insort(members, in_e)
+                flags[in_e] = 1
+            self._record(cur)
+        self.A, self.R = A, R
 
 
 def heuristic_upper_bound(

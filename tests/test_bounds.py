@@ -253,6 +253,18 @@ class TestRandomSubset:
         assert s.card == card
         assert hashlib.sha256(",".join(map(str, s.elements())).encode()).hexdigest() == digest
 
+    def test_matches_one_draw_per_index(self):
+        # The docstring's definition, one getrandbits(64) per index in turn.
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_group(rng, 300)
+            density = rng.choice([Fraction(rng.randint(1, 11), 12), rng.random() or 0.5])
+            seed = rng.getrandbits(63)
+            threshold = (Fraction(density).numerator << 64) // Fraction(density).denominator
+            draw = random.Random(seed).getrandbits
+            want = [x for x in range(g.order) if draw(64) < threshold]
+            assert random_subset(seed, g, density).elements() == want, (g.orders, density)
+
     def test_density_validated(self):
         g = Group.cyclic(8)
         for bad in (0, 1, Fraction(3, 2), -0.25):

@@ -460,6 +460,39 @@ class TestHeuristic:
         assert out.certificate.verified
         assert out.nodes == kw["moves"] * kw.get("threads", 1)
 
+    def test_run_writes_back_a_consistent_state(self):
+        # After run() the packed A, the member list and the packed R agree
+        # with each other and with the pair-enumeration profile.
+        for m, r, seed in [(30, 4, 0), (57, 57, 1), (100, 8, 2), (240, 12, 3)]:
+            local = _LocalSearch(m, r, search._seed_pool(m))
+            local.run(1000, random.Random(seed))
+            members = local.members
+            assert members == sorted(members), (m, r, seed)
+            present = set(members)
+            assert local.decode(local.A) == tuple(int(g in present) for g in range(m))
+            subset = GroupSubset.from_elements(Group.cyclic(m), members)
+            assert local.decode(local.R) == rep_profile_naive(subset).counts, (m, r, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 240, 993, 2000, 4097])
+    def test_draws_match_choice_and_randrange(self, n):
+        # run() draws an index below n as getrandbits(n.bit_length()) until
+        # the value is below n; on the running CPython that must give what
+        # rng.choice and rng.randrange give from the same state.
+        def draw(rng):
+            k = n.bit_length()
+            i = rng.getrandbits(k)
+            while i >= n:
+                i = rng.getrandbits(k)
+            return i
+
+        seq = range(n)
+        for seed in range(200):
+            inlined, by_choice, by_randrange = (random.Random(seed) for _ in range(3))
+            for _ in range(5):
+                i = draw(inlined)
+                assert i == by_choice.choice(seq) == by_randrange.randrange(n), (n, seed)
+            assert inlined.getstate() == by_choice.getstate() == by_randrange.getstate()
+
     def test_upper_bounds_respect_true_minimum(self):
         for m in range(2, 17):
             out = self.run(m, FROZEN_MIN_CAP[m])
