@@ -70,13 +70,11 @@ def sidon_set(p: int) -> GroupSubset:
 
 def half_period_doubling(p: int) -> GroupSubset:
     """A = 2D union (2D + n) in Z_{2n}; exactly m/2 - 1 elements get
-    representation count 4, where m = 2n."""
+    representation count 4, where m = 2n.  n is odd, so this is the shift
+    union at l = (n - 1) / 2."""
     pds = singer_set(p)
     n = pds.n
-    target = Group.cyclic(2 * n)
-    result = pds.subset.dilate_shift(2, 0, target) | pds.subset.dilate_shift(2, n, target)
-    if result.card != 2 * (p + 1):
-        raise VerificationError("translate by the half period must be disjoint")
+    result = _shift_union(pds, pds.subset.dilate_shift(2, 0, Group.cyclic(2 * n)), (n - 1) // 2)
     spec = rep_profile(result).spectrum()
     if spec.max_rep > 4:
         raise VerificationError("sumset multiplicity exceeded 4")

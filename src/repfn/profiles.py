@@ -39,7 +39,8 @@ The fast engine takes one of two routes.
 
 _Slots is the slot-packed layout of counts over Z_m in one Python int that
 the basis searches and the 11b shift scan update and test by whole-word
-arithmetic.
+arithmetic.  The searches update pair counts by its flip rule: toggling e
+in a 0/1 slot set S changes them by rot(S + S', e), S' = S ^ bit(e).
 """
 
 from __future__ import annotations
@@ -361,9 +362,13 @@ class _Slots:
     w = (bound + 2).bit_length() + 1 bits, bound the largest count the
     caller stores.  No count (at most bound) or add-and-mask threshold
     (at most bound + 1) reaches a slot's top bit, so no carry crosses slots
-    and every test on all of Z_m is one add and one mask.  With rot(X, e) moving slot x to
-    x + e mod m, adding e to a set A (member indicator, 0/1 slots) adds
-    2·rot(A, e) + dbl(e) to its representation counts."""
+    and every test on all of Z_m is one add and one mask.  With rot(X, e)
+    moving slot x to x + e mod m, one flip rule updates the ordered pair
+    counts of a set S (0/1 slots) when e goes in or out: with
+    S' = S ^ bit(e), they change by exactly rot(S + S', e), added when e
+    goes in and subtracted when it comes out.  For e not in S,
+    S + S' = 2S + bit(e), whose rotation by e is the pairs (e, s) and
+    (s, e) for s in S plus (e, e) at 2e; for e in S, S and S' swap roles."""
 
     def __init__(self, m: int, bound: int):
         self.m = m
@@ -378,12 +383,12 @@ class _Slots:
         w = self.w
         return ((X << (w * e)) | (X >> (w * (self.m - e)))) & self.full
 
-    def step(self, e: int) -> tuple[int, int, int, int]:
-        """(up, down, bit(e), dbl(e)): 2·rot(X, e) for 0/1 slots is
-        ((X << up) | (X >> down)) & full, since bit w·(m - e) - 1 of X is
-        clear; bit(e) is slot e and dbl(e) = bit(2e mod m)."""
-        w, m = self.w, self.m
-        return w * e + 1, w * (m - e) - 1, 1 << (w * e), 1 << (w * (2 * e % m))
+    def flip(self, S: int, e: int) -> tuple[int, int]:
+        """(S', rot(S + S', e)) for S' = S ^ bit(e): S with e toggled and
+        the change of its pair counts by the flip rule.  The searches'
+        hot loops inline these lines."""
+        S2 = S ^ (1 << (self.w * e))
+        return S2, self.rot(S + S2, e)
 
     def max_rep(self, X: int, guess: int) -> int:
         """The largest slot of X by "some slot > t" tests, stepping from

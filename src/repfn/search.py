@@ -1,9 +1,11 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
 Both paths keep their counters as slot-packed ints (profiles._Slots),
-updated and tested by whole-word arithmetic.  The exact path is a
-depth-first branch and bound over subsets of Z_m on three of them (members,
-representation counts and pairs of still-available elements), with a lazy
+tested by whole-word arithmetic and updated by one flip rule: toggling e
+in a 0/1 slot set S, S' = S ^ bit(e), changes S's ordered pair counts by
+rot(S + S', e).  The exact path is a depth-first branch and bound over
+subsets of Z_m on four of them (members, their representation counts,
+available elements and their pair counts), with a lazy
 coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
 differences.  Case U: some difference b - a in A is a unit u, and
 x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
@@ -87,14 +89,15 @@ class SearchOutcome:
 
 class _ExactSearch(_Slots):
     """DFS over subsets of Z_m in ascending element order, include branch
-    first, on three slot-packed ints: A (member indicator), R
-    (representation counts) and P (ordered pairs of available elements
-    summing to g; at the node for e these are the members, all below e, and
-    every x >= e).  Including e gives R + 2·rot(A, e) + dbl(e) and
-    excluding it P - 2·rot(A | above(e), e) - dbl(e), above(e) being the
-    slots x > e.  The DFS is one loop: a node whose exclude branch is still
-    to come waits on an explicit stack as (e, A, R, P), so undo is a pop
-    and no depth limit applies to m.
+    first, on four slot-packed ints: A (member indicator), R (its
+    representation counts), V (available indicator: at the node for e, the
+    members, all below e, and every x >= e) and P (ordered pairs of V
+    summing to g).  Both branches take the flip rule of _Slots: including e
+    gives A' = A ^ bit(e) and R + rot(A + A', e), excluding it gives
+    V' = V ^ bit(e) and P - rot(V + V', e).  steps[e] is the per-depth
+    table (w·e, w·(m - e), bit(e)), built once.  The DFS is one loop: a
+    node whose exclude branch is still to come waits on an explicit stack
+    as (e, A, R, P, V), so undo is a pop and no depth limit applies to m.
 
     The whole-word checks equal checks on the touched slots alone.  Every
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
@@ -111,8 +114,8 @@ class _ExactSearch(_Slots):
     and the include of e is barred when A & rot(Units, e) != 0, i.e. when
     e - a is a unit for some member a (units are closed under negation).  A
     barred e still takes the exclude branch, so P keeps its meaning.  Both
-    cases run through one _drain, whose per-e bar mask (the last entry of
-    steps[e]) is 0 in case U."""
+    cases run through one _drain, given the unit indicator in case N and 0
+    in case U."""
 
     # The type of the DFS stack; a test swaps in a list whose append checks
     # the counters of every node pushed.
@@ -122,11 +125,9 @@ class _ExactSearch(_Slots):
         # No count exceeds m, and the largest threshold is the cap r.
         super().__init__(m, max(m, r))
         self.node_budget = node_budget
-        w, ones = self.w, self.ones
-        self.cap_add = self.cover_add - ones * r
-        self.steps = [
-            self.step(e) + (ones >> (w * (e + 1)) << (w * (e + 1)), 0) for e in range(m)
-        ]
+        w = self.w
+        self.cap_add = self.cover_add - self.ones * r
+        self.steps = [(w * e, w * (m - e), 1 << (w * e)) for e in range(m)]
         self.nodes = 0
         self.case_nodes = [0, 0]
         self.barred = 0
@@ -136,30 +137,29 @@ class _ExactSearch(_Slots):
     def run(self) -> bool | None:
         """Case U, then case N: True as soon as either finds a basis, False
         once both are drained, None when the node budget runs out first."""
-        m = self.m
-        P = m * self.ones
+        m, w, V = self.m, self.w, self.ones
+        P = m * V
         if m > 1:
             # The forced include of 1 into A = {0} takes the max_rep test.
-            _, _, bit, dbl = self.step(1)
-            R = 1 + 2 * bit + dbl
+            A, D = self.flip(1, 1)
+            R = 1 + D
             if (R + self.cap_add) & self.top:
                 self.prunes["max_rep"] += 1
             else:
-                found = self._drain(2, 1 | bit, R, P)
+                found = self._drain(2, A, R, P, V, 0)
                 self.case_nodes[0] = self.nodes
                 if found is not False:
                     return found
-        w = self.w
         units = sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
-        self.steps = [s[:5] + (self.rot(units, e),) for e, s in enumerate(self.steps)]
         start = self.nodes
-        found = self._drain(1, 1, 1, P)
+        found = self._drain(1, 1, 1, P, V, units)
         self.case_nodes[1] = self.nodes - start
         return found
 
-    def _drain(self, e: int, A: int, R: int, P: int) -> bool | None:
-        """The DFS from the node (e, A, R, P): True at a basis, whose members
-        become the witness, False once drained, None past the node budget.
+    def _drain(self, e: int, A: int, R: int, P: int, V: int, units: int) -> bool | None:
+        """The DFS from the node (e, A, R, P, V): True at a basis, whose
+        members become the witness, False once drained, None past the node
+        budget.  An include of e is barred when A & rot(units, e) != 0.
         The counters live in locals and are written back once, at the end."""
         m, steps, full, top = self.m, self.steps, self.full, self.top
         cover_add, cap_add = self.cover_add, self.cap_add
@@ -181,26 +181,31 @@ class _ExactSearch(_Slots):
                 # Include branch first; the exclude branch waits on the
                 # stack.  In case N, e is barred if it has a unit difference
                 # to a member.
-                push((e, A, R, P))
-                up, down, bit, dbl, _, bar = steps[e]
-                if A & bar:
+                push((e, A, R, P, V))
+                we, wme, bit = steps[e]
+                # Every member is below e, so of rot(units, e) only the
+                # slots that wrap past m can meet A; units is 0 in case U.
+                if units and A & (units >> wme):
                     barred += 1
                 else:
-                    R2 = R + (((A << up) | (A >> down)) & full) + dbl
+                    A2 = A ^ bit
+                    T = A + A2
+                    R2 = R + (((T << we) | (T >> wme)) & full)
                     if (R2 + cap_add) & top:
                         max_rep += 1
                     else:
-                        e, A, R = e + 1, A | bit, R2
+                        e, A, R = e + 1, A2, R2
                         continue
             # Take the exclude branch of the deepest waiting node that
             # passes the coverage test; none left means drained.
             while stack:
-                e, A, R, P = pop()
-                up, down, _, dbl, above, _ = steps[e]
-                X = A | above
-                P2 = P - (((X << up) | (X >> down)) & full) - dbl
+                e, A, R, P, V = pop()
+                we, wme, bit = steps[e]
+                V2 = V ^ bit
+                T = V + V2
+                P2 = P - (((T << we) | (T >> wme)) & full)
                 if ((P2 | R) + cover_add) & top == top:
-                    e, P = e + 1, P2
+                    e, P, V = e + 1, P2, V2
                     break
                 coverage += 1
             else:
@@ -347,8 +352,9 @@ class _LocalSearch(_Slots):
     replaces them and updates the member list, so a rejected move changes
     nothing.  Elements are drawn by getrandbits exactly as CPython's
     rng.choice and rng.randrange draw them, so the call sequence is theirs.
-    The shift constants of each e are made per move, since a table of them
-    for every e of a large m costs more memory than the moves save.  Each
+    Both the take and the put of a move are the flip rule of _Slots, with
+    bit(e) and the shifts made per move, since a table of them for every e
+    of a large m costs more memory than the moves save.  Each
     objective term is a whole-word test or count, and the terms past
     uncovered are taken only for moves that leave no more elements
     uncovered than the current objective."""
@@ -361,20 +367,6 @@ class _LocalSearch(_Slots):
         self.A = self.R = 0
         self.members: list[int] = []
         self.best: tuple[tuple[int, int, int, int], tuple[int, ...]] | None = None
-
-    def add(self, e: int) -> None:
-        up, down, bit, dbl = self.step(e)
-        A = self.A
-        self.R += (((A << up) | (A >> down)) & self.full) + dbl
-        self.A = A | bit
-        insort(self.members, e)
-
-    def remove(self, e: int) -> None:
-        members = self.members
-        del members[bisect_left(members, e)]
-        up, down, bit, dbl = self.step(e)
-        A = self.A = self.A ^ bit
-        self.R -= (((A << up) | (A >> down)) & self.full) + dbl
 
     def _excess(self, R: int) -> int:
         """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
@@ -399,10 +391,11 @@ class _LocalSearch(_Slots):
         if base is None:
             size = max(1, min(self.m, ceil_sqrt(2 * self.m)))
             base = rng.sample(range(self.m), size)
-        self.A = self.R = 0
-        self.members = []
+        A = R = 0
         for e in base:
-            self.add(e)
+            A, D = self.flip(A, e)
+            R += D
+        self.A, self.R, self.members = A, R, sorted(base)
         obj = self._objective(self.zeros(self.R), 0)
         self._record(obj)
         return obj
@@ -452,10 +445,11 @@ class _LocalSearch(_Slots):
                 while i >= card:
                     i = getrandbits(k)
                 out_e = members[i]
-                # remove out_e: R2 -= 2·rot(A2, out_e) + dbl(out_e)
-                up = w * out_e + 1
-                A2 = A ^ (1 << (up - 1))
-                R2 = R - (((A2 << up) | (A2 >> (wm - up))) & full) - (1 << (w * (2 * out_e % m)))
+                # The flip rule, inlined: take out_e out of A2.
+                we = w * out_e
+                A1, A2 = A2, A2 ^ (1 << we)
+                T = A1 + A2
+                R2 -= ((T << we) | (T >> (wm - we))) & full
                 card2 -= 1
             if put:
                 while True:
@@ -464,10 +458,11 @@ class _LocalSearch(_Slots):
                         in_e = getrandbits(km)
                     if not flags[in_e]:
                         break
-                # add in_e: R2 += 2·rot(A2, in_e) + dbl(in_e)
-                up = w * in_e + 1
-                R2 += (((A2 << up) | (A2 >> (wm - up))) & full) + (1 << (w * (2 * in_e % m)))
-                A2 |= 1 << (up - 1)
+                # The flip rule, inlined: put in_e into A2.
+                we = w * in_e
+                A1, A2 = A2, A2 ^ (1 << we)
+                T = A1 + A2
+                R2 += ((T << we) | (T >> (wm - we))) & full
                 card2 += 1
             uncovered = m - ((R2 + cover_add) & top).bit_count()
             if uncovered > cur[0]:

@@ -501,6 +501,29 @@ class TestSlots:
                 assert slots.max_rep(X, guess) == max(counts)
             assert slots.zeros(X) == counts.count(0)
 
+    def test_flip_matches_the_difference_of_two_profiles(self):
+        # flip(S, e) = (S', rot(S + S', e)) with S' = S ^ bit(e); the second
+        # part is the change of S's pair counts, added when e goes in and
+        # subtracted when it comes out.
+        rng = random.Random(24)
+        for _ in range(40):
+            m = rng.randint(1, 40)
+            group = Group.cyclic(m)
+            slots = profiles._Slots(m, m)
+            density = rng.random()
+            members = {x for x in range(m) if rng.random() < density}
+            S = sum(1 << (slots.w * x) for x in members)
+            before = rep_profile_naive(GroupSubset.from_elements(group, members)).counts
+            for e in range(m):
+                flipped = members ^ {e}
+                after = rep_profile_naive(GroupSubset.from_elements(group, flipped)).counts
+                S2, D = slots.flip(S, e)
+                assert slots.decode(S2) == tuple(int(x in flipped) for x in range(m))
+                sign = 1 if e in flipped else -1
+                assert slots.decode(D) == tuple(sign * (a - b) for a, b in zip(after, before))
+                # The way back takes the same change the other way.
+                assert slots.flip(S2, e) == (S, D)
+
 
 def test_verification_error_is_runtime_error():
     assert issubclass(VerificationError, RuntimeError)

@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -22,24 +23,26 @@ from ruzsa_oracle import FROZEN_MIN_CAP, brute
 class _CheckedStack(list):
     """The DFS stack with R and P of every node pushed decoded and compared
     with pair enumeration of the members, and of the members plus every
-    x >= e.  Every node with an element left to decide is pushed before its
-    include branch is tried."""
+    x >= e, and V with the indicator of that second set.  Every node with an
+    element left to decide is pushed before its include branch is tried."""
 
     def __init__(self, search):
         super().__init__()
         self.search = search
 
     def append(self, node):
-        e, A, R, P = node
+        e, A, R, P, V = node
         s = self.search
         s.checked += 1
         members = [x for x, a in enumerate(s.decode(A)) if a]
+        available = [*members, *range(e, s.m)]
         group = Group.cyclic(s.m)
         expected = tuple(
             rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
-            for elems in (members, [*members, *range(e, s.m)])
+            for elems in (members, available)
         )
-        if (s.decode(R), s.decode(P)) != expected:
+        indicator = tuple(int(x in available) for x in range(s.m))
+        if (s.decode(R), s.decode(P), s.decode(V)) != (*expected, indicator):
             raise VerificationError("incremental counters diverged from the profile")
         super().append(node)
 
@@ -56,13 +59,14 @@ class _CheckedSearch(search._ExactSearch):
 
 
 class _CorruptedSearch(_CheckedSearch):
-    """The checked search with dbl(2) one too high: including or excluding
-    2 puts a count at 0 one off."""
+    """The checked search with bit(2) doubled in its table: including 2
+    sets slot 2 of A to 2, so the flip rule adds 2 instead of 1 at 4 and
+    leaves every other count right."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        up, down, bit, dbl, above, bar = self.steps[2]
-        self.steps[2] = (up, down, bit, dbl + 1, above, bar)
+        we, wme, bit = self.steps[2]
+        self.steps[2] = (we, wme, 2 * bit)
 
 
 def checked_exact(m, r, cls=_CheckedSearch):
@@ -179,6 +183,18 @@ class TestExistsBasis:
             assert out.status is SearchStatus.EXHAUSTED, (m, r)
             assert out.nodes == budget + 1, (m, r)
             assert out.certificate is None
+
+    def test_table_memory_is_one_int_per_depth(self):
+        # The per-depth table holds one w·e-bit int per e; the four ints of
+        # up to w·m bits per e it once held peaked at 53.9 MiB here.
+        tracemalloc.start()
+        try:
+            out = exists_basis(4000, 3, node_budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status is SearchStatus.EXHAUSTED
+        assert peak < 20 * 2**20, peak
 
     def test_counter_check_hook_clean(self):
         # cross-check the incremental counters at every node pushed
@@ -347,23 +363,29 @@ class TestMakeCertificate:
 
 class TestCounts:
     def test_matches_naive_profile_under_random_add_remove(self):
-        # The heuristic's packed A and R and its objective terms, against
-        # the pair-enumeration profile after every add or remove.
+        # The heuristic's packed A and R, driven by _Slots.flip, and its
+        # objective terms, against the pair-enumeration profile after every
+        # flip; a restart seeded with the same set must build the same state.
         capped = uncapped = 0
         for seed in range(8):
             rng = random.Random(seed)
             m = rng.randint(1, 40)
             r = rng.randint(1, 6)
             counts = _LocalSearch(m, r, [None])
-            present: set[int] = set()
+            present: dict[int, None] = {}
+            A = R = 0
             for _ in range(80):
                 e = rng.randrange(m)
+                A, D = counts.flip(A, e)
                 if e in present:
-                    counts.remove(e)
-                    present.discard(e)
+                    R -= D
+                    del present[e]
                 else:
-                    counts.add(e)
-                    present.add(e)
+                    R += D
+                    present[e] = None
+                counts.pool, counts.restarts = [tuple(present)], 0
+                counts._restart(rng)
+                assert (counts.A, counts.R) == (A, R), (seed, sorted(present))
                 subset = GroupSubset.from_elements(Group.cyclic(m), present)
                 expected = rep_profile_naive(subset).counts
                 assert counts.decode(counts.R) == expected, (seed, sorted(present))
