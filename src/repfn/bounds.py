@@ -273,35 +273,51 @@ def check_chain_bounds(
 # -- randomized property harness -------------------------------------------
 
 
+# Draws per getrandbits call in random_subset: CPython caps its bit count at 2^31 - 1.
+_DRAW_BLOCK = 1 << 20
+
+
 def random_subset(seed: int, group: Group, density: Fraction | float) -> GroupSubset:
     """Independent Bernoulli(density) inclusion per element index.
 
     Driven by random.Random(seed) (Mersenne Twister): index g is included iff
     the g-th draw of getrandbits(64) falls below floor(density * 2^64).  The
     same seed on the same build reproduces the same set exactly.  The draws
-    are taken as one getrandbits(64 * order), whose little-endian 64-bit
-    words are those draws in turn.
+    are taken in blocks, one getrandbits(64 * block) each, whose little-endian
+    64-bit words are those draws in turn: whole words continue one stream.
     """
     frac = Fraction(density)
     if not 0 < frac < 1:
         raise ValueError("density must lie strictly inside (0, 1)")
-    threshold = (frac.numerator << 64) // frac.denominator
-    n = group.order
-    draws = np.frombuffer(random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little"), "<u8")
-    return GroupSubset._from_indices(group, np.flatnonzero(draws < np.uint64(threshold)))
+    threshold = np.uint64((frac.numerator << 64) // frac.denominator)
+    getrandbits, n = random.Random(seed).getrandbits, group.order
+    hit = np.empty(n, dtype=bool)
+    for lo in range(0, n, _DRAW_BLOCK):
+        k = min(_DRAW_BLOCK, n - lo)
+        draws = np.frombuffer(getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+        hit[lo : lo + k] = draws < threshold
+    return GroupSubset._from_indices(group, hit)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n, k >= 1, set one bit at a time from the top."""
+    x = 0
+    for b in range(n.bit_length() // k, -1, -1):
+        if (x | 1 << b) ** k <= n:
+            x |= 1 << b
+    return x
 
 
 def random_group(rng: random.Random, max_order: int) -> Group:
     """A random group of order in [2, max_order]; mostly cyclic, sometimes a
-    product of two or three factors (order-1 factors allowed inside products)."""
+    product of k = two or three factors (order-1 factors allowed inside
+    products), each of order at most floor(max_order^(1/k))."""
     if max_order < 2:
         raise ValueError("max_order must be at least 2")
     k = rng.choice((1, 1, 1, 2, 2, 3))
     while 2**k > max_order:
         k -= 1
-    bound = 2
-    while (bound + 1) ** k <= max_order:
-        bound += 1
+    bound = _iroot(max_order, k)
     orders = [rng.randint(1, bound) for _ in range(k)]
     group = Group(tuple(orders))
     if group.order < 2:

@@ -32,7 +32,7 @@ from typing import Any
 from . import __version__
 from .bounds import SUITE_NAMES, run_verification_suite
 from .constructions import half_period_doubling, shift_family_report, shifted_doubling, sidon_set
-from .groups import VerificationError, parse_subset
+from .groups import VerificationError, parse_subset, read_subset
 from .profiles import rep_diff_profile, rep_profile
 from .search import (
     DEFAULT_MOVES,
@@ -249,15 +249,12 @@ def _emit(body: dict | str, out_path: str) -> None:
 
 
 def _load_subset(path: str):
-    """The set in the file at path, or on stdin for '-'.  Both are read as
-    bytes and decoded as strict UTF-8, so the locale never decides."""
+    """The set in the file at path by read_subset, or on stdin for '-',
+    read as bytes and decoded as strict UTF-8 in the same way."""
     try:
         if path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        return parse_subset(data.decode("utf-8"))
+            return parse_subset(sys.stdin.buffer.read().decode("utf-8"))
+        return read_subset(path)
     except OSError as exc:
         raise _InputError(str(exc)) from exc
     except UnicodeDecodeError as exc:

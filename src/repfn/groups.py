@@ -141,7 +141,7 @@ class GroupSubset:
 
     @classmethod
     def _from_indices(cls, group: Group, idx) -> "GroupSubset":
-        """The subset of flat indices already checked to lie in the group."""
+        """The subset of flat indices idx (index or boolean array) checked to lie in the group."""
         try:
             mask = np.zeros(group.order, dtype=np.uint8)
         except (MemoryError, ValueError) as exc:
@@ -307,5 +307,6 @@ def parse_subset(text: str) -> GroupSubset:
 
 
 def read_subset(path: str) -> GroupSubset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_subset(fh.read())
+    """The set in the file at path, decoded as strict UTF-8 whatever the locale."""
+    with open(path, "rb") as fh:
+        return parse_subset(fh.read().decode("utf-8"))

@@ -13,9 +13,9 @@ spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is a seeded local search on two (members and representation
-counts), run `threads` times in turn, as one loop in which a rejected move
-leaves the state alone and every element is drawn from getrandbits; it only
-ever claims verified upper bounds.  Every SAT or heuristic result carries a
+counts), run `threads` times in turn, each run one loop that holds them in
+locals alone; a rejected move leaves them as they are and every element is
+drawn from getrandbits.  It only ever claims verified upper bounds.  Every SAT or heuristic result carries a
 certificate re-checked through the pair-enumeration profile, never through
 the search's own counters.  No clock enters a search: each outcome is a
 function of its arguments alone, and work is counted in nodes or moves.
@@ -342,31 +342,29 @@ class _LocalSearch(_Slots):
     """Hill-climb with sideways moves and periodic restarts over the
     lexicographic objective (uncovered, max count, excess over r, |A|).
     Each run() is one stream of moves from its own rng, starting over at
-    the first restart seed; best is the first find of the least objective
-    over every run so far.
+    the first restart seed.  best, the only state that outlives a run, is
+    the first find of the least objective over every run so far.  It starts
+    as the full group, whose objective (R(g) = m at every g) no other set
+    has, so a find replaces it iff its objective is less.
 
-    The state is two slot-packed ints, A (member indicator) and R
-    (representation counts), plus the sorted member list that out-moves
-    draw from.  run() is one loop with that state in locals: a move builds
-    the candidate A and R from the current ones, and only an accepted move
-    replaces them and updates the member list, so a rejected move changes
-    nothing.  Elements are drawn by getrandbits exactly as CPython's
-    rng.choice and rng.randrange draw them, so the call sequence is theirs.
-    Both the take and the put of a move are the flip rule of _Slots, with
-    bit(e) and the shifts made per move, since a table of them for every e
-    of a large m costs more memory than the moves save.  Each
-    objective term is a whole-word test or count, and the terms past
-    uncovered are taken only for moves that leave no more elements
+    The move state, two slot-packed ints A (member indicator) and R
+    (representation counts) plus the sorted member list that out-moves draw
+    from, lives in locals of run() and is never written back: a restart
+    builds it from its seed, and only an accepted move replaces it, so a
+    rejected move changes nothing.  Elements are drawn by getrandbits
+    exactly as CPython's rng.choice and rng.randrange draw them, so the
+    call sequence is theirs.  Both the take and the put of a move are the
+    flip rule of _Slots, with bit(e) and the shifts made per move, since a
+    table of them for every e of a large m costs more memory than the moves
+    save.  Each objective term is a whole-word test or count, and the terms
+    past uncovered are taken only for moves that leave no more elements
     uncovered than the current objective."""
 
     def __init__(self, m: int, r: int, pool: list[tuple[int, ...] | None]):
         super().__init__(m, max(m, r))
         self.r = r
         self.pool = pool
-        self.restarts = 0
-        self.A = self.R = 0
-        self.members: list[int] = []
-        self.best: tuple[tuple[int, int, int, int], tuple[int, ...]] | None = None
+        self.best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
 
     def _excess(self, R: int) -> int:
         """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
@@ -378,51 +376,32 @@ class _LocalSearch(_Slots):
         Y &= hit - (hit >> (w - 1))
         return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
 
-    def _objective(self, uncovered: int, guess: int) -> tuple[int, int, int, int]:
-        # One move changes each slot by at most 2, so the previous max is a
-        # near guess.
-        R = self.R
-        peak = self.max_rep(R, guess)
-        return (uncovered, peak, self._excess(R) if peak > self.r else 0, len(self.members))
-
-    def _restart(self, rng: random.Random) -> tuple[int, int, int, int]:
-        base = self.pool[self.restarts % len(self.pool)]
-        self.restarts += 1
-        if base is None:
-            size = max(1, min(self.m, ceil_sqrt(2 * self.m)))
-            base = rng.sample(range(self.m), size)
-        A = R = 0
-        for e in base:
-            A, D = self.flip(A, e)
-            R += D
-        self.A, self.R, self.members = A, R, sorted(base)
-        obj = self._objective(self.zeros(self.R), 0)
-        self._record(obj)
-        return obj
-
-    def _record(self, obj: tuple[int, int, int, int]) -> None:
-        if obj[0] == 0 and (self.best is None or obj < self.best[0]):
-            self.best = (obj, tuple(self.members))
-
     def run(self, moves: int, rng: random.Random) -> None:
-        """moves moves from rng.  A, R and the member flags live in locals;
-        the member list is self.members itself, changed in place.  A and R
-        are written back at the end; a restart rebuilds all three from its
-        seed, so nothing needs writing back before it."""
+        """moves moves from rng, a restart every _RESTART_EVERY of them."""
         m, r, w, full, top, cover_add = self.m, self.r, self.w, self.full, self.top, self.cover_add
         wm, km = w * m, m.bit_length()
-        max_rep, excess = self.max_rep, self._excess
+        pool, size = self.pool, max(1, min(m, ceil_sqrt(2 * m)))
+        flip, max_rep, excess = self.flip, self.max_rep, self._excess
         random_, getrandbits = rng.random, rng.getrandbits
-        self.restarts = 0
-        A, R = self.A, self.R
+        best = self.best
         for step in range(moves):
             if step % _RESTART_EVERY == 0:
-                cur = self._restart(rng)
-                A, R, members = self.A, self.R, self.members
-                card = len(members)
+                base = pool[step // _RESTART_EVERY % len(pool)]
+                if base is None:
+                    base = rng.sample(range(m), size)
+                A = R = 0
                 flags = bytearray(m)
-                for e in members:
+                for e in base:
+                    A, D = flip(A, e)
+                    R += D
                     flags[e] = 1
+                members = sorted(base)
+                card = len(members)
+                peak = max_rep(R, 0)
+                cur = (m - ((R + cover_add) & top).bit_count(), peak,
+                       excess(R) if peak > r else 0, card)
+                if cur < best[0]:
+                    best = (cur, tuple(members))
             roll = random_()
             # A swap takes out_e out and puts in_e in; add and remove do
             # one each.
@@ -467,6 +446,8 @@ class _LocalSearch(_Slots):
             uncovered = m - ((R2 + cover_add) & top).bit_count()
             if uncovered > cur[0]:
                 continue
+            # One move changes each slot by at most 2, so the current max
+            # is a near guess.
             peak = max_rep(R2, cur[1])
             cand = (uncovered, peak, excess(R2) if peak > r else 0, card2)
             if cand > cur:
@@ -478,8 +459,9 @@ class _LocalSearch(_Slots):
             if put:
                 insort(members, in_e)
                 flags[in_e] = 1
-            self._record(cur)
-        self.A, self.R = A, R
+            if cur < best[0]:
+                best = (cur, tuple(members))
+        self.best = best
 
 
 def heuristic_upper_bound(
@@ -509,12 +491,7 @@ def heuristic_upper_bound(
     search = _LocalSearch(m, r, pool)
     for w in range(threads):
         search.run(moves, random.Random(f"{seed}/{w}"))
-    # The full group has R(g) = m at every g, so its objective is closed form.
-    full_obj = (0, m, m * max(0, m - r), m)
-    if search.best is not None and search.best[0] <= full_obj:
-        obj, elements = search.best
-    else:
-        obj, elements = full_obj, tuple(range(m))
+    obj, elements = search.best
     cert = make_certificate(m, elements, obj[1])
     if not cert.verified:
         raise VerificationError("heuristic winner failed the independent re-check")

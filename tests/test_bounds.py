@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from repfn import bounds
 from repfn.bounds import (
     CheckStatus,
     ClaimId,
@@ -265,6 +266,18 @@ class TestRandomSubset:
             want = [x for x in range(g.order) if draw(64) < threshold]
             assert random_subset(seed, g, density).elements() == want, (g.orders, density)
 
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_blocks_continue_one_draw(self, monkeypatch, block):
+        # Drawn a block at a time, the words are those of one
+        # getrandbits(64 * order), whatever the block size.
+        for seed, orders in [(0, (1,)), (4, (63,)), (9, (64,)), (2, (5, 13)), (6, (200,))]:
+            g = Group(orders)
+            n = g.order
+            whole = random.Random(seed).getrandbits(64 * n)
+            want = [x for x in range(n) if (whole >> (64 * x)) & ((1 << 64) - 1) < 1 << 62]
+            monkeypatch.setattr(bounds, "_DRAW_BLOCK", block)
+            assert random_subset(seed, g, Fraction(1, 4)).elements() == want, (seed, orders)
+
     def test_density_validated(self):
         g = Group.cyclic(8)
         for bad in (0, 1, Fraction(3, 2), -0.25):
@@ -297,6 +310,28 @@ class TestRandomGroup:
         rng = random.Random(2)
         shapes = {len(random_group(rng, 128).orders) for _ in range(200)}
         assert {1, 2, 3} <= shapes
+
+    def test_factor_bound_is_the_exact_root(self):
+        # Each of k factors has order at most floor(max_order^(1/k)); at
+        # 10^18 a count up to the cyclic bound would not finish.
+        n = 10**18
+        for k, root in [(1, n), (2, 10**9), (3, 10**6)]:
+            assert bounds._iroot(n, k) == root
+            for m in (n - 1, n + 1):
+                x = bounds._iroot(m, k)
+                assert x**k <= m < (x + 1) ** k, (m, k)
+        for m in range(1, 300):
+            for k in (1, 2, 3):
+                x = bounds._iroot(m, k)
+                assert x**k <= m < (x + 1) ** k, (m, k)
+        rng = random.Random(4)
+        shapes = set()
+        for _ in range(60):
+            g = random_group(rng, n)
+            assert 2 <= g.order <= n
+            assert max(g.orders) <= bounds._iroot(n, len(g.orders))
+            shapes.add(len(g.orders))
+        assert shapes == {1, 2, 3}
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):

@@ -316,3 +316,12 @@ class TestSetFiles:
         path = tmp_path / "set.json"
         path.write_text('{"orders": [6], "elements": [0, 3]}')
         assert read_subset(str(path)).elements() == [0, 3]
+
+    def test_read_subset_is_strict_utf8(self, tmp_path):
+        # The file is decoded as strict UTF-8 whatever the locale.
+        path = tmp_path / "set.txt"
+        path.write_bytes(b"orders 7\r\n1\r\n3\n")
+        assert read_subset(str(path)).elements() == [1, 3]
+        path.write_bytes(b"orders 7\n1\n\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            read_subset(str(path))

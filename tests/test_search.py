@@ -365,39 +365,34 @@ class TestCounts:
     def test_matches_naive_profile_under_random_add_remove(self):
         # The heuristic's packed A and R, driven by _Slots.flip, and its
         # objective terms, against the pair-enumeration profile after every
-        # flip; a restart seeded with the same set must build the same state.
+        # flip.
         capped = uncapped = 0
         for seed in range(8):
             rng = random.Random(seed)
             m = rng.randint(1, 40)
             r = rng.randint(1, 6)
             counts = _LocalSearch(m, r, [None])
-            present: dict[int, None] = {}
+            # The full group, whose slots all hold m, reaches the top bit plane.
+            assert counts._excess(counts.ones * m) == m * max(0, m - r)
+            present: set[int] = set()
             A = R = 0
             for _ in range(80):
                 e = rng.randrange(m)
                 A, D = counts.flip(A, e)
                 if e in present:
                     R -= D
-                    del present[e]
+                    present.remove(e)
                 else:
                     R += D
-                    present[e] = None
-                counts.pool, counts.restarts = [tuple(present)], 0
-                counts._restart(rng)
-                assert (counts.A, counts.R) == (A, R), (seed, sorted(present))
+                    present.add(e)
                 subset = GroupSubset.from_elements(Group.cyclic(m), present)
                 expected = rep_profile_naive(subset).counts
-                assert counts.decode(counts.R) == expected, (seed, sorted(present))
-                uncovered = sum(1 for c in expected if c == 0)
-                assert counts.zeros(counts.R) == uncovered
-                excess = sum(c - r for c in expected if c > r)
+                assert counts.decode(R) == expected, (seed, sorted(present))
+                assert counts.zeros(R) == sum(1 for c in expected if c == 0)
                 for guess in (0, max(expected), m):
-                    assert counts._objective(uncovered, guess) == (
-                        uncovered, max(expected), excess, len(present)
-                    ), (seed, sorted(present), guess)
-                assert counts.members == sorted(present)
-                assert counts.decode(counts.A) == tuple(int(g in present) for g in range(m))
+                    assert counts.max_rep(R, guess) == max(expected), (seed, guess)
+                assert counts._excess(R) == sum(c - r for c in expected if c > r)
+                assert counts.decode(A) == tuple(int(g in present) for g in range(m))
                 capped += max(expected) <= r
                 uncapped += max(expected) > r
         assert capped and uncapped
@@ -482,18 +477,18 @@ class TestHeuristic:
         assert out.certificate.verified
         assert out.nodes == kw["moves"] * kw.get("threads", 1)
 
-    def test_run_writes_back_a_consistent_state(self):
-        # After run() the packed A, the member list and the packed R agree
-        # with each other and with the pair-enumeration profile.
-        for m, r, seed in [(30, 4, 0), (57, 57, 1), (100, 8, 2), (240, 12, 3)]:
+    def test_best_objective_matches_its_members(self):
+        # After two runs the recorded objective is the one pair enumeration
+        # gives for the recorded members.
+        for m, r, seed in [(30, 4, 0), (57, 57, 1), (100, 8, 2), (240, 12, 3), (120, 6, 4)]:
             local = _LocalSearch(m, r, search._seed_pool(m))
-            local.run(1000, random.Random(seed))
-            members = local.members
-            assert members == sorted(members), (m, r, seed)
-            present = set(members)
-            assert local.decode(local.A) == tuple(int(g in present) for g in range(m))
-            subset = GroupSubset.from_elements(Group.cyclic(m), members)
-            assert local.decode(local.R) == rep_profile_naive(subset).counts, (m, r, seed)
+            for w in range(2):
+                local.run(1000, random.Random(f"{seed}/{w}"))
+            obj, members = local.best
+            assert list(members) == sorted(set(members)) and len(members) < m, (m, r, seed)
+            counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
+            excess = sum(c - r for c in counts if c > r)
+            assert obj == (counts.count(0), max(counts), excess, len(members)), (m, r, seed)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 240, 993, 2000, 4097])
     def test_draws_match_choice_and_randrange(self, n):
