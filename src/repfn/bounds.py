@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constructions import half_period_doubling, shifted_doubling, sidon_set
-from .groups import Group, GroupSubset
+from .groups import Group, GroupSubset, _group_zeros
 from .profiles import RepProfile, RepSpectrum, rep_profile
 
 
@@ -291,7 +291,7 @@ def random_subset(seed: int, group: Group, density: Fraction | float) -> GroupSu
         raise ValueError("density must lie strictly inside (0, 1)")
     threshold = np.uint64((frac.numerator << 64) // frac.denominator)
     getrandbits, n = random.Random(seed).getrandbits, group.order
-    hit = np.empty(n, dtype=bool)
+    hit = _group_zeros(group, bool)
     for lo in range(0, n, _DRAW_BLOCK):
         k = min(_DRAW_BLOCK, n - lo)
         draws = np.frombuffer(getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")

@@ -29,6 +29,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .bounds import SUITE_NAMES, run_verification_suite
 from .constructions import half_period_doubling, shift_family_report, shifted_doubling, sidon_set
@@ -124,12 +126,24 @@ def build_parser() -> _Parser:
 # -- serialization helpers ---------------------------------------------------
 
 
+def _int_array_text(arr: np.ndarray, sep: str) -> str:
+    """The values of a non-empty 1-D integer array in decimal, joined by sep."""
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo < arr.size:
+        # Few distinct values, as in a profile's counts: index a table of
+        # the texts of lo..hi, no longer than the array.
+        table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+        return sep.join(table[arr - lo].tolist())
+    return repr(arr.tolist())[1:-1].replace(", ", sep)
+
+
 def _json_text(value: Any) -> str:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, in one
-    pass, except that a Fraction is written as {"den", "num"} and an Enum as
-    its value.  A dict key that is not a str is refused, and so is any value
-    that is not a str, int, bool, None, list, tuple, dict, Fraction or Enum,
-    floats included.
+    pass, except that a Fraction is written as {"den", "num"}, an Enum as
+    its value and a 1-D integer ndarray as the list of its values.  A dict
+    key that is not a str is refused, and so is any value that is not a str,
+    int, bool, None, list, tuple, dict, Fraction, Enum or 1-D integer
+    ndarray, floats and float arrays included.
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
@@ -208,6 +222,16 @@ def _json_text(value: Any) -> str:
                  + '"num": ' + int_text(value.numerator) + pad + "}")
         elif isinstance(value, Enum):
             encode(value.value, pad)
+        elif t is np.ndarray:
+            if value.ndim != 1 or value.dtype.kind not in "iu":
+                raise TypeError(
+                    f"refusing inexact serialization of a {value.ndim}-D {value.dtype} array"
+                )
+            if not value.size:
+                emit("[]")
+                return
+            inner = pad + "  "
+            emit("[" + inner + _int_array_text(value, "," + inner) + pad + "]")
         elif isinstance(value, str):
             emit(quote(value))
         elif isinstance(value, int):
@@ -355,7 +379,7 @@ def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     body = {
         "orders": list(subset.group.orders),
         "card": subset.card,
-        "counts": list(profile.counts),
+        "counts": profile.array,
     }
     return body, EX_OK
 

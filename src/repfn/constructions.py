@@ -142,8 +142,8 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
     # With R_E packed into the slots of X, each shift's counts are the exact
     # int S = X + 2·rot(X, c) + rot(X, 2c), and no slot of S exceeds
     # 4·top_rep, the bound the slots are sized for.
-    base = rep_profile(even_part).counts
-    top_rep = max(base)
+    even = rep_profile(even_part)
+    base, top_rep = even.counts, even.max_rep
     slots = _Slots(m, 4 * top_rep)
     w, top = slots.w, slots.top
     top_even = (slots.full // ((1 << (2 * w)) - 1)) << (w - 1)

@@ -142,11 +142,7 @@ class GroupSubset:
     @classmethod
     def _from_indices(cls, group: Group, idx) -> "GroupSubset":
         """The subset of flat indices idx (index or boolean array) checked to lie in the group."""
-        try:
-            mask = np.zeros(group.order, dtype=np.uint8)
-        except (MemoryError, ValueError) as exc:
-            # numpy refuses an order of 2^63 or more with a ValueError.
-            raise MemoryError(f"a group of order {group.order} is too large to load") from exc
+        mask = _group_zeros(group, np.uint8)
         mask[idx] = 1
         return cls(group, _pack_mask(mask))
 
@@ -222,6 +218,16 @@ class GroupSubset:
         lines = ["orders " + " ".join(str(mi) for mi in self.group.orders)]
         lines.extend(str(e) for e in self.elements())
         return "\n".join(lines) + "\n"
+
+
+def _group_zeros(group: Group, dtype) -> np.ndarray:
+    """A zero array over the group's flat indices; MemoryError, naming the
+    order, where there is no room for it."""
+    try:
+        return np.zeros(group.order, dtype=dtype)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses an order of 2^63 or more with a ValueError.
+        raise MemoryError(f"a group of order {group.order} is too large to load") from exc
 
 
 def _unpack_mask(bits: int, order: int) -> np.ndarray:

@@ -37,6 +37,10 @@ The fast engine takes one of two routes.
   a check that they sum to |A| |B| catches any carry, and each axis is
   folded mod m_i.
 
+A RepProfile keeps the engine's exact int64 count array, read-only, beside
+the tuple of counts; its histogram (np.bincount), maximum and mass are read
+from the array, and the CLI writes the counts text from it.
+
 _Slots is the slot-packed layout of counts over Z_m in one Python int that
 the basis searches and the 11b shift scan update and test by whole-word
 arithmetic.  The searches update pair counts by its flip rule: toggling e
@@ -45,7 +49,6 @@ in a 0/1 slot set S changes them by rot(S + S', e), S' = S ^ bit(e).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -126,7 +129,7 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
                 sums = [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)]
                 flat = np.ravel_multi_index(sums, shape, mode="wrap")
                 counts += np.bincount(flat.ravel(), minlength=group.order)
-    return RepProfile(group, tuple(counts.tolist()))
+    return RepProfile._from_array(group, counts)
 
 
 def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
@@ -251,14 +254,14 @@ def _convolve_hadamard(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     2, where a + b is the XOR of flat indices.  The vectors are uint64 and
     wrap: every step is a ring operation, so each entry is exact modulo 2^64,
     and each final entry 2^k R(g) <= 2^k min(|A|, |B|) <= 2^(2k) is below
-    2^64 for k <= 31."""
+    2^64 for k <= 31.  The counts R(g) <= 2^31 are returned as int64."""
     n = a.group.order
     k = n.bit_length() - 1
     if k > _MAX_HADAMARD_RANK:
         raise UnsupportedGroupError(f"Z_2^{k} is past the Hadamard route's Z_2^31")
     fa = _hadamard(_unpack_mask(a.bits, n).astype(np.uint64))
     fb = fa if b == a else _hadamard(_unpack_mask(b.bits, n).astype(np.uint64))
-    return _hadamard(fa * fb) >> k
+    return (_hadamard(fa * fb) >> k).astype(np.int64)
 
 
 def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
@@ -269,7 +272,7 @@ def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfil
     if b.group != a.group:
         raise GroupMismatchError("profile of subsets of different groups")
     convolve = _convolve_hadamard if _is_elementary_two(a.group) else _convolve_packed
-    return RepProfile(a.group, tuple(convolve(a, b).tolist()))
+    return RepProfile._from_array(a.group, convolve(a, b))
 
 
 def rep_profile(
@@ -306,7 +309,14 @@ def rep_diff_profile(a: GroupSubset, *, cross_check: bool = False) -> "RepProfil
 
 @dataclass(frozen=True)
 class RepProfile:
-    """Exact counts R(g) for every flat index g of the group."""
+    """Exact counts R(g) for every flat index g of the group.
+
+    counts is the tuple of Python ints; array holds the same counts as a
+    read-only int64 numpy array.  A profile from an engine keeps the array
+    the engine computed; one built by hand from a tuple gets its array from
+    the tuple on first use.  Equality and hash compare (group, counts) only.
+    The histogram, max_rep and mass come from the array; the tuple gives
+    only the order of the histogram's keys."""
 
     group: Group
     counts: tuple[int, ...]
@@ -315,23 +325,53 @@ class RepProfile:
         if len(self.counts) != self.group.order:
             raise ValueError("profile length must equal the group order")
 
+    @classmethod
+    def _from_array(cls, group: Group, arr: np.ndarray) -> "RepProfile":
+        """The profile of an engine's exact int64 count array, which it
+        keeps as its read-only array."""
+        arr.setflags(write=False)
+        profile = cls(group, tuple(arr.tolist()))
+        profile.__dict__["array"] = arr  # fills the cached_property below
+        return profile
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        arr = np.array(self.counts, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
     def __getitem__(self, g: int) -> int:
         return self.counts[self.group.check_element(g)]
 
     @cached_property
     def max_rep(self) -> int:
-        return max(self.counts)
+        return int(self.array.max())
 
     def mass(self) -> int:
-        """Total count over the group; equals |A|*|B|."""
-        return sum(self.counts)
+        """Total count over the group; equals |A|*|B|.  The int64 sum is
+        exact: each count is at most min(|A|, |B|) <= order, so the mass is
+        at most order^2, below 2^63 for every order under 3 * 10^9."""
+        return int(self.array.sum())
 
     def level_set(self, i: int) -> list[int]:
         """All g with R(g) = i, ascending."""
-        return [g for g, c in enumerate(self.counts) if c == i]
+        return np.flatnonzero(self.array == i).tolist()
 
     def spectrum(self) -> "RepSpectrum":
-        return RepSpectrum(dict(Counter(self.counts)), self.max_rep)
+        """The histogram of the counts by np.bincount, keyed in the order
+        each count first occurs in counts."""
+        hist = np.bincount(self.array).tolist()
+        distinct = len(hist) - hist.count(0)
+        # First-seen order from prefixes of counts of doubling length, read
+        # until every count has shown: update keeps a key where it first
+        # went in, and the prefix read is 64 entries or under twice the
+        # shortest prefix that shows every count.
+        seen = dict.fromkeys(self.counts[:64])
+        lo = step = 64
+        while len(seen) < distinct:
+            seen.update(dict.fromkeys(self.counts[lo : lo + step]))
+            lo, step = lo + step, 2 * step
+        return RepSpectrum({i: hist[i] for i in seen}, len(hist) - 1)
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ def make_certificate(m: int, elements: Iterable[int], claimed_r: int) -> SearchC
     profile."""
     subset = GroupSubset.from_elements(Group.cyclic(m), elements)
     profile = rep_profile_naive(subset)
-    ok = all(c >= 1 for c in profile.counts) and profile.max_rep <= claimed_r
+    ok = int(profile.array.min()) >= 1 and profile.max_rep <= claimed_r
     return SearchCertificate(m, tuple(subset.elements()), claimed_r, ok)
 
 

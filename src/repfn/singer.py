@@ -237,6 +237,6 @@ def _build_singer_set(p: int) -> PerfectDifferenceSet:
     if subset.card != p + 1:
         raise VerificationError(f"expected {p + 1} elements, built {subset.card}")
     diff = rep_diff_profile(subset)
-    if diff.counts[0] != p + 1 or diff.counts[1:].count(1) != n - 1:
+    if diff[0] != p + 1 or diff.spectrum()[1] != n - 1:
         raise VerificationError("difference profile is not identically 1 off zero")
     return PerfectDifferenceSet(p, n, subset)

@@ -532,6 +532,17 @@ class TestErrorPaths:
             assert out == ""
             assert err == f"repfn: {line}\n"
 
+    def test_random_group_past_int64_exits_71(self, capsys):
+        # At this seed the one random trial draws a cyclic group of order
+        # past 2^63, which numpy refuses with a ValueError before it
+        # allocates anything.
+        argv = ["verify", "--trials", "1", "--max-m", str(2**64), "--seed", "4"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 71
+        assert out == ""
+        match = re.fullmatch(r"repfn: out of memory: a group of order (\d+) is too large to load\n", err)
+        assert match and 2**63 <= int(match[1]) <= 2**64
+
     def test_more_factors_than_numpy_dimensions(self, capsys, monkeypatch):
         # Seventy order-1 factors and Z_5: a group of order 5 whose orders
         # are echoed as given
@@ -667,6 +678,43 @@ class TestSerialization:
             {"a": {"b": [{key: 0}]}},
             [{str(key): 0}, {key: 0}],  # after the str key's text is kept for the call
         ):
+            with pytest.raises(TypeError):
+                _json_text(value)
+
+
+class TestIntArrays:
+    """A 1-D integer ndarray is written as the list of its values."""
+
+    ARRAYS = (
+        np.array([], dtype=np.int64),
+        np.array([5]),
+        np.array([0, 1, 2, 1, 0, 402]),
+        np.arange(1000) % 7,
+        np.arange(10)[::3],
+        np.array([-5, 3, -1, 0, -5]),
+        np.array([2**40, 3, 2**62, 2**40 + 1]),
+        np.array([-(2**63), 2**63 - 1, 0]),
+        np.array([], dtype=np.uint64),
+        np.array([7], dtype=np.uint64),
+        np.array([3, 1, 2, 1], dtype=np.uint64),
+        np.array([2**64 - 1, 0, 2**40], dtype=np.uint64),
+    )
+
+    @pytest.mark.parametrize("arr", ARRAYS, ids=range(len(ARRAYS)))
+    def test_matches_json_dumps_of_the_list(self, arr):
+        values = arr.tolist()
+        assert _json_text({"counts": arr}) == json.dumps({"counts": values}, indent=2)
+        assert _json_text([arr, "x", arr]) == json.dumps([values, "x", values], indent=2)
+
+    @pytest.mark.parametrize("bad", (
+        np.array([1.0, 2.0]),
+        np.array([True, False]),
+        np.array([1, 2], dtype=object),
+        np.arange(4).reshape(2, 2),
+        np.array(3),
+    ), ids=("float", "bool", "object", "2-D", "0-D"))
+    def test_refuses_other_arrays(self, bad):
+        for value in (bad, {"counts": bad}, [1, bad]):
             with pytest.raises(TypeError):
                 _json_text(value)
 

@@ -464,6 +464,56 @@ class TestSpectrum:
         assert sum(i * n for i, n in spec.histogram.items()) == 36
 
 
+class TestArrayPath:
+    """The histogram, max_rep, mass and level sets come from the profile's
+    int64 array; walks of the counts tuple are the reference."""
+
+    @staticmethod
+    def profiles():
+        rng = random.Random(26)
+        # Hand-built counts whose values first show past the first prefixes.
+        late = [0] * 5000
+        late[130], late[1000], late[4999] = 3, 1, 7
+        yield "hand-built", RepProfile(Group.cyclic(5000), tuple(late))
+        yield "hand-built small", RepProfile(Group((2, 3)), (2, 0, 5, 0, 2, 1))
+        for orders, engine in (
+            ((64,), rep_profile_naive),  # the lane-wise add
+            ((4, 8, 2), rep_profile_naive),
+            ((3, 7), rep_profile_naive),  # ravel with mode="wrap"
+            ((300,), rep_profile_naive),
+            ((3, 5, 4), rep_profile_fast),  # the packed product
+            ((257,), rep_profile_fast),
+            ((2,) * 7, rep_profile_fast),  # the Hadamard route
+        ):
+            g = Group(orders)
+            a = GroupSubset.from_elements(g, rng.sample(range(g.order), g.order // 3))
+            yield f"{engine.__name__} {orders}", engine(a)
+            yield f"{engine.__name__} {orders} empty", engine(GroupSubset.empty(g))
+            yield f"{engine.__name__} {orders} full", engine(GroupSubset.full(g))
+
+    def test_spectrum_max_mass_and_level_sets_match_the_tuple(self):
+        for label, prof in self.profiles():
+            want = Counter(prof.counts)
+            spec = prof.spectrum()
+            assert spec.histogram == want, label
+            assert list(spec.histogram) == list(want), label
+            assert spec.max_rep == prof.max_rep == max(prof.counts), label
+            assert prof.mass() == sum(prof.counts), label
+            for i in (0, 1, prof.max_rep, prof.max_rep + 1):
+                assert prof.level_set(i) == [g for g, c in enumerate(prof.counts) if c == i], label
+
+    def test_array_equals_counts_and_is_read_only(self):
+        for label, prof in self.profiles():
+            arr = prof.array
+            assert arr.dtype == np.int64, label
+            assert arr.tolist() == list(prof.counts), label
+            assert not arr.flags.writeable, label
+            with pytest.raises(ValueError):
+                arr[0] = 1
+            assert RepProfile(prof.group, prof.counts) == prof, label
+            assert hash(RepProfile(prof.group, prof.counts)) == hash(prof), label
+
+
 class TestRepProfileType:
     def test_length_validated(self):
         with pytest.raises(ValueError):
