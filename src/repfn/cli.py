@@ -375,7 +375,8 @@ def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
     profile = rep_diff_profile(subset, cross_check=args.cross_check)
     if args.format == "csv":
-        return "\n".join(f"{g},{c}" for g, c in enumerate(profile.counts)), EX_OK
+        rows = np.column_stack((np.arange(subset.group.order), profile.array))
+        return "%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()), EX_OK
     body = {
         "orders": list(subset.group.orders),
         "card": subset.card,

@@ -143,12 +143,12 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
     # int S = X + 2·rot(X, c) + rot(X, 2c), and no slot of S exceeds
     # 4·top_rep, the bound the slots are sized for.
     even = rep_profile(even_part)
-    base, top_rep = even.counts, even.max_rep
+    top_rep = even.max_rep
     slots = _Slots(m, 4 * top_rep)
     w, top = slots.w, slots.top
     top_even = (slots.full // ((1 << (2 * w)) - 1)) << (w - 1)
     top_odd = top ^ top_even
-    X = sum(c << (w * g) for g, c in enumerate(base) if c)
+    X = sum(c << (w * g) for g, c in enumerate(even.array.tolist()) if c)
 
     stats = []
     for l in range(n):
@@ -178,8 +178,8 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
         raise VerificationError("best shift must leave fewer than 3m/8 uncovered")
     best_set = _shift_union(pds, even_part, best.l)
     winner = rep_profile_naive(best_set)
-    counts = winner.counts
-    if (counts[1::2].count(0), counts[0::2].count(0), winner.max_rep) != (
+    zero = winner.array == 0
+    if (int(zero[1::2].sum()), int(zero[0::2].sum()), winner.max_rep) != (
         best.x_odd, best.x_even, best.max_rep
     ):
         raise VerificationError("pair enumeration of the best shift disagrees with the scan")

@@ -37,9 +37,8 @@ The fast engine takes one of two routes.
   a check that they sum to |A| |B| catches any carry, and each axis is
   folded mod m_i.
 
-A RepProfile keeps the engine's exact int64 count array, read-only, beside
-the tuple of counts; its histogram (np.bincount), maximum and mass are read
-from the array, and the CLI writes the counts text from it.
+A RepProfile stores its counts once, as the engine's read-only int64 array,
+which every reader uses; the tuple counts is made only when it is asked for.
 
 _Slots is the slot-packed layout of counts over Z_m in one Python int that
 the basis searches and the 11b shift scan update and test by whole-word
@@ -129,7 +128,7 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
                 sums = [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)]
                 flat = np.ravel_multi_index(sums, shape, mode="wrap")
                 counts += np.bincount(flat.ravel(), minlength=group.order)
-    return RepProfile._from_array(group, counts)
+    return RepProfile(group, counts)
 
 
 def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
@@ -272,7 +271,7 @@ def rep_profile_fast(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfil
     if b.group != a.group:
         raise GroupMismatchError("profile of subsets of different groups")
     convolve = _convolve_hadamard if _is_elementary_two(a.group) else _convolve_packed
-    return RepProfile._from_array(a.group, convolve(a, b))
+    return RepProfile(a.group, convolve(a, b))
 
 
 def rep_profile(
@@ -297,7 +296,7 @@ def rep_profile(
     else:
         engine, other = rep_profile_fast, rep_profile_naive
     profile = engine(a, b)
-    if cross_check and other(a, b).counts != profile.counts:
+    if cross_check and other(a, b) != profile:
         raise VerificationError("pair enumeration and the fast engine disagree")
     return profile
 
@@ -307,41 +306,43 @@ def rep_diff_profile(a: GroupSubset, *, cross_check: bool = False) -> "RepProfil
     return rep_profile(a, a.negate(), cross_check=cross_check)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepProfile:
     """Exact counts R(g) for every flat index g of the group.
 
-    counts is the tuple of Python ints; array holds the same counts as a
-    read-only int64 numpy array.  A profile from an engine keeps the array
-    the engine computed; one built by hand from a tuple gets its array from
-    the tuple on first use.  Equality and hash compare (group, counts) only.
-    The histogram, max_rep and mass come from the array; the tuple gives
-    only the order of the histogram's keys."""
+    array, the one store, is a read-only int64 copy of any 1-D integer
+    array or sequence of the group's length, or that array itself, not
+    copied, if it is int64 already (as an engine's is).  The tuple counts is
+    made from it on first use.  Equal groups and counts make equal profiles."""
 
     group: Group
-    counts: tuple[int, ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.counts) != self.group.order:
+        arr = np.asarray(self.array)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise TypeError(f"profile counts must be 1-D integers, not {arr.dtype} {arr.shape}")
+        if len(arr) != self.group.order:
             raise ValueError("profile length must equal the group order")
-
-    @classmethod
-    def _from_array(cls, group: Group, arr: np.ndarray) -> "RepProfile":
-        """The profile of an engine's exact int64 count array, which it
-        keeps as its read-only array."""
+        if arr.dtype == np.uint64 and arr.max() >= 2**63:
+            raise OverflowError("profile counts of 2^63 or more do not fit in int64")
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
-        profile = cls(group, tuple(arr.tolist()))
-        profile.__dict__["array"] = arr  # fills the cached_property below
-        return profile
+        object.__setattr__(self, "array", arr)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.array(self.counts, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+    def counts(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RepProfile) and self.group == other.group and (
+            np.array_equal(self.array, other.array))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.array.tobytes()))
 
     def __getitem__(self, g: int) -> int:
-        return self.counts[self.group.check_element(g)]
+        return int(self.array[self.group.check_element(g)])
 
     @cached_property
     def max_rep(self) -> int:
@@ -359,18 +360,16 @@ class RepProfile:
 
     def spectrum(self) -> "RepSpectrum":
         """The histogram of the counts by np.bincount, keyed in the order
-        each count first occurs in counts."""
+        each count first occurs in the array."""
         hist = np.bincount(self.array).tolist()
         distinct = len(hist) - hist.count(0)
-        # First-seen order from prefixes of counts of doubling length, read
-        # until every count has shown: update keeps a key where it first
-        # went in, and the prefix read is 64 entries or under twice the
-        # shortest prefix that shows every count.
-        seen = dict.fromkeys(self.counts[:64])
-        lo = step = 64
+        # First-seen order from chunks 64, 128, 256, ... long, read until
+        # every count has shown (update keeps a key where it first went in):
+        # 64 entries or under twice the shortest prefix that shows them all.
+        seen, lo = {}, 0
         while len(seen) < distinct:
-            seen.update(dict.fromkeys(self.counts[lo : lo + step]))
-            lo, step = lo + step, 2 * step
+            seen.update(dict.fromkeys(self.array[lo : 2 * lo + 64].tolist()))
+            lo = 2 * lo + 64
         return RepSpectrum({i: hist[i] for i in seen}, len(hist) - 1)
 
 

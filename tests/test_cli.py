@@ -19,7 +19,7 @@ import pytest
 from repfn import profiles
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
-from repfn.groups import subset_from_text
+from repfn.groups import Group, GroupSubset, subset_from_text
 
 
 Pair = namedtuple("Pair", "left right")
@@ -199,6 +199,20 @@ class TestPipelines:
         )
         assert code == 0
         assert out.splitlines() == [f"{g},{c}" for g, c in enumerate([3, 1, 1, 1, 1, 1, 1])]
+
+    def test_diff_profile_csv_lines_match_the_json_counts(self, capsys, tmp_path):
+        rng = np.random.default_rng(27)
+        g = Group((4, 5, 7, 9))
+        mixed = GroupSubset.from_elements(g, rng.choice(g.order, 300, replace=False).tolist())
+        mixed_file = tmp_path / "mixed.json"
+        mixed_file.write_text(mixed.to_json(), encoding="utf-8")
+        singer401 = Path(__file__).resolve().parent.parent / "perfbench" / "singer401.json"
+        for setfile, order in ((singer401, 161203), (mixed_file, 1260)):
+            code, out, _ = run_cli(["diff-profile", "--in", str(setfile), "--format", "csv"], capsys)
+            assert code == 0
+            _, body = run_json(["diff-profile", "--in", str(setfile)], capsys)
+            assert len(body["counts"]) == order
+            assert out == "".join(f"{g},{c}\n" for g, c in enumerate(body["counts"]))
 
     def test_cross_check_flag(self, capsys, tmp_path):
         setfile = tmp_path / "set.json"

@@ -532,6 +532,115 @@ class TestRepProfileType:
         assert prof[2.0] == prof[2] == prof.counts[2]
 
 
+class TestOneStore:
+    """The int64 array is a profile's one store; the tuple is made only when
+    counts is read."""
+
+    def test_non_integer_counts_are_refused(self):
+        g = Group.cyclic(3)
+        for bad in (
+            (1.5, 0, 2),  # used to be truncated to (1, 0, 2)
+            (1.0, 0.0, 2.0),
+            np.array([1.5, 0, 2]),
+            (True, False, True),
+            np.array([True, False, True]),
+            np.array([1, 0, 2], dtype=object),
+            ("1", "0", "2"),
+            np.zeros((1, 3), dtype=np.int64),
+            ((1, 0, 2),),
+            np.int64(3),
+        ):
+            with pytest.raises(TypeError):
+                RepProfile(g, bad)
+
+    def test_uint64_past_int64_is_refused_not_wrapped(self):
+        g = Group.cyclic(3)
+        for big in (2**63, 2**64 - 1):
+            with pytest.raises(OverflowError):
+                RepProfile(g, np.array([0, big, 1], dtype=np.uint64))
+            # numpy reads such a sequence as uint64 or as float64.
+            with pytest.raises((OverflowError, TypeError)):
+                RepProfile(g, (0, big, 1))
+        prof = RepProfile(g, np.array([0, 2**63 - 1, 1], dtype=np.uint64))
+        assert prof.counts == (0, 2**63 - 1, 1)
+        assert prof.array.dtype == np.int64
+
+    def test_int64_array_is_kept_not_copied(self):
+        arr = np.array([2, 0, 5, 0, 2, 1], dtype=np.int64)
+        prof = RepProfile(Group((2, 3)), arr)
+        assert prof.array is arr
+        assert not arr.flags.writeable
+
+    def test_counts_tuple_is_made_on_first_use(self):
+        prof = rep_profile(subset([7], [0, 1, 3]))
+        assert "counts" not in vars(prof)
+        assert prof.counts == (1, 2, 1, 2, 2, 0, 1) and type(prof.counts[0]) is int
+        assert "counts" in vars(prof)
+        assert prof.counts is prof.counts
+
+    def test_readers_leave_the_tuple_unmade(self, monkeypatch):
+        from repfn import search, singer
+
+        rng = random.Random(27)
+        made = []
+
+        def recording(engine):
+            def run(*args, **kwargs):
+                made.append(engine(*args, **kwargs))
+                return made[-1]
+
+            return run
+
+        for orders in ((64,), (3, 7), (3, 5, 4), (2,) * 6):
+            g = Group(orders)
+            a = GroupSubset.from_elements(g, rng.sample(range(g.order), g.order // 3))
+            prof = rep_profile(a)
+            prof.spectrum()
+            prof.max_rep
+            prof.mass()
+            prof.level_set(1)
+            prof[g.order - 1]
+            assert "counts" not in vars(prof), orders
+            with monkeypatch.context() as m:
+                m.setattr(profiles, "rep_profile_naive", recording(rep_profile_naive))
+                m.setattr(profiles, "rep_profile_fast", recording(rep_profile_fast))
+                made.append(rep_profile(a, cross_check=True))
+                made.append(rep_diff_profile(a, cross_check=True))
+        with monkeypatch.context() as m:
+            m.setattr(search, "rep_profile_naive", recording(rep_profile_naive))
+            assert search.make_certificate(7, [0, 1, 2, 4], 4).verified
+        with monkeypatch.context() as m:
+            m.setattr(singer, "rep_diff_profile", recording(rep_diff_profile))
+            assert singer._build_singer_set.__wrapped__(13).subset.card == 14
+        assert len(made) == 4 * 6 + 2
+        for prof in made:
+            assert "counts" not in vars(prof)
+
+    def test_equality_and_hash_follow_group_and_counts(self):
+        g = Group((6,))
+        engine = rep_profile_naive(GroupSubset.from_elements(Group((6,)), [0, 2, 3]))
+        values = list(engine.counts)
+        same = [
+            engine,
+            RepProfile(g, tuple(values)),
+            RepProfile(g, values),
+            RepProfile(g, np.array(values, dtype=np.int32)),
+            RepProfile(g, np.array(values, dtype=np.uint8)),
+            RepProfile(g, np.array(values, dtype=np.uint64)),
+            RepProfile(g, np.repeat(np.array(values, dtype=np.int64), 2)[::2]),
+        ]
+        for prof in same:
+            assert prof == engine and engine == prof
+            assert hash(prof) == hash(engine)
+        assert len(set(same)) == 1
+        other_group = RepProfile(Group((2, 3)), tuple(values))
+        assert other_group != engine and engine != other_group
+        assert RepProfile(g, (values[0] + 1, *values[1:])) != engine
+        assert (engine == engine.counts) is False
+        assert (engine == engine.array) is False
+        assert engine != list(engine.counts)
+
+
 class TestSlots:
     """The slot-packed counts of the searches and the 11b scan against a
     plain list of counts."""
