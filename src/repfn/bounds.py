@@ -296,7 +296,7 @@ def random_subset(seed: int, group: Group, density: Fraction | float) -> GroupSu
         k = min(_DRAW_BLOCK, n - lo)
         draws = np.frombuffer(getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
         hit[lo : lo + k] = draws < threshold
-    return GroupSubset._from_indices(group, hit)
+    return GroupSubset(group, hit)
 
 
 def _iroot(n: int, k: int) -> int:

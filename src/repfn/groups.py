@@ -2,13 +2,15 @@
 
 A group is a tuple of cyclic orders (m_1, ..., m_k); elements are flat
 indices 0..m-1 in row-major mixed radix (the last factor varies fastest).
-Subsets are immutable bitmasks over those indices, which keeps membership,
-cardinality and set algebra cheap for every downstream module.
+A subset is one read-only bool mask over those indices, and every map of
+its members (negate, translate, dilate_shift) is one coordinate map: unravel
+over Group.shape, u*c + t on each axis, ravel back with mode="wrap".
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -124,16 +126,19 @@ class Group:
         return self.encode([(-c) % mi for c, mi in zip(self.decode(x), self.orders)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSubset:
-    """Immutable dense subset of a group, stored as a bitmask over indices."""
+    """Immutable dense subset of a group.  mask, the one store, is a 1-D bool array of the
+    group's order, True at each member, kept read-only, not copied; anything else is refused."""
 
     group: Group
-    bits: int
+    mask: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.group.order:
-            raise InvalidElementError("bitmask has bits outside [0, order)")
+        m = self.mask
+        if not (isinstance(m, np.ndarray) and m.dtype == bool and m.shape == (self.group.order,)):
+            raise InvalidElementError("a subset needs a 1-D bool mask of the group's order")
+        m.setflags(write=False)
 
     @classmethod
     def from_elements(cls, group: Group, elems: Iterable[int]) -> "GroupSubset":
@@ -141,70 +146,79 @@ class GroupSubset:
 
     @classmethod
     def _from_indices(cls, group: Group, idx) -> "GroupSubset":
-        """The subset of flat indices idx (index or boolean array) checked to lie in the group."""
-        mask = _group_zeros(group, np.uint8)
-        mask[idx] = 1
-        return cls(group, _pack_mask(mask))
+        """The subset at idx: flat indices checked to lie in the group, a bool array or a slice."""
+        mask = _group_zeros(group, bool)
+        mask[idx] = True
+        return cls(group, mask)
 
     @classmethod
     def empty(cls, group: Group) -> "GroupSubset":
-        return cls(group, 0)
+        return cls(group, _group_zeros(group, bool))
 
     @classmethod
     def full(cls, group: Group) -> "GroupSubset":
-        return cls(group, (1 << group.order) - 1)
+        return cls._from_indices(group, slice(None))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, GroupSubset) and self.group == other.group and (
+            np.array_equal(self.mask, other.mask))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.mask.tobytes()))
 
     @cached_property
     def card(self) -> int:
-        return self.bits.bit_count()
+        return int(np.count_nonzero(self.mask))
 
     def __len__(self) -> int:
         return self.card
 
     def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.group.order and bool(self.bits >> x & 1)
+        return 0 <= x < self.group.order and bool(self.mask[operator.index(x)])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements())
 
     def elements(self) -> list[int]:
         """Member indices in ascending order."""
-        return np.flatnonzero(_unpack_mask(self.bits, self.group.order)).tolist()
+        return np.flatnonzero(self.mask).tolist()
 
     def union(self, other: "GroupSubset") -> "GroupSubset":
         if other.group != self.group:
             raise GroupMismatchError("union of subsets of different groups")
-        return GroupSubset(self.group, self.bits | other.bits)
+        return GroupSubset(self.group, self.mask | other.mask)
 
     __or__ = union
 
+    def _image(self, target: Group, u: int, t: Sequence[int]) -> "GroupSubset":
+        """{u*a + t} in target: coordinates c over group.shape go to u*c + t_c, reduced
+        by ravel's wrap over target.shape; linear in |A| * factors, 2^16 members at a time."""
+        wide = abs(u) * self.group.order + max(t) >= 2**63  # past int64: exact Python ints
+        members, mask = np.flatnonzero(self.mask), _group_zeros(target, bool)
+        for lo in range(0, members.size, 1 << 16):  # holds 2^16 * factors coordinates
+            coords = np.unravel_index(members[lo : lo + (1 << 16)], self.group.shape)
+            image = [((u * c.astype(object) + tc) % mi).astype(np.int64) if wide else u * c + tc
+                     for c, tc, mi in zip(coords, t, target.shape)]
+            mask[np.ravel_multi_index(image, target.shape, mode="wrap")] = True
+        return GroupSubset(target, mask)
+
     def negate(self) -> "GroupSubset":
         """The pointwise negation {-a : a in A}; a bijective image of A."""
-        g = self.group
-        # -c = (m_i - 1 - c) + 1 mod m_i on every axis: flip all axes, then
-        # roll each by one.
-        mask = _unpack_mask(self.bits, g.order).reshape(g.shape)
-        flipped = np.roll(np.flip(mask), 1, axis=tuple(range(mask.ndim)))
-        return GroupSubset(g, _pack_mask(flipped.ravel()))
+        return self._image(self.group, -1, (0,) * len(self.group.shape))
 
     def translate(self, t: int) -> "GroupSubset":
         """The shift {a + t : a in A}."""
         g = self.group
-        t = g.check_element(t)
-        return GroupSubset.from_elements(g, (g.add(a, t) for a in self.elements()))
+        return self._image(g, 1, np.unravel_index(g.check_element(t), g.shape))
 
     def dilate_shift(self, c: int, t: int, target: Group) -> "GroupSubset":
         """Map each member b, via its representative in [0, s), to (c*b + t) mod m.
-
         Source and target must both be cyclic; the canonical representative
-        pins down what "double then reduce" means when s does not divide m.
-        """
+        pins down what "double then reduce" means when s does not divide m."""
         if not self.group.is_cyclic or not target.is_cyclic:
             raise UnsupportedGroupError("dilate_shift needs cyclic source and target")
-        m = target.order
         c = _exact_int(c, ValueError, "multiplier")
-        t = target.check_element(t)
-        return GroupSubset.from_elements(target, ((c * b + t) % m for b in self.elements()))
+        return self._image(target, c % target.order, (target.check_element(t),))
 
     # -- serialization ------------------------------------------------------
 
@@ -228,17 +242,6 @@ def _group_zeros(group: Group, dtype) -> np.ndarray:
     except (MemoryError, ValueError) as exc:
         # numpy refuses an order of 2^63 or more with a ValueError.
         raise MemoryError(f"a group of order {group.order} is too large to load") from exc
-
-
-def _unpack_mask(bits: int, order: int) -> np.ndarray:
-    """Bitmask -> uint8 array of length order with a 1 at every member."""
-    raw = np.frombuffer(bits.to_bytes((order + 7) >> 3, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=order, bitorder="little")
-
-
-def _pack_mask(mask: np.ndarray) -> int:
-    """Inverse of _unpack_mask."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _int_array(xs: list[int]) -> np.ndarray:

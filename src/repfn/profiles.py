@@ -7,7 +7,8 @@ engines are provided: a vectorized pair-enumeration baseline
 picks one by _choose_engine and can cross-check it against the other.
 Flat indices and coordinates convert one way, by numpy's row-major
 np.ravel_multi_index and np.unravel_index over Group.shape, which leaves
-out the order-1 factors.
+out the order-1 factors; the subset maps of groups (negate, translate,
+dilate_shift) take the same route.
 
 Pair enumeration takes one of two branches.  Where every order is a power
 of two, cyclic groups such as Z_65536 included, the flat index packs the
@@ -70,7 +71,6 @@ from .groups import (
     GroupSubset,
     UnsupportedGroupError,
     VerificationError,
-    _unpack_mask,
 )
 
 _CHUNK = 1 << 16
@@ -93,11 +93,6 @@ def _lane_masks(group: Group) -> tuple[int, int] | None:
     return (group.order - 1) ^ high, high
 
 
-def _indices(s: GroupSubset) -> np.ndarray:
-    """Member flat indices of s in ascending order, as an int64 array."""
-    return np.flatnonzero(_unpack_mask(s.bits, s.group.order)).astype(np.int64, copy=False)
-
-
 def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
     """Exact R_{A,B} by enumerating all |A|*|B| pairs (vectorized in chunks)."""
     if b is None:
@@ -106,8 +101,7 @@ def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfi
         raise GroupMismatchError("profile of subsets of different groups")
     group = a.group
     counts = np.zeros(group.order, dtype=np.int64)
-    ea = _indices(a)
-    eb = _indices(b)
+    ea, eb = np.flatnonzero(a.mask), np.flatnonzero(b.mask)
     if ea.size and eb.size:
         step = max(1, _CHUNK // eb.size)
         if (masks := _lane_masks(group)) is not None:
@@ -212,7 +206,7 @@ def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     radices = tuple(2 * mi - 1 for mi in shape)
 
     def positions(s: GroupSubset) -> np.ndarray:
-        return np.ravel_multi_index(np.unravel_index(_indices(s), shape), radices)
+        return np.ravel_multi_index(np.unravel_index(np.flatnonzero(s.mask), shape), radices)
 
     pos_a = positions(a)
     pos_b = pos_a if b == a else positions(b)
@@ -254,12 +248,11 @@ def _convolve_hadamard(a: GroupSubset, b: GroupSubset) -> np.ndarray:
     wrap: every step is a ring operation, so each entry is exact modulo 2^64,
     and each final entry 2^k R(g) <= 2^k min(|A|, |B|) <= 2^(2k) is below
     2^64 for k <= 31.  The counts R(g) <= 2^31 are returned as int64."""
-    n = a.group.order
-    k = n.bit_length() - 1
+    k = a.group.order.bit_length() - 1
     if k > _MAX_HADAMARD_RANK:
         raise UnsupportedGroupError(f"Z_2^{k} is past the Hadamard route's Z_2^31")
-    fa = _hadamard(_unpack_mask(a.bits, n).astype(np.uint64))
-    fb = fa if b == a else _hadamard(_unpack_mask(b.bits, n).astype(np.uint64))
+    fa = _hadamard(a.mask.astype(np.uint64))
+    fb = fa if b == a else _hadamard(b.mask.astype(np.uint64))
     return (_hadamard(fa * fb) >> k).astype(np.int64)
 
 
@@ -310,10 +303,10 @@ def rep_diff_profile(a: GroupSubset, *, cross_check: bool = False) -> "RepProfil
 class RepProfile:
     """Exact counts R(g) for every flat index g of the group.
 
-    array, the one store, is a read-only int64 copy of any 1-D integer
-    array or sequence of the group's length, or that array itself, not
-    copied, if it is int64 already (as an engine's is).  The tuple counts is
-    made from it on first use.  Equal groups and counts make equal profiles."""
+    array, the one store, is a read-only int64 copy of any 1-D array or
+    sequence of non-negative integers of the group's length, or that array
+    itself, not copied, if it is int64 already (as an engine's is).  counts,
+    a tuple, is made from it on first use.  Equal groups and counts are equal."""
 
     group: Group
     array: np.ndarray
@@ -327,6 +320,8 @@ class RepProfile:
         if arr.dtype == np.uint64 and arr.max() >= 2**63:
             raise OverflowError("profile counts of 2^63 or more do not fit in int64")
         arr = arr.astype(np.int64, copy=False)
+        if arr.min() < 0:
+            raise ValueError("profile counts must be non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
 
@@ -349,10 +344,11 @@ class RepProfile:
         return int(self.array.max())
 
     def mass(self) -> int:
-        """Total count over the group; equals |A|*|B|.  The int64 sum is
-        exact: each count is at most min(|A|, |B|) <= order, so the mass is
-        at most order^2, below 2^63 for every order under 3 * 10^9."""
-        return int(self.array.sum())
+        """Total count over the group; |A|*|B| for an engine's profile.  Summed in int64 where
+        max_rep * order < 2^63 (engine profiles of order under 3 * 10^9), else in Python ints."""
+        if self.max_rep * len(self.array) < 2**63:
+            return int(self.array.sum())
+        return sum(self.array.tolist())
 
     def level_set(self, i: int) -> list[int]:
         """All g with R(g) = i, ascending."""

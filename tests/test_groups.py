@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from repfn.bounds import random_subset
 from repfn.groups import (
     Group,
     GroupMismatchError,
@@ -198,11 +199,11 @@ class TestIntegerInput:
         assert b.dilate_shift(2.0, 0, Group.cyclic(14)).elements() == [2, 4]
 
 
-def _reference_bits(elems):
-    bits = 0
+def _reference_mask(order, elems):
+    mask = np.zeros(order, dtype=bool)
     for e in elems:
-        bits |= 1 << e
-    return bits
+        mask[e] = True
+    return mask
 
 
 class TestLinearConversions:
@@ -216,7 +217,7 @@ class TestLinearConversions:
             for size in {0, 1, min(order, 5), order // 2, order}:
                 elems = rng.sample(range(order), size)
                 a = GroupSubset.from_elements(g, elems + elems[: size // 3])
-                assert a.bits == _reference_bits(elems)
+                assert np.array_equal(a.mask, _reference_mask(order, elems))
                 assert a.card == size
                 assert a.elements() == sorted(elems)
                 assert GroupSubset.from_elements(g, a.elements()) == a
@@ -248,8 +249,141 @@ class TestLinearConversions:
             for size in {0, 1, min(g.order, 3), g.order // 3, g.order}:
                 a = GroupSubset.from_elements(g, rng.sample(range(g.order), size))
                 neg = a.negate()
-                assert neg.bits == _reference_bits(g.neg(x) for x in a.elements())
+                assert np.array_equal(neg.mask, _reference_mask(g.order, map(g.neg, a)))
                 assert neg.negate() == a
+
+
+class TestCoordinateMap:
+    """negate, translate and dilate_shift are one coordinate map; each is
+    checked against a one-element-at-a-time reference (Group.neg,
+    Group.add, Python's (c*b + t) % m), from the empty set to the full
+    group."""
+
+    @staticmethod
+    def sets(g, rng):
+        yield GroupSubset.empty(g)
+        yield GroupSubset.full(g)
+        for size in {1, min(g.order, 3), g.order // 2}:
+            yield GroupSubset.from_elements(g, rng.sample(range(g.order), size))
+
+    def test_negate_on_twenty_factors(self):
+        g = Group((2,) * 20)
+        a = GroupSubset.from_elements(g, random.Random(31).sample(range(g.order), 5))
+        assert np.array_equal(a.negate().mask, _reference_mask(g.order, map(g.neg, a)))
+        for s in (GroupSubset.empty(g), GroupSubset.full(g)):
+            assert s.negate() == s
+
+    def test_translate_matches_group_add(self):
+        rng = random.Random(32)
+        for orders in [(5,), (2, 3), (4, 1, 6), (1,) * 70 + (5,), (1,)]:
+            g = Group(orders)
+            for a in self.sets(g, rng):
+                for t in g.elements():
+                    want = _reference_mask(g.order, (g.add(x, t) for x in a))
+                    assert np.array_equal(a.translate(t).mask, want), (orders, t)
+            with pytest.raises(InvalidElementError):
+                a.translate(g.order)
+            with pytest.raises(InvalidElementError):
+                a.translate(0.5)
+
+    def test_dilate_shift_matches_python(self):
+        rng = random.Random(33)
+        # (source order, target order): s | m, s not dividing m, s >= m, trivial.
+        for s, m in [(7, 14), (7, 10), (6, 4), (5, 5), (1, 3), (4, 1)]:
+            src, target = Group.cyclic(s), Group.cyclic(m)
+            for a in self.sets(src, rng):
+                for c in (-3, 0, 1, 2, m, m + 3, 10**30, -(10**30)):
+                    for t in {0, 1 % m, m - 1}:
+                        want = _reference_mask(m, ((c * b + t) % m for b in a))
+                        got = a.dilate_shift(c, t, target)
+                        assert got.group == target and np.array_equal(got.mask, want), (s, m, c, t)
+        with pytest.raises(UnsupportedGroupError):
+            GroupSubset.empty(Group((2, 3))).dilate_shift(1, 0, Group.cyclic(6))
+        with pytest.raises(InvalidElementError):
+            GroupSubset.empty(Group.cyclic(3)).dilate_shift(1, 6, Group.cyclic(6))
+
+    def test_map_is_exact_past_int64(self):
+        # A multiplier whose products pass 2^63 is reduced in Python ints.
+        a = GroupSubset.from_elements(Group.cyclic(5), [1, 3, 4])
+        for u in (2**62 + 3, 2**70 - 1, -(2**66)):
+            got = a._image(Group.cyclic(7), u, (5,))
+            assert got.elements() == sorted({(u * b + 5) % 7 for b in a}), u
+
+
+class TestMaskStore:
+    """A subset's one store is a read-only bool mask over the flat indices."""
+
+    @staticmethod
+    def builds(g, elems):
+        """The same subset of g built every way there is."""
+        hit = _reference_mask(g.order, elems)
+        half = len(elems) // 2
+        yield GroupSubset.from_elements(g, elems)
+        yield GroupSubset._from_indices(g, hit)
+        yield GroupSubset(g, hit.copy())
+        yield GroupSubset.from_elements(g, elems[:half]) | GroupSubset.from_elements(g, elems[half:])
+        yield GroupSubset.from_elements(g, elems).negate().negate()
+        yield GroupSubset.from_elements(g, map(g.neg, elems)).negate()
+
+    def test_mask_is_read_only(self):
+        g = Group((3, 4))
+        a = GroupSubset.from_elements(g, [1, 5])
+        c = GroupSubset.from_elements(Group.cyclic(5), [0, 2])
+        for s in [*self.builds(g, [1, 5]), GroupSubset.empty(g), GroupSubset.full(g),
+                  a.translate(7), random_subset(3, g, 0.5), c.dilate_shift(2, 1, Group.cyclic(9))]:
+            assert s.mask.dtype == np.bool_ and s.mask.shape == (s.group.order,)
+            assert not s.mask.flags.writeable
+            with pytest.raises(ValueError):
+                s.mask[0] = True
+
+    def test_constructor_keeps_the_array(self):
+        g = Group.cyclic(4)
+        hit = np.array([True, False, False, True])
+        a = GroupSubset(g, hit)
+        assert a.mask is hit and not hit.flags.writeable
+        assert a.elements() == [0, 3] and a.card == 2 and 3 in a and 1 not in a
+        # Membership takes what an index takes: a bool is 0 or 1, a float is refused.
+        assert np.int64(3) in a and False in a and True not in a
+        with pytest.raises(TypeError):
+            3.0 in a
+
+    def test_equal_whichever_way_built(self):
+        rng = random.Random(34)
+        for orders in [(1,), (7,), (2, 3), (4, 1, 6), (2,) * 8]:
+            g = Group(orders)
+            for size in {0, 1, g.order // 2, g.order}:
+                elems = rng.sample(range(g.order), size)
+                built = list(self.builds(g, elems))
+                for s in built:
+                    assert s == built[0] and hash(s) == hash(built[0]), (orders, elems)
+                    assert s.elements() == sorted(elems)
+        for seed in range(3):
+            r = random_subset(seed, Group((3, 5)), 0.5)
+            assert r == GroupSubset.from_elements(r.group, r.elements())
+            assert hash(r) == hash(GroupSubset.from_elements(r.group, r.elements()))
+
+    def test_unequal_groups_or_members(self):
+        a = GroupSubset.from_elements(Group.cyclic(6), [1, 2])
+        assert a != GroupSubset.from_elements(Group((2, 3)), [1, 2])
+        assert a != GroupSubset.from_elements(Group.cyclic(6), [1, 3])
+        assert a != [1, 2] and a != a.mask
+
+    def test_wrong_mask_refused(self):
+        g = Group.cyclic(3)
+        for bad in (
+            1 << 3,
+            5,
+            [True, False, True],
+            np.zeros(4, dtype=bool),
+            np.zeros(2, dtype=bool),
+            np.zeros((1, 3), dtype=bool),
+            np.array([1, 0, 1], dtype=np.uint8),
+            np.array([1, 0, 1], dtype=np.int64),
+            np.array([True, False, True], dtype=object),
+            np.bool_(True),
+        ):
+            with pytest.raises(InvalidElementError):
+                GroupSubset(g, bad)
 
 
 class TestSetFiles:

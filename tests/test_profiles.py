@@ -565,6 +565,18 @@ class TestOneStore:
         assert prof.counts == (0, 2**63 - 1, 1)
         assert prof.array.dtype == np.int64
 
+    def test_negative_counts_are_refused(self):
+        g = Group.cyclic(3)
+        for bad in ((-1, 0, 2), np.array([0, -(2**63), 1]), np.array([3, 0, -1], dtype=np.int8)):
+            with pytest.raises(ValueError, match="non-negative"):
+                RepProfile(g, bad)
+
+    def test_mass_is_exact_past_int64(self):
+        g = Group.cyclic(3)
+        for counts in ((2**62,) * 3, (2**63 - 1, 2**63 - 1, 1), (2**62, 2**62, 0)):
+            assert RepProfile(g, counts).mass() == sum(counts), counts
+        assert RepProfile(g, (2**61, 2**61, 2**61 - 1)).mass() == 3 * 2**61 - 1
+
     def test_int64_array_is_kept_not_copied(self):
         arr = np.array([2, 0, 5, 0, 2, 1], dtype=np.int64)
         prof = RepProfile(Group((2, 3)), arr)
