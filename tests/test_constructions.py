@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -151,3 +152,23 @@ class TestShiftScanAgainstPairCounts:
         assert rep.x_odd == 465
         assert rep.avg_even == Fraction(72075, 331)
         assert all(s.max_rep == 4 for s in rep.per_l)
+
+
+class TestShiftScanPinned:
+    # sha256 of the scan's rows, one "l,x_odd,x_even,s0,max_rep" line per
+    # shift joined by newlines, with best_l, recorded from the slot-packed
+    # scan that profiled every shift.
+    PINS = {
+        61: (217, "f42f07d8ca3e67fd18a3305512837892a0c6bf2551a2783f0baf82a5933cf585"),
+        101: (116, "7b7ce8ab62fce55e2617eb98cd7ac30be00114044dd0ffdf4ffbc91ef82858a4"),
+    }
+
+    @pytest.mark.parametrize("p", sorted(PINS))
+    def test_rows_and_best_l_pinned(self, p):
+        rep = shift_family_report(p)
+        text = "\n".join(
+            f"{s.l},{s.x_odd},{s.x_even},{s.s0},{s.max_rep}" for s in rep.per_l
+        )
+        best_l, digest = self.PINS[p]
+        assert rep.best_l == best_l
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
