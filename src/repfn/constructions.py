@@ -12,9 +12,9 @@ Three families, each with an exact, machine-checked shape:
   exactly m/2 - 1 elements reach four ordered representations.
 
 shift_family_report scans every admissible shift and certifies the averaging
-argument that a good shift exists.  The scan profiles the even part 2D once:
-every shift's counts are that profile plus two rotations of it, added as one
-slot-packed integer, and the winning shift is re-checked by pair enumeration.
+argument that a good shift exists.  Every row of the scan comes from one
+profile of the even part 2D and one difference profile of its even zeros,
+and the winning shift is re-checked by pair enumeration.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .groups import Group, GroupSubset, VerificationError
-from .profiles import _Slots, rep_profile, rep_profile_naive
+from .profiles import rep_diff_profile, rep_profile, rep_profile_naive
 from .singer import PerfectDifferenceSet, singer_set
 
 
@@ -104,10 +106,18 @@ class ShiftFamilyReport:
     shift beats the mean; best_l minimizes x_even (smallest l on ties) and
     the winning set misses fewer than 3m/8 elements.
 
-    Each row comes from one profile R_E of E = 2D: the shift's counts are
-    R_E + 2·R_E(· - c) + R_E(· - 2c) with c = 2l + 1, read off one packed
-    integer.  The best shift's row is re-checked by pair enumeration of its
-    set, which is kept as best_set (equal to shifted_doubling(p, best_l)).
+    Every row comes from one profile R_E of E = 2D.  E is even and E + c odd
+    for odd c = 2l + 1, so the two are disjoint and, by bilinearity, the
+    shift's counts are R_E(g) + 2·R_E(g - c) + R_E(g - 2c).  At odd g only
+    the middle term is nonzero, so the shift leaves g uncovered iff g - c
+    lies in Z = {even g : R_E(g) = 0}; as g runs over the odd residues,
+    g - c runs over the even ones, so x_odd = |Z| for every shift.  At even
+    g the middle term vanishes, so g is uncovered iff g and g - 2c both lie
+    in Z, and x_even = |Z ∩ (Z + 2c)| = R_{Z,-Z}(2c mod m).  Both terms are
+    at most max R_E, and the odd residues reach 2·max R_E, so
+    max_rep = 2·max R_E.  The best shift's row is re-checked by pair
+    enumeration of its set, which is kept as best_set (equal to
+    shifted_doubling(p, best_l)).
     """
 
     p: int
@@ -134,40 +144,25 @@ def shift_family_report(p: int) -> ShiftFamilyReport:
     pds = singer_set(p)
     n = pds.n
     m = 2 * n
-    target = Group.cyclic(m)
-    even_part = pds.subset.dilate_shift(2, 0, target)
+    even_part = pds.subset.dilate_shift(2, 0, Group.cyclic(m))
 
-    # E = 2D is even and E + c odd for odd c, so the two are disjoint and, by
-    # bilinearity, R_{E ∪ (E+c)}(g) = R_E(g) + 2·R_E(g - c) + R_E(g - 2c).
-    # With R_E packed into the slots of X, each shift's counts are the exact
-    # int S = X + 2·rot(X, c) + rot(X, 2c), and no slot of S exceeds
-    # 4·top_rep, the bound the slots are sized for.
+    # The rows of every shift by the derivation in ShiftFamilyReport.
     even = rep_profile(even_part)
-    top_rep = even.max_rep
-    slots = _Slots(m, 4 * top_rep)
-    w, top = slots.w, slots.top
-    top_even = (slots.full // ((1 << (2 * w)) - 1)) << (w - 1)
-    top_odd = top ^ top_even
-    X = sum(c << (w * g) for g, c in enumerate(even.array.tolist()) if c)
-
-    stats = []
-    for l in range(n):
-        c = 2 * l + 1
-        S = X + 2 * slots.rot(X, c) + slots.rot(X, 2 * c % m)
-        nonzero = S + slots.cover_add
-        x_even = n - (nonzero & top_even).bit_count()
-        x_odd = n - (nonzero & top_odd).bit_count()
-        # Odd slots hold 2·R_E(g - c), so the maximum is at least 2·top_rep.
-        max_rep = slots.max_rep(S, 2 * top_rep)
-        stats.append(ShiftStat(l, x_odd, x_even, x_odd + x_even, max_rep))
+    in_z = even.array == 0
+    in_z[1::2] = False
+    x_odd = int(in_z.sum())
+    diff = rep_diff_profile(GroupSubset(even.group, in_z)).array
+    x_evens = diff[(4 * np.arange(n) + 2) % m].tolist()
+    max_rep = 2 * even.max_rep
+    stats = [ShiftStat(l, x_odd, x, x_odd + x, max_rep) for l, x in enumerate(x_evens)]
 
     odd_expected = (p * p - p) // 2
-    if any(s.x_odd != odd_expected for s in stats):
+    if x_odd != odd_expected:
         raise VerificationError("odd uncovered count must be (p^2-p)/2 for every shift")
-    even_total = sum(s.x_even for s in stats)
+    even_total = sum(x_evens)
     if even_total != odd_expected * odd_expected:
         raise VerificationError("even uncovered counts must sum to ((p^2-p)/2)^2")
-    if any(s.max_rep > 4 for s in stats):
+    if max_rep > 4:
         raise VerificationError("sumset multiplicity exceeded 4 during scan")
 
     best = min(stats, key=lambda s: (s.x_even, s.l))

@@ -40,11 +40,6 @@ The fast engine takes one of two routes.
 
 A RepProfile stores its counts once, as the engine's read-only int64 array,
 which every reader uses; the tuple counts is made only when it is asked for.
-
-_Slots is the slot-packed layout of counts over Z_m in one Python int that
-the basis searches and the 11b shift scan update and test by whole-word
-arithmetic.  The searches update pair counts by its flip rule: toggling e
-in a 0/1 slot set S changes them by rot(S + S', e), S' = S ^ bit(e).
 """
 
 from __future__ import annotations
@@ -391,57 +386,3 @@ class RepSpectrum:
 def spectrum(a: GroupSubset, b: GroupSubset | None = None) -> RepSpectrum:
     return rep_profile(a, b).spectrum()
 
-
-class _Slots:
-    """Counts over Z_m packed in one int: slot g holds the count at g in
-    w = (bound + 2).bit_length() + 1 bits, bound the largest count the
-    caller stores.  No count (at most bound) or add-and-mask threshold
-    (at most bound + 1) reaches a slot's top bit, so no carry crosses slots
-    and every test on all of Z_m is one add and one mask.  With rot(X, e)
-    moving slot x to x + e mod m, one flip rule updates the ordered pair
-    counts of a set S (0/1 slots) when e goes in or out: with
-    S' = S ^ bit(e), they change by exactly rot(S + S', e), added when e
-    goes in and subtracted when it comes out.  For e not in S,
-    S + S' = 2S + bit(e), whose rotation by e is the pairs (e, s) and
-    (s, e) for s in S plus (e, e) at 2e; for e in S, S and S' swap roles."""
-
-    def __init__(self, m: int, bound: int):
-        self.m = m
-        w = self.w = (bound + 2).bit_length() + 1
-        self.full = (1 << (w * m)) - 1
-        ones = self.ones = self.full // ((1 << w) - 1)
-        self.top = ones << (w - 1)
-        self.cover_add = ones * ((1 << (w - 1)) - 1)
-
-    def rot(self, X: int, e: int) -> int:
-        """X with slot x moved to slot x + e mod m, for 0 <= e < m."""
-        w = self.w
-        return ((X << (w * e)) | (X >> (w * (self.m - e)))) & self.full
-
-    def flip(self, S: int, e: int) -> tuple[int, int]:
-        """(S', rot(S + S', e)) for S' = S ^ bit(e): S with e toggled and
-        the change of its pair counts by the flip rule.  The searches'
-        hot loops inline these lines."""
-        S2 = S ^ (1 << (self.w * e))
-        return S2, self.rot(S + S2, e)
-
-    def max_rep(self, X: int, guess: int) -> int:
-        """The largest slot of X by "some slot > t" tests, stepping from
-        guess, so a near guess costs a test or two.  Slot g of Y is
-        X[g] + 2^(w-1) - 1 - t, whose top bit is set iff X[g] > t."""
-        ones, top, t = self.ones, self.top, guess
-        Y = X + self.cover_add - ones * t
-        while Y & top:
-            Y -= ones
-            t += 1
-        while t and not (Y + ones) & top:
-            Y += ones
-            t -= 1
-        return t
-
-    def zeros(self, X: int) -> int:
-        return self.m - ((X + self.cover_add) & self.top).bit_count()
-
-    def decode(self, X: int) -> tuple[int, ...]:
-        w, mask = self.w, (1 << self.w) - 1
-        return tuple((X >> (w * g)) & mask for g in range(self.m))

@@ -1,24 +1,25 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-Both paths keep their counters as slot-packed ints (profiles._Slots),
-tested by whole-word arithmetic and updated by one flip rule: toggling e
-in a 0/1 slot set S, S' = S ^ bit(e), changes S's ordered pair counts by
-rot(S + S', e).  The exact path is a depth-first branch and bound over
-subsets of Z_m on four of them (members, their representation counts,
-available elements and their pair counts), with a lazy
-coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
-differences.  Case U: some difference b - a in A is a unit u, and
-x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
+Both paths keep their counters as slot-packed ints (_Slots, whose layout
+is private to this module), tested by whole-word arithmetic and updated by
+one flip rule: toggling e in a 0/1 slot set S, S' = S ^ bit(e), changes
+S's ordered pair counts by rot(S + S', e).  The exact path is a
+depth-first branch and bound over subsets of Z_m on four of them (members,
+their representation counts, available elements and their pair counts),
+with a lazy coverage-infeasibility prune; it can prove UNSAT.  It splits
+the space by differences.  Case U: some difference b - a in A is a unit u,
+and x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
 spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is a seeded local search on two (members and representation
 counts), run `threads` times in turn, each run one loop that holds them in
 locals alone; a rejected move leaves them as they are and every element is
-drawn from getrandbits.  It only ever claims verified upper bounds.  Every SAT or heuristic result carries a
-certificate re-checked through the pair-enumeration profile, never through
-the search's own counters.  No clock enters a search: each outcome is a
-function of its arguments alone, and work is counted in nodes or moves.
+drawn from getrandbits.  It only ever claims verified upper bounds.  Every
+SAT or heuristic result carries a certificate re-checked through the
+pair-enumeration profile, never through the search's own counters.  No
+clock enters a search: each outcome is a function of its arguments alone,
+and work is counted in nodes or moves.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable
 
 from .bounds import ceil_sqrt
 from .groups import Group, GroupSubset, VerificationError
-from .profiles import _Slots, rep_profile_naive
+from .profiles import rep_profile_naive
 from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -85,6 +86,59 @@ class SearchOutcome:
     nodes: int
     prunes: dict[str, int]
     notes: tuple[str, ...]
+
+
+class _Slots:
+    """Counts over Z_m packed in one int, the one slot layout of both
+    searches, which subclass it: slot g holds the count at g in
+    w = (bound + 2).bit_length() + 1 bits, bound the largest count the
+    caller stores.  No count (at most bound) or add-and-mask threshold
+    (at most bound + 1) reaches a slot's top bit, so no carry crosses slots
+    and every test on all of Z_m is one add and one mask.  With rot(X, e)
+    moving slot x to x + e mod m, one flip rule updates the ordered pair
+    counts of a set S (0/1 slots) when e goes in or out: with
+    S' = S ^ bit(e), they change by exactly rot(S + S', e), added when e
+    goes in and subtracted when it comes out.  For e not in S,
+    S + S' = 2S + bit(e), whose rotation by e is the pairs (e, s) and
+    (s, e) for s in S plus (e, e) at 2e; for e in S, S and S' swap roles."""
+
+    def __init__(self, m: int, bound: int):
+        self.m = m
+        w = self.w = (bound + 2).bit_length() + 1
+        self.full = (1 << (w * m)) - 1
+        ones = self.ones = self.full // ((1 << w) - 1)
+        self.top = ones << (w - 1)
+        self.cover_add = ones * ((1 << (w - 1)) - 1)
+
+    def rot(self, X: int, e: int) -> int:
+        """X with slot x moved to slot x + e mod m, for 0 <= e < m."""
+        w = self.w
+        return ((X << (w * e)) | (X >> (w * (self.m - e)))) & self.full
+
+    def flip(self, S: int, e: int) -> tuple[int, int]:
+        """(S', rot(S + S', e)) for S' = S ^ bit(e): S with e toggled and
+        the change of its pair counts by the flip rule.  The searches'
+        hot loops inline these lines."""
+        S2 = S ^ (1 << (self.w * e))
+        return S2, self.rot(S + S2, e)
+
+    def max_rep(self, X: int, guess: int) -> int:
+        """The largest slot of X by "some slot > t" tests, stepping from
+        guess, so a near guess costs a test or two.  Slot g of Y is
+        X[g] + 2^(w-1) - 1 - t, whose top bit is set iff X[g] > t."""
+        ones, top, t = self.ones, self.top, guess
+        Y = X + self.cover_add - ones * t
+        while Y & top:
+            Y -= ones
+            t += 1
+        while t and not (Y + ones) & top:
+            Y += ones
+            t -= 1
+        return t
+
+    def decode(self, X: int) -> tuple[int, ...]:
+        w, mask = self.w, (1 << self.w) - 1
+        return tuple((X >> (w * g)) & mask for g in range(self.m))
 
 
 class _ExactSearch(_Slots):
@@ -333,7 +387,7 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
     p = 1
     while p * p + p + 1 < m:
         p += 1
-    if p * p + p + 1 == m and is_prime(p) and p <= DEFAULT_PRIME_BOUND:
+    if p * p + p + 1 == m and p <= DEFAULT_PRIME_BOUND and is_prime(p):
         pool.append(tuple(singer_set(p).elements))
     return pool
 

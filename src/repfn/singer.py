@@ -187,10 +187,11 @@ def singer_set(p: int) -> PerfectDifferenceSet:
     then re-checked by pair enumeration.  The result is immutable, so it is
     built once per p and then shared.
     """
+    # The bound comes first: is_prime is trial division, slow on a large p.
+    if p > DEFAULT_PRIME_BOUND:
+        raise ValueError(f"{p} exceeds the configured prime bound {DEFAULT_PRIME_BOUND}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > DEFAULT_PRIME_BOUND:
-        raise ValueError(f"prime {p} exceeds the configured bound {DEFAULT_PRIME_BOUND}")
     return _build_singer_set(p)
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repfn import profiles
+from repfn import profiles, singer
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import Group, GroupSubset, subset_from_text
@@ -97,6 +97,20 @@ class TestSinger:
         assert code == 64
         assert out == ""
         assert "prime" in err
+
+    def test_over_bound_exits_64_before_trial_division(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"trial division of {n}")
+
+        monkeypatch.setattr(singer, "is_prime", refuse)
+        for argv in (
+            ["singer", "--p", "10000000000000061"],
+            ["construct", "--theorem", "11b", "--p", "1000000000000000000000000000057"],
+        ):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 64
+            assert out == ""
+            assert err == f"repfn: {argv[-1]} exceeds the configured prime bound 1000\n"
 
 
 class TestConstruct:

@@ -388,7 +388,6 @@ class TestCounts:
                 subset = GroupSubset.from_elements(Group.cyclic(m), present)
                 expected = rep_profile_naive(subset).counts
                 assert counts.decode(R) == expected, (seed, sorted(present))
-                assert counts.zeros(R) == sum(1 for c in expected if c == 0)
                 for guess in (0, max(expected), m):
                     assert counts.max_rep(R, guess) == max(expected), (seed, guess)
                 assert counts._excess(R) == sum(c - r for c in expected if c > r)
@@ -489,6 +488,15 @@ class TestHeuristic:
             counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
             excess = sum(c - r for c in counts if c > r)
             assert obj == (counts.count(0), max(counts), excess, len(members)), (m, r, seed)
+
+    def test_seed_pool_tests_the_bound_before_primality(self, monkeypatch):
+        # 1009 is a prime above the bound: its order gets random draws alone,
+        # and no trial division runs.
+        def refuse(n):
+            raise AssertionError(f"trial division of {n}")
+
+        monkeypatch.setattr(search, "is_prime", refuse)
+        assert search._seed_pool(1009 * 1009 + 1009 + 1) == [None]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 240, 993, 2000, 4097])
     def test_draws_match_choice_and_randrange(self, n):
