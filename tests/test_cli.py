@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import os
@@ -340,6 +341,24 @@ class TestVerify:
     def test_negative_trials_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--trials", "-3"], capsys)
         assert code == 64
+
+    # sha256 of the body with its wall_time_us line dropped, recorded from the
+    # encoder and evaluator that built every report as a frozen dataclass.
+    PINNED_BODIES = {
+        "--trials 500 --seed 777":
+            "c1997a9d32571e1b587c6706bf9a27140a0735d44ab0dc7e986c11a9bd86d54c",
+        "--trials 100 --max-m 2048 --seed 5":
+            "89cbbf776a13122c4a15b7be5de4722327bba0031cff7fb8e13e13a4daa59007",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(PINNED_BODIES))
+    def test_body_pinned(self, capsys, flags):
+        code, out, _ = run_cli(["verify", *flags.split()], capsys)
+        assert code == 0
+        kept = "".join(
+            line for line in out.splitlines(keepends=True) if "wall_time_us" not in line
+        )
+        assert hashlib.sha256(kept.encode()).hexdigest() == self.PINNED_BODIES[flags]
 
 
 class TestRuzsa:
