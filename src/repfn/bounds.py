@@ -12,17 +12,24 @@ cap, lhs and rhs, and the exact decision where rhs is only an enclosure.
 EQ22 and EQ41 are the k = 3 and k = 2 rows of the quadratic lemma.  One
 evaluator turns a set and a list of (claim, parameter) pairs into reports,
 taking every |S_i| and every moment sum (R(g) - k)^2 from one spectrum
-histogram of A + A; the moments share its one sum of squares.
+histogram of A + A; the moments share its one sum of squares.  The list is
+first turned into a plan, its rows unpacked and its notes formatted, once
+for every set a suite checks.
+
+A report is a BoundReport named tuple, so it is immutable and compares as
+the tuple of its fields.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -61,14 +68,18 @@ class ClaimId(str, Enum):
     S4_CHAIN = "S4_CHAIN"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one inequality check.
 
     slack is lhs - rhs for lower bounds and rhs - lhs for upper bounds,
     measured against the reported (enclosed) rhs; when the exact decision is
     HOLDS the slack is guaranteed nonnegative.  For not-applicable checks
     slack is None.
+
+    A named tuple: its fields cannot be reassigned, and equality is tuple
+    equality, so a report equals the plain tuple of its field values.  Every
+    report the evaluator makes carries its own extra dict; the default, for
+    a report built by hand, is one shared read-only empty mapping.
     """
 
     claim_id: ClaimId
@@ -77,7 +88,7 @@ class BoundReport:
     status: CheckStatus
     slack: int | Fraction | None
     note: str = ""
-    extra: dict = field(default_factory=dict)
+    extra: Mapping = MappingProxyType({})
 
     @property
     def holds(self) -> bool:
@@ -108,9 +119,11 @@ class _Claim(NamedTuple):
     under max R <= cap (None: unconditional; "c": the parameter c).
 
     lhs, rhs and decide take (m, |A|, spectrum, parameter).  decide, where
-    set, is the exact decision and rhs only an outward rational enclosure.
-    note is formatted with the parameter as p; extra takes (m, parameter,
-    max R)."""
+    set, is the exact decision and rhs only an outward rational enclosure;
+    a rational rhs is one Fraction built from integers.  note is formatted
+    once per plan, with the parameter as passed as p, so a row whose cap is
+    "c" (its parameter filled in per set when omitted) must not name p in
+    it; extra takes (m, parameter, max R)."""
 
     lower: bool
     cap: int | str | None
@@ -137,25 +150,25 @@ _CLAIMS = {
     ),
     ClaimId.S0_LOWER: _Claim(
         True, 5, lambda m, n, s, p: s[0],
-        lambda m, n, s, p: Fraction(m, 4) - ceil_sqrt(5 * m),
+        lambda m, n, s, p: Fraction(m - 4 * ceil_sqrt(5 * m), 4),
         lambda m, n, s, p: _at_most_sqrt(m - 4 * s[0], 80 * m),
         "decided by squared forms; rhs is a rational lower enclosure of m/4 - sqrt(5m)",
         # Earlier known floor (7/32)m - sqrt(10m)/2 - 1, shown for comparison
         # only; the check asserts nothing about it.
         lambda m, p, mr: {
             "max_rep": mr,
-            "comparison_floor": Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1,
+            "comparison_floor": Fraction(7 * m - 16 * ceil_sqrt(10 * m) - 32, 32),
         },
     ),
     ClaimId.S2_UPPER: _Claim(
         False, 5, lambda m, n, s, p: s[2],
-        lambda m, n, s, p: Fraction(m, 2) + 3 * ceil_sqrt(5 * m),
+        lambda m, n, s, p: Fraction(m + 6 * ceil_sqrt(5 * m), 2),
         lambda m, n, s, p: _at_most_sqrt(2 * s[2] - m, 180 * m),
         "decided by squared forms; rhs is a rational upper enclosure of m/2 + 3*sqrt(5m)",
     ),
     ClaimId.S4_UPPER: _Claim(
         False, 7, lambda m, n, s, p: s[4],
-        lambda m, n, s, p: Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4),
+        lambda m, n, s, p: Fraction(3 * m + 4 * ceil_sqrt(7 * m) + 3, 4),
         lambda m, n, s, p: _at_most_sqrt(4 * s[4] - 3 * m - 3, 112 * m),
         "decided by squared forms; rhs is a rational upper enclosure of "
         "3m/4 + sqrt(7m) + 3/4",
@@ -197,34 +210,45 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _plan(claims: list[tuple[ClaimId, int | None]]) -> list[tuple]:
+    """For each (claim, parameter) in order, the tuple (claim, parameter,
+    *row) with the row's note formatted, for _evaluate."""
+    plan = []
+    for claim_id, p in claims:
+        lower, cap, lhs, rhs, decide, note, extra = _CLAIMS[claim_id]
+        plan.append((claim_id, p, lower, cap, lhs, rhs, decide, note.format(p=p), extra))
+    return plan
+
+
 def _evaluate(
-    a: GroupSubset, claims: list[tuple[ClaimId, int | None]], profile: RepProfile | None = None
+    a: GroupSubset, plan: list[tuple], profile: RepProfile | None = None
 ) -> list[BoundReport]:
-    """One report per (claim, parameter), all from one spectrum of A + A."""
+    """One report per entry of the plan, all from one spectrum of A + A."""
     spec = (rep_profile(a) if profile is None else profile).spectrum()
     m, card, max_rep = a.group.order, a.card, spec.max_rep
     reports = []
-    for claim_id, p in claims:
-        row = _CLAIMS[claim_id]
-        cap = row.cap
+    for claim_id, p, lower, cap, lhs_of, rhs_of, decide, note, extra in plan:
         if cap == "c":
             # With c omitted, the actual maximum count is the cap, which
             # always satisfies the hypothesis.
             cap = p = max(1, max_rep) if p is None else p
-        lhs, rhs = row.lhs(m, card, spec, p), row.rhs(m, card, spec, p)
+        lhs, rhs = lhs_of(m, card, spec, p), rhs_of(m, card, spec, p)
         if cap is not None and max_rep > cap:
             status, slack = CheckStatus.NOT_APPLICABLE, None
             note = f"hypothesis max R <= {cap} not met (max R = {max_rep})"
         else:
-            if row.decide is not None:
-                holds = row.decide(m, card, spec, p)
+            if decide is not None:
+                holds = decide(m, card, spec, p)
             else:
-                holds = lhs >= rhs if row.lower else lhs <= rhs
+                holds = lhs >= rhs if lower else lhs <= rhs
             status = CheckStatus.HOLDS if holds else CheckStatus.FAILS
-            slack = lhs - rhs if row.lower else rhs - lhs
-            note = row.note.format(p=p)
-        extra = row.extra(m, p, max_rep)
-        reports.append(BoundReport(claim_id, lhs, rhs, status, slack, note, extra))
+            if type(rhs) is Fraction:
+                # lhs is an int: one Fraction, no Fraction arithmetic.
+                n, d = rhs.numerator, rhs.denominator
+                slack = Fraction(lhs * d - n, d) if lower else Fraction(n - lhs * d, d)
+            else:
+                slack = lhs - rhs if lower else rhs - lhs
+        reports.append(BoundReport(claim_id, lhs, rhs, status, slack, note, extra(m, p, max_rep)))
     return reports
 
 
@@ -234,7 +258,7 @@ def check_quadratic_lemma(
     """Sum of (R(g) - k)^2 over the group is at least km - (2k-1)|A| + k^2 - k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return _evaluate(a, [(ClaimId.QUADRATIC, k)], profile)[0]
+    return _evaluate(a, _plan([(ClaimId.QUADRATIC, k)]), profile)[0]
 
 
 def check_cardinality_bound(
@@ -247,7 +271,7 @@ def check_cardinality_bound(
     """
     if c is not None and c < 1:
         raise ValueError("cap c must be a positive integer")
-    return _evaluate(a, [(ClaimId.CARDINALITY, c)], profile)[0]
+    return _evaluate(a, _plan([(ClaimId.CARDINALITY, c)]), profile)[0]
 
 
 def check_theorem_bounds(
@@ -255,7 +279,7 @@ def check_theorem_bounds(
 ) -> list[BoundReport]:
     """|S_0| >= m/4 - sqrt(5m) and |S_2| <= m/2 + 3*sqrt(5m) under max R <= 5,
     and |S_4| <= 3m/4 + sqrt(7m) + 3/4 under max R <= 7, in that order."""
-    return _evaluate(a, _THEOREMS, profile)
+    return _evaluate(a, _plan(_THEOREMS), profile)
 
 
 def check_chain_bounds(
@@ -267,7 +291,7 @@ def check_chain_bounds(
     hold unconditionally; the upper chains and the |S_4| chain also use the
     parity bound on odd-count classes, so they carry a max-count hypothesis.
     """
-    return _evaluate(a, _CHAINS, profile)
+    return _evaluate(a, _plan(_CHAINS), profile)
 
 
 # -- randomized property harness -------------------------------------------
@@ -343,22 +367,26 @@ class SuiteResult:
     seed: int
     cases: tuple[SuiteCase, ...]
 
-    def _count(self, status: CheckStatus) -> int:
-        return sum(
-            1 for case in self.cases for r in case.reports if r.status is status
-        )
+    @cached_property
+    def _tally(self) -> dict[CheckStatus, int]:
+        """Reports per status, from one pass over every case."""
+        tally = dict.fromkeys(CheckStatus, 0)
+        for case in self.cases:
+            for r in case.reports:
+                tally[r.status] += 1
+        return tally
 
     @property
     def held(self) -> int:
-        return self._count(CheckStatus.HOLDS)
+        return self._tally[CheckStatus.HOLDS]
 
     @property
     def failed(self) -> int:
-        return self._count(CheckStatus.FAILS)
+        return self._tally[CheckStatus.FAILS]
 
     @property
     def not_applicable(self) -> int:
-        return self._count(CheckStatus.NOT_APPLICABLE)
+        return self._tally[CheckStatus.NOT_APPLICABLE]
 
     @property
     def failures(self) -> list[tuple[str, BoundReport]]:
@@ -371,7 +399,7 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failed
 
 
 def constructed_inventory() -> list[tuple[str, GroupSubset]]:
@@ -398,10 +426,10 @@ def run_verification_suite(
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    claims = _SUITES[suite]
+    plan = _plan(_SUITES[suite])
 
     def case(label: str, a: GroupSubset) -> SuiteCase:
-        return SuiteCase(label, a.group.orders, a.card, tuple(_evaluate(a, claims)))
+        return SuiteCase(label, a.group.orders, a.card, tuple(_evaluate(a, plan)))
 
     master = random.Random(seed)
     cases = [case(label, a) for label, a in constructed_inventory()]

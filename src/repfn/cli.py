@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bounds import SUITE_NAMES, run_verification_suite
+from .bounds import SUITE_NAMES, CheckStatus, run_verification_suite
 from .constructions import half_period_doubling, shift_family_report, shifted_doubling, sidon_set
 from .groups import VerificationError, parse_subset, read_subset
 from .profiles import rep_diff_profile, rep_profile
@@ -147,7 +147,9 @@ def _json_text(value: Any) -> str:
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
-    subclasses (a namedtuple, an int or str Enum) reach it at the end."""
+    subclasses (a namedtuple, an int or str Enum) reach it at the end.  A
+    dict writes its str, int, bool, None and Fraction values in place, with
+    no call per value."""
     chunks: list[str] = []
     emit = chunks.append
     # Runs of chunks already joined: a long list of small records (a verify
@@ -159,6 +161,11 @@ def _json_text(value: Any) -> str:
     # each with the text that precedes its value: a verify body's thousands
     # of reports share one entry.
     layouts: dict[tuple[str, tuple], list[tuple[str, str]]] = {}
+
+    def fraction_text(value: Fraction, pad: str) -> str:
+        inner = pad + "  "
+        return ("{" + inner + '"den": ' + int_text(value.denominator) + "," + inner
+                + '"num": ' + int_text(value.numerator) + pad + "}")
 
     def encode(value: Any, pad: str) -> None:
         # pad is the newline and indent of the line the value starts on.
@@ -183,6 +190,14 @@ def _json_text(value: Any) -> str:
                     emit(prefix + quote(v))
                 elif tv is int:
                     emit(prefix + int_text(v))
+                elif v is True:
+                    emit(prefix + "true")
+                elif v is False:
+                    emit(prefix + "false")
+                elif v is None:
+                    emit(prefix + "null")
+                elif tv is Fraction:
+                    emit(prefix + fraction_text(v, inner))
                 else:
                     emit(prefix)
                     encode(v, inner)
@@ -217,9 +232,7 @@ def _json_text(value: Any) -> str:
         elif value is False:
             emit("false")
         elif isinstance(value, Fraction):
-            inner = pad + "  "
-            emit("{" + inner + '"den": ' + int_text(value.denominator) + "," + inner
-                 + '"num": ' + int_text(value.numerator) + pad + "}")
+            emit(fraction_text(value, pad))
         elif isinstance(value, Enum):
             encode(value.value, pad)
         elif t is np.ndarray:
@@ -391,19 +404,21 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
     result = run_verification_suite(args.suite, args.trials, args.seed, args.max_m)
     reports = []
     for case in result.cases:
-        for rep in case.reports:
+        # One label, card and orders list per case, shared by its reports.
+        label, orders, card = case.label, list(case.orders), case.card
+        for claim_id, lhs, rhs, status, slack, note, extra in case.reports:
             reports.append({
-                "case": case.label,
-                "orders": list(case.orders),
-                "card": case.card,
-                "claim_id": rep.claim_id.value,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "status": rep.status.value,
-                "holds": rep.holds,
-                "slack": rep.slack,
-                "note": rep.note,
-                "extra": rep.extra,
+                "case": label,
+                "orders": orders,
+                "card": card,
+                "claim_id": claim_id.value,
+                "lhs": lhs,
+                "rhs": rhs,
+                "status": status.value,
+                "holds": status is CheckStatus.HOLDS,
+                "slack": slack,
+                "note": note,
+                "extra": extra,
             })
     body = {
         "suite": result.suite,

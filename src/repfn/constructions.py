@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,10 +86,11 @@ def half_period_doubling(p: int) -> GroupSubset:
     return result
 
 
-@dataclass(frozen=True)
-class ShiftStat:
+class ShiftStat(NamedTuple):
     """Uncovered-element counts for one shift: x_odd and x_even split the
-    zero-representation class by residue parity; s0 is their sum."""
+    zero-representation class by residue parity; s0 is their sum.  A named
+    tuple, as a scan makes one per shift: immutable, equal to the tuple of
+    its fields."""
 
     l: int
     x_odd: int

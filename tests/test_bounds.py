@@ -7,8 +7,11 @@ import pytest
 
 from repfn import bounds
 from repfn.bounds import (
+    BoundReport,
     CheckStatus,
     ClaimId,
+    SuiteCase,
+    SuiteResult,
     ceil_sqrt,
     check_cardinality_bound,
     check_chain_bounds,
@@ -164,6 +167,27 @@ class TestTheoremBounds:
             for rep in check_theorem_bounds(a):
                 if rep.holds:
                     assert rep.slack >= 0
+
+    def test_rationals_match_their_closed_forms(self):
+        # Each rhs is built as one Fraction from integers; it and its slack
+        # equal the Fraction arithmetic of the closed form.
+        for m in range(1, 400):
+            a = cyclic_subset(m, [0] if m % 3 else [])
+            s0_rep, s2_rep, s4_rep = check_theorem_bounds(a)
+            forms = (
+                Fraction(m, 4) - ceil_sqrt(5 * m),
+                Fraction(m, 2) + 3 * ceil_sqrt(5 * m),
+                Fraction(3 * m, 4) + ceil_sqrt(7 * m) + Fraction(3, 4),
+            )
+            for rep, rhs in zip((s0_rep, s2_rep, s4_rep), forms):
+                assert type(rep.rhs) is Fraction and rep.rhs == rhs
+                assert type(rep.slack) is Fraction
+            assert s0_rep.slack == s0_rep.lhs - forms[0]
+            assert s2_rep.slack == forms[1] - s2_rep.lhs
+            assert s4_rep.slack == forms[2] - s4_rep.lhs
+            assert s0_rep.extra["comparison_floor"] == (
+                Fraction(7 * m, 32) - Fraction(ceil_sqrt(10 * m), 2) - 1
+            )
 
 
 class TestChainBounds:
@@ -371,3 +395,59 @@ class TestSuiteRunner:
             run_verification_suite("nope", 1, 0)
         with pytest.raises(ValueError):
             run_verification_suite("all", -1, 0)
+
+
+class TestRecords:
+    def report(self):
+        return check_quadratic_lemma(cyclic_subset(9, [0, 1, 3]), 2)
+
+    def test_fields_cannot_be_assigned(self):
+        rep = self.report()
+        for name in BoundReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
+
+    def test_equality_is_tuple_equality(self):
+        rep = self.report()
+        assert rep == tuple(rep)
+        assert rep == BoundReport(*rep)
+
+    def test_default_extra_is_read_only(self):
+        rep = BoundReport(ClaimId.CARDINALITY, 1, 1, CheckStatus.HOLDS, 0)
+        assert rep.note == "" and dict(rep.extra) == {}
+        with pytest.raises(TypeError):
+            rep.extra["c"] = 1
+
+    def test_holds_and_applicable_agree_with_status(self):
+        reports = [r for c in run_verification_suite("all", 30, 8).cases for r in c.reports]
+        reports += [r._replace(status=s) for r, s in zip(reports, CheckStatus)]
+        assert {r.status for r in reports} == set(CheckStatus)
+        for r in reports:
+            assert r.holds is (r.status is CheckStatus.HOLDS)
+            assert r.applicable is (r.status is not CheckStatus.NOT_APPLICABLE)
+
+    def test_every_report_has_its_own_extra(self):
+        a = cyclic_subset(40, [0, 1, 5, 11])
+        reports = bounds._evaluate(a, bounds._plan(bounds._SUITES["all"]))
+        reports += bounds._evaluate(a, bounds._plan(bounds._SUITES["all"]))
+        assert len({id(r.extra) for r in reports}) == len(reports)
+        result = run_verification_suite("all", 10, 2)
+        extras = [r.extra for c in result.cases for r in c.reports]
+        assert len({id(e) for e in extras}) == len(extras)
+
+    def test_tally_equals_a_recount(self):
+        result = run_verification_suite("all", 40, 13, max_order=512)
+        statuses = [r.status for c in result.cases for r in c.reports]
+        assert result.held == statuses.count(CheckStatus.HOLDS)
+        assert result.failed == statuses.count(CheckStatus.FAILS) == 0
+        assert result.not_applicable == statuses.count(CheckStatus.NOT_APPLICABLE) > 0
+        assert result.ok
+        # One failed report is counted once and makes the result not ok.
+        case = result.cases[0]
+        failing = case.reports[0]._replace(status=CheckStatus.FAILS)
+        broken = SuiteCase(case.label, case.orders, case.card, (failing,) + case.reports[1:])
+        changed = SuiteResult(result.suite, result.trials, result.seed,
+                              (broken,) + result.cases[1:])
+        assert changed.failed == 1 and not changed.ok
+        assert changed.failures == [(case.label, failing)]
+        assert changed.held + changed.not_applicable == len(statuses) - 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repfn.constructions import (
+    ShiftStat,
     half_period_doubling,
     shift_family_report,
     shifted_doubling,
@@ -172,3 +173,14 @@ class TestShiftScanPinned:
         best_l, digest = self.PINS[p]
         assert rep.best_l == best_l
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestShiftStat:
+    def test_immutable_tuple(self):
+        stat = shift_family_report(3).per_l[2]
+        assert type(stat) is ShiftStat
+        for name in ShiftStat._fields:
+            with pytest.raises(AttributeError):
+                setattr(stat, name, 0)
+        assert stat == (stat.l, stat.x_odd, stat.x_even, stat.s0, stat.max_rep)
+        assert stat.l == 2 and stat.s0 == stat.x_odd + stat.x_even
