@@ -476,6 +476,62 @@ class TestHeuristic:
         assert out.certificate.verified
         assert out.nodes == kw["moves"] * kw.get("threads", 1)
 
+    # Outcomes recorded before run() packed its counts at the width its sets
+    # need; each run grows |A| past the capacity of its starting width, and
+    # the first two take the excess term after widening.
+    WIDENING_PINS = [
+        (
+            (240, 6, dict(moves=3000, seed=0)),
+            SearchStatus.EXHAUSTED, 12,
+            (21, 28, 29, 33, 37, 40, 43, 49, 55, 58, 59, 60, 66, 85, 88, 96, 100, 109,
+             128, 146, 156, 157, 159, 164, 172, 177, 195, 208, 211, 230, 235, 236,
+             237),
+        ),
+        (
+            (500, 8, dict(moves=3000, seed=0)),
+            SearchStatus.EXHAUSTED, 14,
+            (4, 6, 11, 15, 18, 21, 22, 25, 27, 34, 47, 68, 70, 74, 83, 85, 107, 118,
+             123, 126, 129, 157, 160, 166, 190, 197, 206, 212, 223, 242, 260, 265,
+             266, 287, 290, 298, 307, 315, 325, 330, 336, 356, 359, 380, 390, 409,
+             431, 434, 448, 461, 463, 464, 486, 496),
+        ),
+        (
+            (2000, 2000, dict(moves=5000, seed=14)),
+            SearchStatus.SAT, 20,
+            (2, 47, 52, 57, 58, 71, 89, 96, 132, 166, 176, 179, 186, 187, 205, 255,
+             258, 283, 285, 320, 333, 337, 344, 358, 394, 427, 428, 439, 465, 478,
+             519, 532, 535, 554, 563, 572, 575, 621, 625, 653, 687, 692, 709, 715,
+             718, 722, 768, 772, 784, 798, 801, 802, 821, 876, 879, 890, 909, 913,
+             935, 971, 977, 988, 995, 1002, 1016, 1017, 1049, 1074, 1079, 1097, 1108,
+             1118, 1124, 1126, 1130, 1223, 1225, 1235, 1241, 1260, 1272, 1273, 1287,
+             1321, 1332, 1349, 1382, 1395, 1396, 1450, 1451, 1452, 1461, 1473, 1508,
+             1531, 1550, 1556, 1571, 1574, 1578, 1585, 1589, 1645, 1651, 1652, 1662,
+             1677, 1706, 1716, 1718, 1730, 1748, 1763, 1783, 1860, 1891, 1943, 1945,
+             1971, 1979, 1981),
+        ),
+        (
+            # 993 = 31^2 + 31 + 1: the Singer set is a restart seed.
+            (993, 993, dict(moves=10000, seed=2, threads=2)),
+            SearchStatus.SAT, 16,
+            (1, 9, 31, 52, 60, 93, 109, 130, 135, 142, 145, 153, 160, 164, 169, 185,
+             222, 232, 244, 260, 263, 277, 283, 292, 298, 301, 304, 314, 327, 329,
+             334, 344, 348, 351, 365, 406, 425, 427, 438, 453, 456, 460, 492, 493,
+             501, 524, 534, 545, 554, 565, 566, 579, 582, 592, 602, 634, 651, 683,
+             688, 752, 764, 765, 766, 774, 785, 799, 809, 849, 859, 869, 900, 945,
+             955, 960, 965, 977, 980, 991),
+        ),
+    ]
+
+    @pytest.mark.parametrize("shape, status, cap, elements", WIDENING_PINS)
+    def test_pinned_outcomes_across_a_widening(self, shape, status, cap, elements):
+        m, r, kw = shape
+        out = heuristic_upper_bound(m, r, **kw)
+        assert out.status is status
+        assert out.certificate.claimed_r == cap
+        assert out.certificate.elements == elements
+        assert out.certificate.verified
+        assert out.nodes == kw["moves"] * kw.get("threads", 1)
+
     def test_best_objective_matches_its_members(self):
         # After two runs the recorded objective is the one pair enumeration
         # gives for the recorded members.
