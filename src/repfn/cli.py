@@ -384,12 +384,41 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     return body, EX_OK
 
 
+def _csv_text(*columns: np.ndarray) -> str:
+    """The lines "%d,%d,...\n" % row of equal-length non-negative integer
+    columns, built in numpy: a byte matrix with one row per line and each
+    column right-aligned in a field as wide as its largest value, filled by
+    one division by 10 per decimal place, then one compress that drops
+    every leading zero."""
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    text = np.empty((len(columns[0]), sum(widths) + len(widths)), np.uint8)
+    keep = np.ones(text.shape, bool)
+    seps = []
+    for col, top, width in zip(columns, tops, widths):
+        units = (seps[-1] if seps else -1) + width
+        # uint32 division is about twice as fast as uint64.
+        x = col.astype(np.uint32 if top < 2**32 else np.uint64)
+        ten = x.dtype.type(10)
+        for k in range(units, units - width, -1):
+            # A place above the units is written iff its quotient is not 0.
+            if k < units:
+                np.not_equal(x, 0, out=keep[:, k])
+            q = x // ten
+            text[:, k] = x - q * ten
+            x = q
+        seps.append(units + 1)
+    text += ord("0")
+    text[:, seps] = ord(",")
+    text[:, -1] = ord("\n")
+    return text[keep].tobytes().decode("ascii")
+
+
 def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
     profile = rep_diff_profile(subset, cross_check=args.cross_check)
     if args.format == "csv":
-        rows = np.column_stack((np.arange(subset.group.order), profile.array))
-        return "%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()), EX_OK
+        return _csv_text(np.arange(subset.group.order), profile.array), EX_OK
     body = {
         "orders": list(subset.group.orders),
         "card": subset.card,

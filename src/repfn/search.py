@@ -15,11 +15,15 @@ to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is a seeded local search on two (members and representation
 counts), run `threads` times in turn, each run one loop that holds them in
 locals alone; a rejected move leaves them as they are and every element is
-drawn from getrandbits.  It only ever claims verified upper bounds.  Every
-SAT or heuristic result carries a certificate re-checked through the
-pair-enumeration profile, never through the search's own counters.  No
-clock enters a search: each outcome is a function of its arguments alone,
-and work is counted in nodes or moves.
+drawn from getrandbits.  Its counts are at most |A|, since R_A(g) counts
+members a with g - a in A, so each run packs them at the width its sets
+need, not the width m needs: it starts at the width of its largest restart
+seed and widens, once |A| is at the slot capacity and a move would add an
+element, by repacking its two ints.  It only ever claims verified upper
+bounds.  Every SAT or heuristic result carries a certificate re-checked
+through the pair-enumeration profile, never through the search's own
+counters.  No clock enters a search: each outcome is a function of its
+arguments alone, and work is counted in nodes or moves.
 """
 
 from __future__ import annotations
@@ -412,7 +416,21 @@ class _LocalSearch(_Slots):
     table of them for every e of a large m costs more memory than the moves
     save.  Each objective term is a whole-word test or count, and the terms
     past uncovered are taken only for moves that leave no more elements
-    uncovered than the current objective."""
+    uncovered than the current objective; once nothing is uncovered, that
+    test is one mask and compare.
+
+    A run packs A and R at its own width, not this instance's, whose
+    layout holds counts up to m.  Every count is at most |A|, since
+    R_A(g) = #{a in A : g - a in A}, and |A| stays near sqrt(2m), so run()
+    starts at the _Slots width for its largest restart seed and widens only
+    when it must: when |A| is at the layout's capacity 2^(w-1) - 3 and a
+    move puts an element in without taking one out, A and R are packed
+    again from the members, for a bound of twice that capacity, before the
+    move is made.  Swaps keep |A| and every seed fits the starting width,
+    so no count outgrows its slot, and the widening draws nothing from the
+    rng.  The excess term is taken only when the max count exceeds r, so
+    there r < max count <= |A| < 2^(w-1) and its threshold stays inside
+    the slot."""
 
     def __init__(self, m: int, r: int, pool: list[tuple[int, ...] | None]):
         super().__init__(m, max(m, r))
@@ -420,22 +438,26 @@ class _LocalSearch(_Slots):
         self.pool = pool
         self.best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
 
-    def _excess(self, R: int) -> int:
-        """sum of max(0, R[g] - r): slot g of Y is R[g] - r under its top
-        bit where R[g] >= r, so masking the rest leaves the terms, which are
-        summed one bit plane at a time."""
-        w, ones = self.w, self.ones
+    def _excess(self, R: int, lay: _Slots | None = None) -> int:
+        """sum of max(0, R[g] - r) for R packed in lay (by default this
+        instance's layout): slot g of Y is R[g] - r under its top bit where
+        R[g] >= r, so masking the rest leaves the terms, which are summed
+        one bit plane at a time."""
+        lay = lay or self
+        w, ones = lay.w, lay.ones
         Y = R + ones * ((1 << (w - 1)) - self.r)
-        hit = Y & self.top
+        hit = Y & lay.top
         Y &= hit - (hit >> (w - 1))
         return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
 
-    def run(self, moves: int, rng: random.Random) -> None:
-        """moves moves from rng, a restart every _RESTART_EVERY of them."""
-        m, r, w, full, top, cover_add = self.m, self.r, self.w, self.full, self.top, self.cover_add
-        wm, km = w * m, m.bit_length()
-        pool, size = self.pool, max(1, min(m, ceil_sqrt(2 * m)))
-        flip, max_rep, excess = self.flip, self.max_rep, self._excess
+    def run(self, moves: int, rng: random.Random) -> int:
+        """moves moves from rng, a restart every _RESTART_EVERY of them;
+        returns the slot width the run ended at."""
+        m, r, km, pool = self.m, self.r, self.m.bit_length(), self.pool
+        size = max(1, min(m, ceil_sqrt(2 * m)))
+        lay = _Slots(m, max([size, *(len(b) for b in pool if b is not None)]))
+        w, full, ones, top, cover_add = lay.w, lay.full, lay.ones, lay.top, lay.cover_add
+        wm, cap = w * m, (1 << (w - 1)) - 3
         random_, getrandbits = rng.random, rng.getrandbits
         best = self.best
         for step in range(moves):
@@ -443,17 +465,15 @@ class _LocalSearch(_Slots):
                 base = pool[step // _RESTART_EVERY % len(pool)]
                 if base is None:
                     base = rng.sample(range(m), size)
-                A = R = 0
+                A, R = _pack(lay, base)
                 flags = bytearray(m)
                 for e in base:
-                    A, D = flip(A, e)
-                    R += D
                     flags[e] = 1
                 members = sorted(base)
                 card = len(members)
-                peak = max_rep(R, 0)
+                peak = lay.max_rep(R, 0)
                 cur = (m - ((R + cover_add) & top).bit_count(), peak,
-                       excess(R) if peak > r else 0, card)
+                       self._excess(R, lay) if peak > r else 0, card)
                 if cur < best[0]:
                     best = (cur, tuple(members))
             roll = random_()
@@ -469,6 +489,12 @@ class _LocalSearch(_Slots):
             else:
                 # remove below 0.4, swap below 0.9, else add
                 take, put = roll < 0.9, roll >= 0.4
+            if card == cap and put and not take:
+                # An add past the capacity: widen for the rest of the run.
+                lay = _Slots(m, 2 * cap)
+                w, full, ones, top, cover_add = lay.w, lay.full, lay.ones, lay.top, lay.cover_add
+                wm, cap = w * m, (1 << (w - 1)) - 3
+                A, R = _pack(lay, members)
             # Draws as rng.choice(members) and rng.randrange(m) make them:
             # getrandbits(n.bit_length()) until the value is below n.
             A2, R2, card2 = A, R, card
@@ -497,13 +523,28 @@ class _LocalSearch(_Slots):
                 T = A1 + A2
                 R2 += ((T << we) | (T >> (wm - we))) & full
                 card2 += 1
-            uncovered = m - ((R2 + cover_add) & top).bit_count()
-            if uncovered > cur[0]:
+            # Slot g of C is R2[g] + 2^(w-1) - 1, whose top bit is set iff g
+            # is covered.
+            C = R2 + cover_add
+            if cur[0]:
+                uncovered = m - (C & top).bit_count()
+                if uncovered > cur[0]:
+                    continue
+            elif C & top == top:
+                uncovered = 0
+            else:
                 continue
-            # One move changes each slot by at most 2, so the current max
-            # is a near guess.
-            peak = max_rep(R2, cur[1])
-            cand = (uncovered, peak, excess(R2) if peak > r else 0, card2)
+            # _Slots.max_rep, inlined on C: one move changes each slot by at
+            # most 2, so the current max is a near guess.
+            peak = cur[1]
+            Y = C - ones * peak
+            while Y & top:
+                Y -= ones
+                peak += 1
+            while peak and not (Y + ones) & top:
+                Y += ones
+                peak -= 1
+            cand = (uncovered, peak, self._excess(R2, lay) if peak > r else 0, card2)
             if cand > cur:
                 continue
             A, R, card, cur = A2, R2, card2, cand
@@ -516,6 +557,17 @@ class _LocalSearch(_Slots):
             if cur < best[0]:
                 best = (cur, tuple(members))
         self.best = best
+        return w
+
+
+def _pack(lay: _Slots, elements: Iterable[int]) -> tuple[int, int]:
+    """(A, R) for a set in lay: its indicator and its pair counts, built
+    by the flip rule one element at a time."""
+    A = R = 0
+    for e in elements:
+        A, D = lay.flip(A, e)
+        R += D
+    return A, R
 
 
 def heuristic_upper_bound(

@@ -20,7 +20,7 @@ import pytest
 from repfn import profiles, singer
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
-from repfn.groups import Group, GroupSubset, subset_from_text
+from repfn.groups import Group, GroupSubset, read_subset, subset_from_text
 
 
 Pair = namedtuple("Pair", "left right")
@@ -228,6 +228,32 @@ class TestPipelines:
             _, body = run_json(["diff-profile", "--in", str(setfile)], capsys)
             assert len(body["counts"]) == order
             assert out == "".join(f"{g},{c}\n" for g, c in enumerate(body["counts"]))
+
+    def test_diff_profile_csv_is_the_percent_format_text(self, capsys, tmp_path):
+        # Byte for byte the text "%d,%d\n" % (g, count) writes, on cyclic and
+        # multi-factor groups, with fields of one to six digits.
+        rng = np.random.default_rng(31)
+        shapes = [
+            Group.cyclic(1), Group.cyclic(10), Group.cyclic(10007), Group((2, 2, 2)),
+            Group((4, 5, 7, 9)), Group((3, 10, 100)),
+        ]
+        subsets = [
+            GroupSubset.from_elements(g, rng.choice(g.order, size, replace=False).tolist())
+            for g in shapes
+            for size in sorted({0, 1, g.order // 3, g.order})
+        ]
+        subsets.append(read_subset(Path(__file__).resolve().parent.parent / "perfbench" / "singer401.json"))
+        widths = set()
+        for subset in subsets:
+            setfile = tmp_path / "set.json"
+            setfile.write_text(subset.to_json(), encoding="utf-8")
+            code, out, _ = run_cli(["diff-profile", "--in", str(setfile), "--format", "csv"], capsys)
+            assert code == 0
+            counts = profiles.rep_diff_profile(subset).array.tolist()
+            order = subset.group.order
+            assert out == "%d,%d\n" * order % tuple(x for g in range(order) for x in (g, counts[g]))
+            widths.update((len(str(order - 1)), len(str(max(counts)))))
+        assert widths == {1, 2, 3, 4, 5, 6}
 
     def test_cross_check_flag(self, capsys, tmp_path):
         setfile = tmp_path / "set.json"

@@ -545,6 +545,26 @@ class TestHeuristic:
             excess = sum(c - r for c in counts if c > r)
             assert obj == (counts.count(0), max(counts), excess, len(members)), (m, r, seed)
 
+    def test_a_run_widens_its_slots_and_keeps_its_counts(self):
+        # A run at m = 240 starts at the width for its 22-element seeds, and
+        # with seed 11 its sets outgrow that width's capacity.
+        m, r = 240, 240
+        pool = search._seed_pool(m)
+        local = _LocalSearch(m, r, pool)
+        start = search._Slots(m, search.ceil_sqrt(2 * m)).w
+        final = local.run(3000, random.Random("11/0"))
+        assert start < final <= local.w
+        obj, members = local.best
+        assert len(members) > (1 << (start - 1)) - 3
+        counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
+        excess = sum(c - r for c in counts if c > r)
+        assert obj == (counts.count(0), max(counts), excess, len(members))
+        # The run's own layout was a local: this instance, like a fresh one,
+        # still holds counts up to m.
+        for layout in (local, _LocalSearch(m, r, pool)):
+            assert layout.decode(layout.ones * m) == (m,) * m
+            assert layout.max_rep(layout.ones * m, 0) == m
+
     def test_seed_pool_tests_the_bound_before_primality(self, monkeypatch):
         # 1009 is a prime above the bound: its order gets random draws alone,
         # and no trial division runs.
