@@ -1,29 +1,30 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
-Both paths keep their counters as slot-packed ints (_Slots, whose layout
-is private to this module), tested by whole-word arithmetic and updated by
-one flip rule: toggling e in a 0/1 slot set S, S' = S ^ bit(e), changes
-S's ordered pair counts by rot(S + S', e).  The exact path is a
-depth-first branch and bound over subsets of Z_m on four of them (members,
-their representation counts, available elements and their pair counts),
-with a lazy coverage-infeasibility prune; it can prove UNSAT.  It splits
-the space by differences.  Case U: some difference b - a in A is a unit u,
-and x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
+Both paths keep their counters in _Slots, the one slot layout of this
+module: every count in a fixed-width slot of one int, tested by whole-word
+arithmetic and updated by one flip rule: toggling e in a 0/1 slot set S,
+S' = S ^ bit(e), changes S's ordered pair counts by rot(S + S', e).  The
+exact path, _ExactSearch, subclasses it: a depth-first branch and bound
+over subsets of Z_m on four counters (members, their representation counts,
+available elements and their pair counts), with a lazy
+coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
+differences.  Case U: some difference b - a in A is a unit u, and
+x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
 spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
-heuristic path is a seeded local search on two (members and representation
-counts), run `threads` times in turn, each run one loop that holds them in
-locals alone; a rejected move leaves them as they are and every element is
+heuristic path is _local_search, a seeded local search on two counters
+(members and representation counts), run `threads` times in turn with the
+best find passed from run to run.  Each run is one loop that holds its
+state in locals; a rejected move leaves it as it is and every element is
 drawn from getrandbits.  Its counts are at most |A|, since R_A(g) counts
-members a with g - a in A, so each run packs them at the width its sets
-need, not the width m needs: it starts at the width of its largest restart
-seed and widens, once |A| is at the slot capacity and a move would add an
-element, by repacking its two ints.  It only ever claims verified upper
-bounds.  Every SAT or heuristic result carries a certificate re-checked
-through the pair-enumeration profile, never through the search's own
-counters.  No clock enters a search: each outcome is a function of its
-arguments alone, and work is counted in nodes or moves.
+members a with g - a in A, so each run builds its own _Slots at the width
+its sets need, not the width m needs, and packs again at twice the cap
+once |A| is at the cap and a move would add an element.  It only ever
+claims verified upper bounds.  Every SAT or heuristic result carries a
+certificate re-checked through the pair-enumeration profile, never through
+the search's own counters.  No clock enters a search: each outcome is a
+function of its arguments alone, and work is counted in nodes or moves.
 """
 
 from __future__ import annotations
@@ -93,22 +94,25 @@ class SearchOutcome:
 
 
 class _Slots:
-    """Counts over Z_m packed in one int, the one slot layout of both
-    searches, which subclass it: slot g holds the count at g in
+    """Counts over Z_m packed in one int, the one slot layout of this
+    module: the exact search subclasses it, and each local-search run
+    builds one at the width its sets need.  Slot g holds the count at g in
     w = (bound + 2).bit_length() + 1 bits, bound the largest count the
-    caller stores.  No count (at most bound) or add-and-mask threshold
-    (at most bound + 1) reaches a slot's top bit, so no carry crosses slots
-    and every test on all of Z_m is one add and one mask.  With rot(X, e)
-    moving slot x to x + e mod m, one flip rule updates the ordered pair
-    counts of a set S (0/1 slots) when e goes in or out: with
-    S' = S ^ bit(e), they change by exactly rot(S + S', e), added when e
-    goes in and subtracted when it comes out.  For e not in S,
-    S + S' = 2S + bit(e), whose rotation by e is the pairs (e, s) and
-    (s, e) for s in S plus (e, e) at 2e; for e in S, S and S' swap roles."""
+    caller stores; cap = 2^(w-1) - 3 is the largest bound of that width.
+    No count (at most cap) or add-and-mask threshold (at most cap + 1)
+    reaches a slot's top bit, so no carry crosses slots and every test on
+    all of Z_m is one add and one mask.  With rot(X, e) moving slot x to
+    x + e mod m, one flip rule updates the ordered pair counts of a set S
+    (0/1 slots) when e goes in or out: with S' = S ^ bit(e), they change by
+    exactly rot(S + S', e), added when e goes in and subtracted when it
+    comes out.  For e not in S, S + S' = 2S + bit(e), whose rotation by e
+    is the pairs (e, s) and (s, e) for s in S plus (e, e) at 2e; for e in
+    S, S and S' swap roles."""
 
     def __init__(self, m: int, bound: int):
         self.m = m
         w = self.w = (bound + 2).bit_length() + 1
+        self.cap = (1 << (w - 1)) - 3
         self.full = (1 << (w * m)) - 1
         ones = self.ones = self.full // ((1 << w) - 1)
         self.top = ones << (w - 1)
@@ -126,6 +130,15 @@ class _Slots:
         S2 = S ^ (1 << (self.w * e))
         return S2, self.rot(S + S2, e)
 
+    def pack(self, elements: Iterable[int]) -> tuple[int, int]:
+        """(A, R) for a set: its indicator and its pair counts, built by the
+        flip rule one element at a time."""
+        A = R = 0
+        for e in elements:
+            A, D = self.flip(A, e)
+            R += D
+        return A, R
+
     def max_rep(self, X: int, guess: int) -> int:
         """The largest slot of X by "some slot > t" tests, stepping from
         guess, so a near guess costs a test or two.  Slot g of Y is
@@ -139,6 +152,16 @@ class _Slots:
             Y += ones
             t -= 1
         return t
+
+    def excess(self, R: int, r: int) -> int:
+        """sum of max(0, R[g] - r), for 0 <= r <= cap: slot g of Y is
+        R[g] - r under its top bit where R[g] >= r, so masking the rest
+        leaves the terms, which are summed one bit plane at a time."""
+        w, ones = self.w, self.ones
+        Y = R + ones * ((1 << (w - 1)) - r)
+        hit = Y & self.top
+        Y &= hit - (hit >> (w - 1))
+        return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
 
     def decode(self, X: int) -> tuple[int, ...]:
         w, mask = self.w, (1 << self.w) - 1
@@ -198,9 +221,8 @@ class _ExactSearch(_Slots):
         m, w, V = self.m, self.w, self.ones
         P = m * V
         if m > 1:
-            # The forced include of 1 into A = {0} takes the max_rep test.
-            A, D = self.flip(1, 1)
-            R = 1 + D
+            # The root A = {0, 1} takes the max_rep test.
+            A, R = self.pack((0, 1))
             if (R + self.cap_add) & self.top:
                 self.prunes["max_rep"] += 1
             else:
@@ -396,178 +418,147 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
     return pool
 
 
-class _LocalSearch(_Slots):
-    """Hill-climb with sideways moves and periodic restarts over the
-    lexicographic objective (uncovered, max count, excess over r, |A|).
-    Each run() is one stream of moves from its own rng, starting over at
-    the first restart seed.  best, the only state that outlives a run, is
-    the first find of the least objective over every run so far.  It starts
-    as the full group, whose objective (R(g) = m at every g) no other set
-    has, so a find replaces it iff its objective is less.
+def _local_search(
+    m: int,
+    r: int,
+    pool: list[tuple[int, ...] | None],
+    moves: int,
+    rng: random.Random,
+    best: tuple[tuple[int, int, int, int], tuple[int, ...]],
+) -> tuple[tuple[int, int, int, int], tuple[int, ...]]:
+    """One run: a hill-climb with sideways moves over the lexicographic
+    objective (uncovered, max count, excess over r, |A|), moves moves from
+    rng, restarting at the next seed of pool every _RESTART_EVERY of them
+    and starting at the first.  best is (objective, members) of the least
+    objective found so far, and the run returns it with each find of a
+    lesser one.
 
     The move state, two slot-packed ints A (member indicator) and R
     (representation counts) plus the sorted member list that out-moves draw
-    from, lives in locals of run() and is never written back: a restart
-    builds it from its seed, and only an accepted move replaces it, so a
-    rejected move changes nothing.  Elements are drawn by getrandbits
-    exactly as CPython's rng.choice and rng.randrange draw them, so the
-    call sequence is theirs.  Both the take and the put of a move are the
-    flip rule of _Slots, with bit(e) and the shifts made per move, since a
-    table of them for every e of a large m costs more memory than the moves
-    save.  Each objective term is a whole-word test or count, and the terms
-    past uncovered are taken only for moves that leave no more elements
-    uncovered than the current objective; once nothing is uncovered, that
-    test is one mask and compare.
+    from, lives in locals: a restart builds it from its seed, and only an
+    accepted move replaces it, so a rejected move changes nothing.
+    Elements are drawn by getrandbits exactly as CPython's rng.choice and
+    rng.randrange draw them, so the call sequence is theirs.  Both the take
+    and the put of a move are the flip rule of _Slots, with bit(e) and the
+    shifts made per move, since a table of them for every e of a large m
+    costs more memory than the moves save.  Each objective term is a
+    whole-word test or count, and the terms past uncovered are taken only
+    for moves that leave no more elements uncovered than the current
+    objective; once nothing is uncovered, that test is one mask and compare.
 
-    A run packs A and R at its own width, not this instance's, whose
-    layout holds counts up to m.  Every count is at most |A|, since
-    R_A(g) = #{a in A : g - a in A}, and |A| stays near sqrt(2m), so run()
-    starts at the _Slots width for its largest restart seed and widens only
-    when it must: when |A| is at the layout's capacity 2^(w-1) - 3 and a
-    move puts an element in without taking one out, A and R are packed
-    again from the members, for a bound of twice that capacity, before the
-    move is made.  Swaps keep |A| and every seed fits the starting width,
-    so no count outgrows its slot, and the widening draws nothing from the
-    rng.  The excess term is taken only when the max count exceeds r, so
-    there r < max count <= |A| < 2^(w-1) and its threshold stays inside
-    the slot."""
-
-    def __init__(self, m: int, r: int, pool: list[tuple[int, ...] | None]):
-        super().__init__(m, max(m, r))
-        self.r = r
-        self.pool = pool
-        self.best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
-
-    def _excess(self, R: int, lay: _Slots | None = None) -> int:
-        """sum of max(0, R[g] - r) for R packed in lay (by default this
-        instance's layout): slot g of Y is R[g] - r under its top bit where
-        R[g] >= r, so masking the rest leaves the terms, which are summed
-        one bit plane at a time."""
-        lay = lay or self
-        w, ones = lay.w, lay.ones
-        Y = R + ones * ((1 << (w - 1)) - self.r)
-        hit = Y & lay.top
-        Y &= hit - (hit >> (w - 1))
-        return sum((Y & (ones << k)).bit_count() << k for k in range(w - 1))
-
-    def run(self, moves: int, rng: random.Random) -> int:
-        """moves moves from rng, a restart every _RESTART_EVERY of them;
-        returns the slot width the run ended at."""
-        m, r, km, pool = self.m, self.r, self.m.bit_length(), self.pool
-        size = max(1, min(m, ceil_sqrt(2 * m)))
-        lay = _Slots(m, max([size, *(len(b) for b in pool if b is not None)]))
-        w, full, ones, top, cover_add = lay.w, lay.full, lay.ones, lay.top, lay.cover_add
-        wm, cap = w * m, (1 << (w - 1)) - 3
-        random_, getrandbits = rng.random, rng.getrandbits
-        best = self.best
-        for step in range(moves):
-            if step % _RESTART_EVERY == 0:
-                base = pool[step // _RESTART_EVERY % len(pool)]
-                if base is None:
-                    base = rng.sample(range(m), size)
-                A, R = _pack(lay, base)
-                flags = bytearray(m)
-                for e in base:
-                    flags[e] = 1
-                members = sorted(base)
-                card = len(members)
-                peak = lay.max_rep(R, 0)
-                cur = (m - ((R + cover_add) & top).bit_count(), peak,
-                       self._excess(R, lay) if peak > r else 0, card)
-                if cur < best[0]:
-                    best = (cur, tuple(members))
-            roll = random_()
-            # A swap takes out_e out and puts in_e in; add and remove do
-            # one each.
-            if card == 0:
-                take, put = False, True
-            elif card == m:
-                take, put = True, False
-            elif cur[0]:
-                # add below 0.6, swap below 0.9, else remove
-                take, put = roll >= 0.6, roll < 0.9
-            else:
-                # remove below 0.4, swap below 0.9, else add
-                take, put = roll < 0.9, roll >= 0.4
-            if card == cap and put and not take:
-                # An add past the capacity: widen for the rest of the run.
-                lay = _Slots(m, 2 * cap)
-                w, full, ones, top, cover_add = lay.w, lay.full, lay.ones, lay.top, lay.cover_add
-                wm, cap = w * m, (1 << (w - 1)) - 3
-                A, R = _pack(lay, members)
-            # Draws as rng.choice(members) and rng.randrange(m) make them:
-            # getrandbits(n.bit_length()) until the value is below n.
-            A2, R2, card2 = A, R, card
-            if take:
-                k = card.bit_length()
-                i = getrandbits(k)
-                while i >= card:
-                    i = getrandbits(k)
-                out_e = members[i]
-                # The flip rule, inlined: take out_e out of A2.
-                we = w * out_e
-                A1, A2 = A2, A2 ^ (1 << we)
-                T = A1 + A2
-                R2 -= ((T << we) | (T >> (wm - we))) & full
-                card2 -= 1
-            if put:
-                while True:
-                    in_e = getrandbits(km)
-                    while in_e >= m:
-                        in_e = getrandbits(km)
-                    if not flags[in_e]:
-                        break
-                # The flip rule, inlined: put in_e into A2.
-                we = w * in_e
-                A1, A2 = A2, A2 ^ (1 << we)
-                T = A1 + A2
-                R2 += ((T << we) | (T >> (wm - we))) & full
-                card2 += 1
-            # Slot g of C is R2[g] + 2^(w-1) - 1, whose top bit is set iff g
-            # is covered.
-            C = R2 + cover_add
-            if cur[0]:
-                uncovered = m - (C & top).bit_count()
-                if uncovered > cur[0]:
-                    continue
-            elif C & top == top:
-                uncovered = 0
-            else:
-                continue
-            # _Slots.max_rep, inlined on C: one move changes each slot by at
-            # most 2, so the current max is a near guess.
-            peak = cur[1]
-            Y = C - ones * peak
-            while Y & top:
-                Y -= ones
-                peak += 1
-            while peak and not (Y + ones) & top:
-                Y += ones
-                peak -= 1
-            cand = (uncovered, peak, self._excess(R2, lay) if peak > r else 0, card2)
-            if cand > cur:
-                continue
-            A, R, card, cur = A2, R2, card2, cand
-            if take:
-                del members[bisect_left(members, out_e)]
-                flags[out_e] = 0
-            if put:
-                insort(members, in_e)
-                flags[in_e] = 1
+    A and R are packed at the width the run's sets need, not the width m
+    needs.  Every count is at most |A|, since R_A(g) = #{a in A : g - a in
+    A}, and |A| stays near sqrt(2m), so the run starts at the _Slots width
+    for its largest restart seed and widens only when it must: when |A| is
+    at the layout's cap and a move puts an element in without taking one
+    out, A and R are packed again from the members, for a bound of twice
+    the cap, before the move is made.  Swaps keep |A| and every seed fits
+    the starting width, so no count outgrows its slot, and the widening
+    draws nothing from the rng.  The excess term is taken only when the max
+    count exceeds r, so there r < max count <= |A| <= cap."""
+    km = m.bit_length()
+    size = max(1, min(m, ceil_sqrt(2 * m)))
+    lay = _Slots(m, max([size, *(len(b) for b in pool if b is not None)]))
+    w, full, ones, top, cover_add, cap = lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap
+    wm = w * m
+    random_, getrandbits = rng.random, rng.getrandbits
+    for step in range(moves):
+        if step % _RESTART_EVERY == 0:
+            base = pool[step // _RESTART_EVERY % len(pool)]
+            if base is None:
+                base = rng.sample(range(m), size)
+            A, R = lay.pack(base)
+            flags = bytearray(m)
+            for e in base:
+                flags[e] = 1
+            members = sorted(base)
+            card = len(members)
+            peak = lay.max_rep(R, 0)
+            cur = (m - ((R + cover_add) & top).bit_count(), peak,
+                   lay.excess(R, r) if peak > r else 0, card)
             if cur < best[0]:
                 best = (cur, tuple(members))
-        self.best = best
-        return w
-
-
-def _pack(lay: _Slots, elements: Iterable[int]) -> tuple[int, int]:
-    """(A, R) for a set in lay: its indicator and its pair counts, built
-    by the flip rule one element at a time."""
-    A = R = 0
-    for e in elements:
-        A, D = lay.flip(A, e)
-        R += D
-    return A, R
+        roll = random_()
+        # A swap takes out_e out and puts in_e in; add and remove do
+        # one each.
+        if card == 0:
+            take, put = False, True
+        elif card == m:
+            take, put = True, False
+        elif cur[0]:
+            # add below 0.6, swap below 0.9, else remove
+            take, put = roll >= 0.6, roll < 0.9
+        else:
+            # remove below 0.4, swap below 0.9, else add
+            take, put = roll < 0.9, roll >= 0.4
+        if card == cap and put and not take:
+            # An add past the cap: widen for the rest of the run.
+            lay = _Slots(m, 2 * cap)
+            w, full, ones, top, cover_add, cap = lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap
+            wm = w * m
+            A, R = lay.pack(members)
+        # Draws as rng.choice(members) and rng.randrange(m) make them:
+        # getrandbits(n.bit_length()) until the value is below n.
+        A2, R2, card2 = A, R, card
+        if take:
+            k = card.bit_length()
+            i = getrandbits(k)
+            while i >= card:
+                i = getrandbits(k)
+            out_e = members[i]
+            # The flip rule, inlined: take out_e out of A2.
+            we = w * out_e
+            A1, A2 = A2, A2 ^ (1 << we)
+            T = A1 + A2
+            R2 -= ((T << we) | (T >> (wm - we))) & full
+            card2 -= 1
+        if put:
+            while True:
+                in_e = getrandbits(km)
+                while in_e >= m:
+                    in_e = getrandbits(km)
+                if not flags[in_e]:
+                    break
+            # The flip rule, inlined: put in_e into A2.
+            we = w * in_e
+            A1, A2 = A2, A2 ^ (1 << we)
+            T = A1 + A2
+            R2 += ((T << we) | (T >> (wm - we))) & full
+            card2 += 1
+        # Slot g of C is R2[g] + 2^(w-1) - 1, whose top bit is set iff g
+        # is covered.
+        C = R2 + cover_add
+        if cur[0]:
+            uncovered = m - (C & top).bit_count()
+            if uncovered > cur[0]:
+                continue
+        elif C & top == top:
+            uncovered = 0
+        else:
+            continue
+        # _Slots.max_rep, inlined on C: one move changes each slot by at
+        # most 2, so the current max is a near guess.
+        peak = cur[1]
+        Y = C - ones * peak
+        while Y & top:
+            Y -= ones
+            peak += 1
+        while peak and not (Y + ones) & top:
+            Y += ones
+            peak -= 1
+        cand = (uncovered, peak, lay.excess(R2, r) if peak > r else 0, card2)
+        if cand > cur:
+            continue
+        A, R, card, cur = A2, R2, card2, cand
+        if take:
+            del members[bisect_left(members, out_e)]
+            flags[out_e] = 0
+        if put:
+            insort(members, in_e)
+            flags[in_e] = 1
+        if cur < best[0]:
+            best = (cur, tuple(members))
+    return best
 
 
 def heuristic_upper_bound(
@@ -594,10 +585,12 @@ def heuristic_upper_bound(
     pool = _seed_pool(m)
     notes = ["restart seed pool: random draws" + ("" if len(pool) == 1 else " plus the perfect difference set")]
 
-    search = _LocalSearch(m, r, pool)
+    # best starts as the full group, whose objective (R(g) = m at every g)
+    # no other set has, so a find replaces it iff its objective is less.
+    best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
     for w in range(threads):
-        search.run(moves, random.Random(f"{seed}/{w}"))
-    obj, elements = search.best
+        best = _local_search(m, r, pool, moves, random.Random(f"{seed}/{w}"), best)
+    obj, elements = best
     cert = make_certificate(m, elements, obj[1])
     if not cert.verified:
         raise VerificationError("heuristic winner failed the independent re-check")

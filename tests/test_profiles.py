@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repfn import profiles, search
+from repfn import profiles
 from repfn.groups import (
     Group,
     GroupMismatchError,
@@ -651,48 +651,6 @@ class TestOneStore:
         assert (engine == engine.counts) is False
         assert (engine == engine.array) is False
         assert engine != list(engine.counts)
-
-
-class TestSlots:
-    """The slot-packed counts of the searches against a plain list of
-    counts."""
-
-    def test_rot_max_rep_zeros_match_a_list(self):
-        rng = random.Random(14)
-        for _ in range(200):
-            m = rng.randint(1, 40)
-            bound = rng.randint(1, 50)
-            counts = [rng.choice((0, rng.randint(0, bound))) for _ in range(m)]
-            slots = search._Slots(m, bound)
-            X = sum(c << (slots.w * g) for g, c in enumerate(counts))
-            assert slots.decode(X) == tuple(counts)
-            e = rng.randrange(m)
-            assert slots.decode(slots.rot(X, e)) == tuple(counts[(g - e) % m] for g in range(m))
-            for guess in (0, max(counts), bound, rng.randint(0, bound)):
-                assert slots.max_rep(X, guess) == max(counts)
-
-    def test_flip_matches_the_difference_of_two_profiles(self):
-        # flip(S, e) = (S', rot(S + S', e)) with S' = S ^ bit(e); the second
-        # part is the change of S's pair counts, added when e goes in and
-        # subtracted when it comes out.
-        rng = random.Random(24)
-        for _ in range(40):
-            m = rng.randint(1, 40)
-            group = Group.cyclic(m)
-            slots = search._Slots(m, m)
-            density = rng.random()
-            members = {x for x in range(m) if rng.random() < density}
-            S = sum(1 << (slots.w * x) for x in members)
-            before = rep_profile_naive(GroupSubset.from_elements(group, members)).counts
-            for e in range(m):
-                flipped = members ^ {e}
-                after = rep_profile_naive(GroupSubset.from_elements(group, flipped)).counts
-                S2, D = slots.flip(S, e)
-                assert slots.decode(S2) == tuple(int(x in flipped) for x in range(m))
-                sign = 1 if e in flipped else -1
-                assert slots.decode(D) == tuple(sign * (a - b) for a, b in zip(after, before))
-                # The way back takes the same change the other way.
-                assert slots.flip(S2, e) == (S, D)
 
 
 def test_verification_error_is_runtime_error():

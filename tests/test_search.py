@@ -12,7 +12,8 @@ from repfn.profiles import rep_profile_naive
 from repfn.search import (
     DEFAULT_NODE_BUDGET,
     SearchStatus,
-    _LocalSearch,
+    _local_search,
+    _Slots,
     exists_basis,
     heuristic_upper_bound,
     make_certificate,
@@ -362,19 +363,91 @@ class TestMakeCertificate:
         assert cert.elements == (0, 1, 3)
 
 
+class TestSlots:
+    """The slot-packed counts of the searches against a plain list of
+    counts."""
+
+    def test_rot_max_rep_decode_match_a_list(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            m = rng.randint(1, 40)
+            bound = rng.randint(1, 50)
+            counts = [rng.choice((0, rng.randint(0, bound))) for _ in range(m)]
+            slots = _Slots(m, bound)
+            X = sum(c << (slots.w * g) for g, c in enumerate(counts))
+            assert slots.decode(X) == tuple(counts)
+            e = rng.randrange(m)
+            assert slots.decode(slots.rot(X, e)) == tuple(counts[(g - e) % m] for g in range(m))
+            for guess in (0, max(counts), bound, rng.randint(0, bound)):
+                assert slots.max_rep(X, guess) == max(counts)
+
+    def test_flip_matches_the_difference_of_two_profiles(self):
+        # flip(S, e) = (S', rot(S + S', e)) with S' = S ^ bit(e); the second
+        # part is the change of S's pair counts, added when e goes in and
+        # subtracted when it comes out.
+        rng = random.Random(24)
+        for _ in range(40):
+            m = rng.randint(1, 40)
+            group = Group.cyclic(m)
+            slots = _Slots(m, m)
+            density = rng.random()
+            members = {x for x in range(m) if rng.random() < density}
+            S = sum(1 << (slots.w * x) for x in members)
+            before = rep_profile_naive(GroupSubset.from_elements(group, members)).counts
+            for e in range(m):
+                flipped = members ^ {e}
+                after = rep_profile_naive(GroupSubset.from_elements(group, flipped)).counts
+                S2, D = slots.flip(S, e)
+                assert slots.decode(S2) == tuple(int(x in flipped) for x in range(m))
+                sign = 1 if e in flipped else -1
+                assert slots.decode(D) == tuple(sign * (a - b) for a, b in zip(after, before))
+                # The way back takes the same change the other way.
+                assert slots.flip(S2, e) == (S, D)
+
+    def test_cap_is_the_largest_bound_of_its_width(self):
+        for m in (1, 7, 40):
+            for bound in range(200):
+                slots = _Slots(m, bound)
+                assert bound <= slots.cap
+                assert _Slots(m, slots.cap).w == slots.w < _Slots(m, slots.cap + 1).w
+
+    def test_pack_decodes_to_the_pair_counts(self):
+        # Counts are at most |A|, so a layout for that bound holds them.
+        rng = random.Random(34)
+        for _ in range(60):
+            m = rng.randint(1, 40)
+            members = rng.sample(range(m), rng.randint(0, m))
+            slots = _Slots(m, len(members))
+            A, R = slots.pack(members)
+            expected = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
+            assert slots.decode(R) == expected
+            assert slots.decode(A) == tuple(int(x in members) for x in range(m))
+
+    def test_excess_matches_a_list_for_every_r_up_to_cap(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            m = rng.randint(1, 40)
+            slots = _Slots(m, rng.randint(0, 60))
+            counts = [rng.choice((0, slots.cap, rng.randint(0, slots.cap))) for _ in range(m)]
+            R = sum(c << (slots.w * g) for g, c in enumerate(counts))
+            for r in range(slots.cap + 1):
+                assert slots.excess(R, r) == sum(max(0, c - r) for c in counts), (m, r)
+
+
 class TestCounts:
     def test_matches_naive_profile_under_random_add_remove(self):
         # The heuristic's packed A and R, driven by _Slots.flip, and its
         # objective terms, against the pair-enumeration profile after every
-        # flip.
+        # flip; every r drawn here is at most the layout's cap.
         capped = uncapped = 0
         for seed in range(8):
             rng = random.Random(seed)
             m = rng.randint(1, 40)
             r = rng.randint(1, 6)
-            counts = _LocalSearch(m, r, [None])
+            counts = _Slots(m, m)
+            assert r <= counts.cap
             # The full group, whose slots all hold m, reaches the top bit plane.
-            assert counts._excess(counts.ones * m) == m * max(0, m - r)
+            assert counts.excess(counts.ones * m, r) == m * max(0, m - r)
             present: set[int] = set()
             A = R = 0
             for _ in range(80):
@@ -391,7 +464,7 @@ class TestCounts:
                 assert counts.decode(R) == expected, (seed, sorted(present))
                 for guess in (0, max(expected), m):
                     assert counts.max_rep(R, guess) == max(expected), (seed, guess)
-                assert counts._excess(R) == sum(c - r for c in expected if c > r)
+                assert counts.excess(R, r) == sum(c - r for c in expected if c > r)
                 assert counts.decode(A) == tuple(int(g in present) for g in range(m))
                 capped += max(expected) <= r
                 uncapped += max(expected) > r
@@ -559,34 +632,38 @@ class TestHeuristic:
         # After two runs the recorded objective is the one pair enumeration
         # gives for the recorded members.
         for m, r, seed in [(30, 4, 0), (57, 57, 1), (100, 8, 2), (240, 12, 3), (120, 6, 4)]:
-            local = _LocalSearch(m, r, search._seed_pool(m))
+            pool = search._seed_pool(m)
+            best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
             for w in range(2):
-                local.run(1000, random.Random(f"{seed}/{w}"))
-            obj, members = local.best
+                best = _local_search(m, r, pool, 1000, random.Random(f"{seed}/{w}"), best)
+            obj, members = best
             assert list(members) == sorted(set(members)) and len(members) < m, (m, r, seed)
             counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
             excess = sum(c - r for c in counts if c > r)
             assert obj == (counts.count(0), max(counts), excess, len(members)), (m, r, seed)
 
-    def test_a_run_widens_its_slots_and_keeps_its_counts(self):
+    def test_a_run_widens_its_slots_and_keeps_its_counts(self, monkeypatch):
         # A run at m = 240 starts at the width for its 22-element seeds, and
-        # with seed 11 its sets outgrow that width's capacity.
+        # with seed 11 its best set outgrows that width's cap.  The layouts
+        # the run builds are recorded, since the counts of these sets stay
+        # far below |A| and would fit the starting width.
         m, r = 240, 240
-        pool = search._seed_pool(m)
-        local = _LocalSearch(m, r, pool)
-        start = search._Slots(m, search.ceil_sqrt(2 * m)).w
-        final = local.run(3000, random.Random("11/0"))
-        assert start < final <= local.w
-        obj, members = local.best
-        assert len(members) > (1 << (start - 1)) - 3
+        start = _Slots(m, search.ceil_sqrt(2 * m))
+        widths = []
+
+        class Recorded(_Slots):
+            def __init__(self, m, bound):
+                super().__init__(m, bound)
+                widths.append(self.w)
+
+        monkeypatch.setattr(search, "_Slots", Recorded)
+        full = ((0, m, 0, m), tuple(range(m)))
+        obj, members = _local_search(m, r, search._seed_pool(m), 3000, random.Random("11/0"), full)
+        assert widths == [start.w, start.w + 1]
+        assert len(members) > start.cap
         counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
         excess = sum(c - r for c in counts if c > r)
         assert obj == (counts.count(0), max(counts), excess, len(members))
-        # The run's own layout was a local: this instance, like a fresh one,
-        # still holds counts up to m.
-        for layout in (local, _LocalSearch(m, r, pool)):
-            assert layout.decode(layout.ones * m) == (m,) * m
-            assert layout.max_rep(layout.ones * m, 0) == m
 
     def test_seed_pool_tests_the_bound_before_primality(self, monkeypatch):
         # 1009 is a prime above the bound: its order gets random draws alone,
