@@ -676,9 +676,9 @@ class TestHeuristic:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 240, 993, 2000, 4097])
     def test_draws_match_choice_and_randrange(self, n):
-        # run() draws an index below n as getrandbits(n.bit_length()) until
-        # the value is below n; on the running CPython that must give what
-        # rng.choice and rng.randrange give from the same state.
+        # _local_search draws an index below n as getrandbits(n.bit_length())
+        # until the value is below n; on the running CPython that must give
+        # what rng.choice and rng.randrange give from the same state.
         def draw(rng):
             k = n.bit_length()
             i = rng.getrandbits(k)
