@@ -298,6 +298,27 @@ class TestExistsBasis:
         for (m, r), expected in self.PINNED_WORKLOAD.items():
             assert self.pinned_fields(exists_basis(m, r)) == expected, (m, r)
 
+    # The sha256 of 840 outcomes (326 SAT, 214 UNSAT, 300 EXHAUSTED), one
+    # line each, recorded before the exact search became one function over
+    # one slot layout.  The notes carry each case's node count and barred
+    # includes.
+    GRID_DIGEST = "39af6447b90abd26a9b9d49540d4e2f9770b9df3a70850488def72f2dbcea034"
+
+    def test_outcomes_over_a_grid_are_pinned(self):
+        digest = hashlib.sha256()
+        for m in range(1, 31):
+            for r in range(1, 8):
+                for budget in (1, 50, 3000, 200000):
+                    out = exists_basis(m, r, node_budget=budget)
+                    cert = out.certificate
+                    elements = "-" if cert is None else ",".join(map(str, cert.elements))
+                    line = (
+                        f"{m},{r},{budget}:{out.status.value},{out.nodes},{out.prunes['max_rep']},"
+                        f"{out.prunes['coverage']},{elements},{'|'.join(out.notes)}\n"
+                    )
+                    digest.update(line.encode())
+        assert digest.hexdigest() == self.GRID_DIGEST
+
 
 class TestRuzsaNumber:
     def test_matches_frozen_table(self):
