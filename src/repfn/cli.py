@@ -9,7 +9,8 @@ subcommands accept verbatim.
 
 Exit codes: 0 success/SAT, 1 failed checks or UNSAT, 2 budget exhausted,
 64 usage error, 66 unreadable, invalid or too large input file, 70 internal
-verification failure, 71 out of memory, 73 output file cannot be written.
+verification failure, 71 out of memory or a value too large to build, 73
+output file cannot be written.
 
 `main` is the process entry point: each command is one interpreter.  It
 starts with gc.freeze(), so neither the command's own collections nor the
@@ -523,13 +524,14 @@ def main(argv: list[str] | None = None) -> int:
     collector's permanent generation; objects the command makes are still
     tracked and collected.  `main` is the process entry point: a caller that
     keeps running after it returns should call gc.unfreeze().  A MemoryError
-    anywhere in the command exits 71 with one line on stderr, and a set too
-    large to load exits 66."""
+    or OverflowError (a value too large to build, such as the slots of a
+    huge m) anywhere in the command exits 71 with one line on stderr, and a
+    set too large to load exits 66."""
     gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         print(f"repfn: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return EX_OSERR
 

@@ -3,8 +3,9 @@
 Both paths keep their counters in _Slots, the one slot layout of this
 module: every count in a fixed-width slot of one int, tested by whole-word
 arithmetic and updated by one flip rule: toggling e in a 0/1 slot set S,
-S' = S ^ bit(e), changes S's ordered pair counts by rot(S + S', e).  The
-exact path, _ExactSearch, subclasses it: a depth-first branch and bound
+S' = S ^ bit(e), changes S's ordered pair counts by rot(S + S', e).  No
+search subclasses it; each builds its own.  The exact path is
+_exact_search, one function over one layout: a depth-first branch and bound
 over subsets of Z_m on four counters (members, their representation counts,
 available elements and their pair counts), with a lazy
 coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
@@ -33,7 +34,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
 from .bounds import ceil_sqrt
@@ -95,8 +96,8 @@ class SearchOutcome:
 
 class _Slots:
     """Counts over Z_m packed in one int, the one slot layout of this
-    module: the exact search subclasses it, and each local-search run
-    builds one at the width its sets need.  Slot g holds the count at g in
+    module.  No search subclasses it: the exact search builds one at the
+    width m needs, and each local-search run one at the width its sets need.  Slot g holds the count at g in
     w = (bound + 2).bit_length() + 1 bits, bound the largest count the
     caller stores; cap = 2^(w-1) - 3 is the largest bound of that width.
     No count (at most cap) or add-and-mask threshold (at most cap + 1)
@@ -168,17 +169,20 @@ class _Slots:
         return tuple((X >> (w * g)) & mask for g in range(self.m))
 
 
-class _ExactSearch(_Slots):
+def _exact_search(
+    m: int, r: int, node_budget: int, stack=list
+) -> tuple[bool | None, list[int] | None, int, list[int], int, dict[str, int]]:
     """DFS over subsets of Z_m in ascending element order, include branch
-    first, on four slot-packed ints: A (member indicator), R (its
-    representation counts), V (available indicator: at the node for e, the
-    members, all below e, and every x >= e) and P (ordered pairs of V
+    first, on four counters in one _Slots layout: A (member indicator), R
+    (its representation counts), V (available indicator: at the node for e,
+    the members, all below e, and every x >= e) and P (ordered pairs of V
     summing to g).  Both branches take the flip rule of _Slots: including e
     gives A' = A ^ bit(e) and R + rot(A + A', e), excluding it gives
     V' = V ^ bit(e) and P - rot(V + V', e).  steps[e] is the per-depth
     table (w·e, w·(m - e), bit(e)), built once.  The DFS is one loop: a
-    node whose exclude branch is still to come waits on an explicit stack
-    as (e, A, R, P, V), so undo is a pop and no depth limit applies to m.
+    node whose exclude branch is still to come waits as (e, A, R, P, V) on
+    an explicit stack of type stack (a test's checks each node pushed), so
+    undo is a pop and no depth limit applies to m.
 
     The whole-word checks equal checks on the touched slots alone.  Every
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
@@ -186,7 +190,7 @@ class _ExactSearch(_Slots):
     P[g] = R[g] = 0 (true at the root, kept by includes, pruned on
     excludes), so an exclude is a coverage prune iff a slot of P | R is 0.
 
-    The space is split by differences, and run() drains the two cases in
+    The space is split by differences, and the two cases are drained in
     turn on one node counter and budget.  Case U: some difference b - a in
     A is a unit u; then x -> u^-1(x - a) maps A onto a set containing
     {0, 1} with R_{phi A}(u^-1(g - 2a)) = R_A(g), so the DFS starts at
@@ -194,73 +198,52 @@ class _ExactSearch(_Slots):
     Case N: every difference in A is a non-unit; 0 is fixed by translation
     and the include of e is barred when A & rot(Units, e) != 0, i.e. when
     e - a is a unit for some member a (units are closed under negation).  A
-    barred e still takes the exclude branch, so P keeps its meaning.  Both
-    cases run through one _drain, given the unit indicator in case N and 0
-    in case U."""
+    barred e still takes the exclude branch, so P keeps its meaning.
 
-    # The type of the DFS stack; a test swaps in a list whose append checks
-    # the counters of every node pushed.
-    _stack = list
-
-    def __init__(self, m: int, r: int, node_budget: int):
-        # No count exceeds m, and the largest threshold is the cap r.
-        super().__init__(m, max(m, r))
-        self.node_budget = node_budget
-        w = self.w
-        self.cap_add = self.cover_add - self.ones * r
-        self.steps = [(w * e, w * (m - e), 1 << (w * e)) for e in range(m)]
-        self.nodes = 0
-        self.case_nodes = [0, 0]
-        self.barred = 0
-        self.prunes = {"max_rep": 0, "coverage": 0}
-        self.witness: list[int] | None = None
-
-    def run(self) -> bool | None:
-        """Case U, then case N: True as soon as either finds a basis, False
-        once both are drained, None when the node budget runs out first."""
-        m, w, V = self.m, self.w, self.ones
-        P = m * V
-        if m > 1:
-            # The root A = {0, 1} takes the max_rep test.
-            A, R = self.pack((0, 1))
-            if (R + self.cap_add) & self.top:
-                self.prunes["max_rep"] += 1
-            else:
-                found = self._drain(2, A, R, P, V, 0)
-                self.case_nodes[0] = self.nodes
-                if found is not False:
-                    return found
-        units = sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
-        start = self.nodes
-        found = self._drain(1, 1, 1, P, V, units)
-        self.case_nodes[1] = self.nodes - start
-        return found
-
-    def _drain(self, e: int, A: int, R: int, P: int, V: int, units: int) -> bool | None:
-        """The DFS from the node (e, A, R, P, V): True at a basis, whose
-        members become the witness, False once drained, None past the node
-        budget.  An include of e is barred when A & rot(units, e) != 0.
-        The counters live in locals and are written back once, at the end."""
-        m, steps, full, top = self.m, self.steps, self.full, self.top
-        cover_add, cap_add = self.cover_add, self.cap_add
-        nodes, budget, barred = self.nodes, self.node_budget, self.barred
-        max_rep = coverage = 0
-        stack = self._stack()
-        push, pop = stack.append, stack.pop
-        found: bool | None = False
+    Returns (found, witness, nodes, case_nodes, barred, prunes): found is
+    True at a basis, whose members are the witness, False once both cases
+    are drained and None past the node budget; case_nodes counts each case."""
+    # No count exceeds m, and the largest threshold is the cap r.
+    lay = _Slots(m, max(m, r))
+    w, full, ones, top, cover_add = lay.w, lay.full, lay.ones, lay.top, lay.cover_add
+    cap_add = cover_add - ones * r
+    # Each node is one element deeper than the node it came from, and the
+    # roots start at e <= 2, so node n has e <= n + 1; a node past the
+    # budget stops before it reads steps.
+    steps = [(w * e, w * (m - e), 1 << (w * e)) for e in range(min(m, node_budget + 2))]
+    nodes = barred = max_rep = coverage = 0
+    case_nodes = [0, 0]
+    witness: list[int] | None = None
+    found: bool | None = False
+    # (case, e, A, R): case U from the members {0, 1}, whose root takes
+    # the max_rep test, then case N from {0}.
+    roots = []
+    if m > 1:
+        A, R = lay.pack((0, 1))
+        if (R + cap_add) & top:
+            max_rep += 1
+        else:
+            roots.append((0, 2, A, R))
+    roots.append((1, 1, 1, 1))
+    for case, e, A, R in roots:
+        # In case N, e is barred if it has a unit difference to a member.
+        units = case and sum(1 << (w * x) for x in range(m) if gcd(x, m) == 1)
+        P, V = m * ones, ones
+        start = nodes
+        waiting = stack()
+        push, pop = waiting.append, waiting.pop
         while True:
             nodes += 1
-            if nodes > budget:
+            if nodes > node_budget:
                 found = None
                 break
             if (R + cover_add) & top == top:
-                self.witness = [x for x, a in enumerate(self.decode(A)) if a]
+                witness = [x for x, a in enumerate(lay.decode(A)) if a]
                 found = True
                 break
             if e < m:
                 # Include branch first; the exclude branch waits on the
-                # stack.  In case N, e is barred if it has a unit difference
-                # to a member.
+                # stack.
                 push((e, A, R, P, V))
                 we, wme, bit = steps[e]
                 # Every member is below e, so of rot(units, e) only the
@@ -278,7 +261,7 @@ class _ExactSearch(_Slots):
                         continue
             # Take the exclude branch of the deepest waiting node that
             # passes the coverage test; none left means drained.
-            while stack:
+            while waiting:
                 e, A, R, P, V = pop()
                 we, wme, bit = steps[e]
                 V2 = V ^ bit
@@ -290,10 +273,10 @@ class _ExactSearch(_Slots):
                 coverage += 1
             else:
                 break
-        self.nodes, self.barred = nodes, barred
-        self.prunes["max_rep"] += max_rep
-        self.prunes["coverage"] += coverage
-        return found
+        case_nodes[case] = nodes - start
+        if found is not False:
+            break
+    return found, witness, nodes, case_nodes, barred, {"max_rep": max_rep, "coverage": coverage}
 
 
 _RUN_STATUS = {True: SearchStatus.SAT, False: SearchStatus.UNSAT, None: SearchStatus.EXHAUSTED}
@@ -307,7 +290,7 @@ def exists_basis(
 ) -> SearchOutcome:
     """Exact decision: does Z_m admit an additive basis with max count <= r.
 
-    The space is split by differences (see _ExactSearch): case U, where some
+    The space is split by differences (see _exact_search): case U, where some
     difference in A is a unit and A is mapped onto a set containing {0, 1},
     then case N, where every difference is a non-unit.  UNSAT is only
     returned after both symmetry-reduced cases are fully drained; running
@@ -317,10 +300,9 @@ def exists_basis(
     (m, r, node_budget) alone.
     """
     _check_args(m, r, node_budget, "node")
-    search = _ExactSearch(m, r, node_budget)
+    found, witness, nodes, (nodes_u, nodes_n), barred, prunes = _exact_search(m, r, node_budget)
     cert = None
-    status = _RUN_STATUS[search.run()]
-    nodes_u, nodes_n = search.case_nodes
+    status = _RUN_STATUS[found]
     notes = [
         "case U: some difference b - a in A is a unit u; x -> u^-1(x - a) maps A "
         "onto a set containing {0, 1} and R_{phiA}(u^-1(g - 2a)) = R_A(g), so 0 "
@@ -329,7 +311,7 @@ def exists_basis(
         "(translating a basis preserves its spectrum) and includes with a unit "
         "difference to a member are barred; "
         + (
-            f"took {nodes_n} nodes, {search.barred} includes barred"
+            f"took {nodes_n} nodes, {barred} includes barred"
             if nodes_n
             else "not searched"
         ),
@@ -337,10 +319,10 @@ def exists_basis(
     if status is SearchStatus.EXHAUSTED:
         notes.append("budget exhausted before both cases were drained")
     if status is SearchStatus.SAT:
-        cert = make_certificate(m, search.witness, r)
+        cert = make_certificate(m, witness, r)
         if not cert.verified:
             raise VerificationError("witness failed the independent re-check")
-    return SearchOutcome(status, cert, search.nodes, dict(search.prunes), tuple(notes))
+    return SearchOutcome(status, cert, nodes, prunes, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -396,7 +378,7 @@ def ruzsa_number(
         # Budget ran out at this r: bracket with a heuristic upper bound.
         heur = heuristic_upper_bound(m, m, moves=min(node_budget, DEFAULT_MOVES))
         hi_cert = heur.certificate
-        hi = hi_cert.claimed_r if hi_cert is not None else m
+        hi = hi_cert.claimed_r
         if hi < r:
             raise VerificationError("certified upper bound contradicts an UNSAT proof")
         return RuzsaResult(m, None, r, hi, hi_cert, prev_unsat, tuple(probes), nodes)
@@ -410,10 +392,10 @@ def _seed_pool(m: int) -> list[tuple[int, ...] | None]:
     """Restart seeds: None means a fresh random draw; when m has the
     perfect-difference-set order p^2 + p + 1 the set itself is seeded too."""
     pool: list[tuple[int, ...] | None] = [None]
-    p = 1
-    while p * p + p + 1 < m:
-        p += 1
-    if p * p + p + 1 == m and p <= DEFAULT_PRIME_BOUND and is_prime(p):
+    # m = p^2 + p + 1 exactly when 4m - 3 = (2p + 1)^2.
+    s = isqrt(4 * m - 3)
+    p = s // 2
+    if s * s == 4 * m - 3 and p <= DEFAULT_PRIME_BOUND and is_prime(p):
         pool.append(tuple(singer_set(p).elements))
     return pool
 

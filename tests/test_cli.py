@@ -616,6 +616,16 @@ class TestErrorPaths:
         match = re.fullmatch(r"repfn: out of memory: a group of order (\d+) is too large to load\n", err)
         assert match and 2**63 <= int(match[1]) <= 2**64
 
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_modulus_too_large_to_build_exits_71(self, capsys, mode):
+        # The slots of Z_m for m = 10^20 need more digits than an int may
+        # have; the heuristic finds its seed pool in closed form first.
+        argv = ["ruzsa", "--m", str(10**20), "--budget", "1", "--mode", mode]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 71
+        assert out == ""
+        assert err.startswith("repfn: out of memory") and err.count("\n") == 1, err
+
     def test_more_factors_than_numpy_dimensions(self, capsys, monkeypatch):
         # Seventy order-1 factors and Z_5: a group of order 5 whose orders
         # are echoed as given

@@ -25,64 +25,64 @@ from ruzsa_oracle import FROZEN_MIN_CAP, brute
 class _CheckedStack(list):
     """The DFS stack with R and P of every node pushed decoded and compared
     with pair enumeration of the members, and of the members plus every
-    x >= e, and V with the indicator of that second set.  Every node with an
-    element left to decide is pushed before its include branch is tried."""
+    x >= e, and V with the indicator of that second set; checked counts the
+    nodes pushed.  Every node with an element left to decide is pushed
+    before its include branch is tried."""
 
-    def __init__(self, search):
+    def __init__(self, m, r):
         super().__init__()
-        self.search = search
+        self.m = m
+        self.lay = _Slots(m, max(m, r))
+        self.checked = 0
 
     def append(self, node):
         e, A, R, P, V = node
-        s = self.search
-        s.checked += 1
-        members = [x for x, a in enumerate(s.decode(A)) if a]
-        available = [*members, *range(e, s.m)]
-        group = Group.cyclic(s.m)
+        m, lay = self.m, self.lay
+        self.checked += 1
+        members = [x for x, a in enumerate(lay.decode(A)) if a]
+        available = [*members, *range(e, m)]
+        group = Group.cyclic(m)
         expected = tuple(
             rep_profile_naive(GroupSubset.from_elements(group, elems)).counts
             for elems in (members, available)
         )
-        indicator = tuple(int(x in available) for x in range(s.m))
-        if (s.decode(R), s.decode(P), s.decode(V)) != (*expected, indicator):
+        indicator = tuple(int(x in available) for x in range(m))
+        if (lay.decode(R), lay.decode(P), lay.decode(V)) != (*expected, indicator):
             raise VerificationError("incremental counters diverged from the profile")
         super().append(node)
 
 
-class _CheckedSearch(search._ExactSearch):
-    """The exact search on a _CheckedStack; checked counts the nodes pushed."""
+class _CorruptedStack(_CheckedStack):
+    """The checked stack, which keeps the first e = 2 node pushed with R
+    one higher at slot 4: the search resumes from that node with one count
+    off by one, so the next node pushed must fail the check."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.checked = 0
+    def __init__(self, m, r):
+        super().__init__(m, r)
+        self.corrupted = False
 
-    def _stack(self):
-        return _CheckedStack(self)
-
-
-class _CorruptedSearch(_CheckedSearch):
-    """The checked search with bit(2) doubled in its table: including 2
-    sets slot 2 of A to 2, so the flip rule adds 2 instead of 1 at 4 and
-    leaves every other count right."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        we, wme, bit = self.steps[2]
-        self.steps[2] = (we, wme, 2 * bit)
+    def append(self, node):
+        super().append(node)
+        e, A, R, P, V = node
+        if e == 2 and not self.corrupted:
+            self.corrupted = True
+            self[-1] = (e, A, R + (1 << (self.lay.w * 4)), P, V)
 
 
-def checked_exact(m, r, cls=_CheckedSearch):
-    """exists_basis(m, r), run by cls, and the number of nodes it checked."""
-    runs = []
+def checked_exact(m, r, stack=_CheckedStack):
+    """exists_basis(m, r), run on stack(m, r) in each case, and the number
+    of nodes checked over both cases' stacks."""
+    stacks = []
+    exact_search = search._exact_search
 
-    def make(*args):
-        runs.append(cls(*args))
-        return runs[-1]
+    def make():
+        stacks.append(stack(m, r))
+        return stacks[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_ExactSearch", make)
+        mp.setattr(search, "_exact_search", lambda *args: exact_search(*args, stack=make))
         out = exists_basis(m, r)
-    return out, runs[0].checked
+    return out, sum(s.checked for s in stacks)
 
 
 class TestArguments:
@@ -188,15 +188,18 @@ class TestExistsBasis:
 
     def test_table_memory_is_one_int_per_depth(self):
         # The per-depth table holds one w·e-bit int per e; the four ints of
-        # up to w·m bits per e it once held peaked at 53.9 MiB here.
-        tracemalloc.start()
-        try:
-            out = exists_basis(4000, 3, node_budget=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out.status is SearchStatus.EXHAUSTED
-        assert peak < 20 * 2**20, peak
+        # up to w·m bits per e it once held peaked at 53.9 MiB here.  It
+        # reaches only the depths the budget can reach: at m = 12000 the
+        # table for every depth peaked at 139 MiB.
+        for m in (4000, 12000):
+            tracemalloc.start()
+            try:
+                out = exists_basis(m, 3, node_budget=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.status is SearchStatus.EXHAUSTED, m
+            assert peak < 20 * 2**20, (m, peak)
 
     def test_counter_check_hook_clean(self):
         # cross-check the incremental counters at every node pushed
@@ -208,7 +211,7 @@ class TestExistsBasis:
     def test_counter_check_catches_a_corrupted_count(self):
         # the check must see a single slot that is off by one
         with pytest.raises(VerificationError, match="diverged"):
-            checked_exact(13, 3, cls=_CorruptedSearch)
+            checked_exact(13, 3, stack=_CorruptedStack)
 
     def test_notes_describe_reductions(self):
         assert any("translation" in n for n in exists_basis(5, 3).notes)
@@ -694,6 +697,21 @@ class TestHeuristic:
 
         monkeypatch.setattr(search, "is_prime", refuse)
         assert search._seed_pool(1009 * 1009 + 1009 + 1) == [None]
+
+    def test_seed_pool_matches_a_walk_to_p(self):
+        # _seed_pool finds p in closed form; walking p up to sqrt(m) one
+        # step at a time gives the same pool.
+        def walked(m):
+            pool = [None]
+            p = 1
+            while p * p + p + 1 < m:
+                p += 1
+            if p * p + p + 1 == m and p <= search.DEFAULT_PRIME_BOUND and search.is_prime(p):
+                pool.append(tuple(search.singer_set(p).elements))
+            return pool
+
+        for m in [*range(1, 5000), *(p * p + p + 1 for p in range(1010))]:
+            assert search._seed_pool(m) == walked(m), m
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 240, 993, 2000, 4097])
     def test_draws_match_choice_and_randrange(self, n):
