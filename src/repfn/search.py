@@ -97,7 +97,8 @@ class SearchOutcome:
 class _Slots:
     """Counts over Z_m packed in one int, the one slot layout of this
     module.  No search subclasses it: the exact search builds one at the
-    width m needs, and each local-search run one at the width its sets need.  Slot g holds the count at g in
+    width m needs, and each local-search run one at the width its sets
+    need.  Slot g holds the count at g in
     w = (bound + 2).bit_length() + 1 bits, bound the largest count the
     caller stores; cap = 2^(w-1) - 3 is the largest bound of that width.
     No count (at most cap) or add-and-mask threshold (at most cap + 1)
@@ -181,8 +182,8 @@ def _exact_search(
     V' = V ^ bit(e) and P - rot(V + V', e).  steps[e] is the per-depth
     table (w·e, w·(m - e), bit(e)), built once.  The DFS is one loop: a
     node whose exclude branch is still to come waits as (e, A, R, P, V) on
-    an explicit stack of type stack (a test's checks each node pushed), so
-    undo is a pop and no depth limit applies to m.
+    a stack made by stack(), so undo is a pop and no depth limit applies to
+    m; a test passes a stack that checks each node pushed.
 
     The whole-word checks equal checks on the touched slots alone.  Every
     node on the path has all R[g] <= r, so an include is a max_rep prune iff
