@@ -172,6 +172,16 @@ class TestBlockEvaluation:
             text = ",".join(map(str, singer_set(p).elements))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, p
 
+    def test_every_prime_under_the_bound_is_pinned(self):
+        # One "p:e0,e1,...\n" line per prime p <= DEFAULT_PRIME_BOUND, in
+        # order, hashed together.
+        digest = hashlib.sha256()
+        primes = [p for p in range(2, DEFAULT_PRIME_BOUND + 1) if is_prime(p)]
+        for p in primes:
+            digest.update(f"{p}:{','.join(map(str, singer_set(p).elements))}\n".encode())
+        assert len(primes) == 168
+        assert digest.hexdigest() == "b01289d0b98ae4b8c1e7877c3a9ba7d137c9f3161135067e0990863e14fb2b3e"
+
     def test_every_small_prime_matches_field_multiplication(self):
         # Each p < 60 gives another (B, K) block shape, p = 2 included.
         for p in (n for n in range(2, 60) if is_prime(n)):
