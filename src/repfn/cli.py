@@ -466,45 +466,50 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 
 def _cmd_ruzsa(args: argparse.Namespace) -> tuple[dict | str, int]:
-    if args.mode == "heuristic":
-        threads = 1 if args.threads is None else args.threads
-        if args.seed is None:
-            args.seed = 0
-        r = args.m if args.r is None else args.r
-        out = heuristic_upper_bound(
-            args.m, r, moves=DEFAULT_MOVES if args.budget is None else args.budget,
-            seed=args.seed, threads=threads,
-        )
-        body = {"m": args.m, "mode": "heuristic", "r": r, "threads": threads,
-                "achieved_r": out.certificate.claimed_r if out.certificate else None}
-    else:
-        # Exact mode reads neither flag, so it refuses both and its manifest
-        # echoes neither.
-        for flag in ("threads", "seed"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} only applies to --mode heuristic")
-            delattr(args, flag)
-        budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
-        if args.r is None:
-            result = ruzsa_number(args.m, node_budget=budget)
-            body = {
-                "m": args.m,
-                "mode": "exact",
-                "status": "VALUE" if result.exact else "EXHAUSTED",
-                "value": result.value,
-                "lo": result.lo,
-                "hi": result.hi,
-                "probes": [[r, status.value] for r, status in result.probes],
-                "nodes": result.nodes,
-                "certificate": _cert_dict(result.certificate),
-                "unsat_record": (None if result.unsat_record is None
-                                 else _outcome_fields(result.unsat_record)),
-            }
-            return body, EX_OK if result.exact else EX_EXHAUSTED
-        out = exists_basis(args.m, args.r, node_budget=budget)
-        body = {"m": args.m, "mode": "exact", "r": args.r}
-    body.update(_outcome_fields(out), certificate=_cert_dict(out.certificate))
-    return body, _STATUS_EXIT[out.status]
+    try:
+        if args.mode == "heuristic":
+            threads = 1 if args.threads is None else args.threads
+            if args.seed is None:
+                args.seed = 0
+            r = args.m if args.r is None else args.r
+            out = heuristic_upper_bound(
+                args.m, r, moves=DEFAULT_MOVES if args.budget is None else args.budget,
+                seed=args.seed, threads=threads,
+            )
+            body = {"m": args.m, "mode": "heuristic", "r": r, "threads": threads,
+                    "achieved_r": out.certificate.claimed_r if out.certificate else None}
+        else:
+            # Exact mode reads neither flag, so it refuses both and its manifest
+            # echoes neither.
+            for flag in ("threads", "seed"):
+                if getattr(args, flag) is not None:
+                    raise ValueError(f"--{flag} only applies to --mode heuristic")
+                delattr(args, flag)
+            budget = DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+            if args.r is None:
+                result = ruzsa_number(args.m, node_budget=budget)
+                body = {
+                    "m": args.m,
+                    "mode": "exact",
+                    "status": "VALUE" if result.exact else "EXHAUSTED",
+                    "value": result.value,
+                    "lo": result.lo,
+                    "hi": result.hi,
+                    "probes": [[r, status.value] for r, status in result.probes],
+                    "nodes": result.nodes,
+                    "certificate": _cert_dict(result.certificate),
+                    "unsat_record": (None if result.unsat_record is None
+                                     else _outcome_fields(result.unsat_record)),
+                }
+                return body, EX_OK if result.exact else EX_EXHAUSTED
+            out = exists_basis(args.m, args.r, node_budget=budget)
+            body = {"m": args.m, "mode": "exact", "r": args.r}
+        body.update(_outcome_fields(out), certificate=_cert_dict(out.certificate))
+        return body, _STATUS_EXIT[out.status]
+    except (MemoryError, OverflowError) as exc:
+        # Either mode fails at its own statement on a modulus too large to
+        # build; both report it as one line that names --m.
+        raise MemoryError(f"--m {args.m} is too large to search") from exc
 
 
 _HANDLERS = {

@@ -2,12 +2,12 @@
 
 For a prime p, powers of a primitive element of GF(p^3) whose coordinate on
 x^2 vanishes give a (p+1)-element set D with R_{D,-D}(t) = 1 for every
-t != 0.  All field arithmetic is done on coefficient triples mod p; the
+t != 0.  All field arithmetic is field_mul on coefficient triples mod p; the
 construction is deterministic, picking the lexicographically least monic
-irreducible cubic and the least primitive element under it.  The x^2
-coordinates of alpha^i over one period obey a linear recurrence of order 3,
-which is evaluated in baby-step/giant-step blocks by one exact int64 matrix
-product rather than one step per exponent.
+irreducible cubic and the least primitive element under it.  The walk over
+one period takes about 2*sqrt(n) products, baby steps and giant steps, and
+gets every x^2 coordinate from them through one bilinear form Q by two exact
+int64 matrix products.
 """
 
 from __future__ import annotations
@@ -72,21 +72,17 @@ class FieldCtx:
 def field_mul(ctx: FieldCtx, u: Triple, v: Triple) -> Triple:
     p = ctx.p
     c, b, a, _ = ctx.modulus
-    # Schoolbook product, degree <= 4.
-    w = [0] * 5
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                w[i + j] = (w[i + j] + ui * vj) % p
-    # Reduce with x^3 = -(a*x^2 + b*x + c), top degree first.
-    for d in (4, 3):
-        t = w[d]
-        if t:
-            w[d] = 0
-            w[d - 1] = (w[d - 1] - a * t) % p
-            w[d - 2] = (w[d - 2] - b * t) % p
-            w[d - 3] = (w[d - 3] - c * t) % p
-    return (w[0], w[1], w[2])
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    # Schoolbook product w0..w4, then x^4 and x^3 reduced in turn by
+    # x^3 = -(a*x^2 + b*x + c).  Python ints are exact, so each coefficient
+    # is taken mod p once, at the end.
+    w4 = u2 * v2
+    w3 = u1 * v2 + u2 * v1 - a * w4
+    w2 = u0 * v2 + u1 * v1 + u2 * v0 - b * w4 - a * w3
+    w1 = u0 * v1 + u1 * v0 - c * w4 - b * w3
+    w0 = u0 * v0 - c * w3
+    return (w0 % p, w1 % p, w2 % p)
 
 
 def field_pow(ctx: FieldCtx, u: Triple, e: int) -> Triple:
@@ -154,27 +150,6 @@ class PerfectDifferenceSet:
         return self.subset.elements()
 
 
-def _x2_recurrence(ctx: FieldCtx) -> tuple[int, int, int]:
-    """(t, s, d) such that the x^2 coordinate c_i of alpha^i obeys
-    c_{i+3} = t*c_{i+2} - s*c_{i+1} + d*c_i (mod p).
-
-    Multiplication by alpha is a linear map M of GF(p)^3; by Cayley-Hamilton
-    M^3 = t*M^2 - s*M + d*I with t, s, d the trace, the sum of principal 2x2
-    minors and the determinant of M, and every coordinate of M^i * 1 obeys
-    the same recurrence.
-    """
-    cols = [field_mul(ctx, ctx.primitive, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    (m00, m10, m20), (m01, m11, m21), (m02, m12, m22) = cols
-    t = m00 + m11 + m22
-    s = m00 * m11 - m01 * m10 + m00 * m22 - m02 * m20 + m11 * m22 - m12 * m21
-    d = (
-        m00 * (m11 * m22 - m12 * m21)
-        - m01 * (m10 * m22 - m12 * m20)
-        + m02 * (m10 * m21 - m11 * m20)
-    )
-    return t % ctx.p, s % ctx.p, d % ctx.p
-
-
 def singer_set(p: int) -> PerfectDifferenceSet:
     """Build the perfect difference set for the prime p <= DEFAULT_PRIME_BOUND
     and verify it.
@@ -182,9 +157,9 @@ def singer_set(p: int) -> PerfectDifferenceSet:
     Decides alpha^i for i in [0, n): scaling by alpha^n multiplies an element
     by a nonzero scalar of the base field, which preserves vanishing of the
     x^2 coordinate, so every membership class is decided inside one period.
-    The x^2 coordinates over that period come from _x2_coordinates, one
-    exact int64 product of baby-step and giant-step blocks, and the set is
-    then re-checked by pair enumeration.  The result is immutable, so it is
+    The x^2 coordinates over that period come from _x2_coordinates, field_mul
+    baby and giant steps joined by one bilinear form, and the set is then
+    re-checked by pair enumeration.  The result is immutable, so it is
     built once per p and then shared.
     """
     # The bound comes first: is_prime is trial division, slow on a large p.
@@ -198,35 +173,26 @@ def singer_set(p: int) -> PerfectDifferenceSet:
 def _x2_coordinates(ctx: FieldCtx, n: int) -> np.ndarray:
     """The x^2 coordinate c_i of alpha^i, in [0, p), for i in [0, n).
 
-    With S_j = (c_j, c_{j+1}, c_{j+2}) and C the companion matrix of the
-    recurrence, S_{j+1} = C*S_j, so c_{kB+j} = u_k . S_j with u_k the first
-    row of C^{kB}.  Baby steps: the recurrence run from S_0 gives S_j for
-    j < B = isqrt(n - 1) + 1.  Giant steps: u_{k+1} = u_k*C^B for
-    k < K = ceil(n/B), where column i of C^B is the state B steps after the
-    i-th unit vector.  Every entry of the (K x 3) @ (3 x B) product is at
-    most 3(p - 1)^2 < 2^63 for any p whose n fits in memory, so it is exact.
+    Baby steps alpha^j for j <= B = isqrt(n - 1) + 1 are field_mul products;
+    those with j < B are the rows of S, and alpha^B steps the giant steps
+    alpha^(kB) for k < K = ceil(n/B), the rows of G.  The x^2 coordinate of g*s is the bilinear form g Q s^T, with Q[a][b] the
+    x^2 coordinate of x^(a+b), so c_{kB+j} is entry (k, j) of
+    (G @ Q % p) @ S^T % p.  Every entry of G, Q and S lies in [0, p), so each
+    entry of either int64 product is at most 3(p - 1)^2 < 2^63 for any p
+    whose n fits in memory, and both products are exact.
     """
     p = ctx.p
-    t, s, d = _x2_recurrence(ctx)
     b = isqrt(n - 1) + 1
-
-    def run(c0: int, c1: int, c2: int) -> list[int]:
-        """c_0 .. c_{b+2} of the sequence that starts (c0, c1, c2)."""
-        seq = [c0, c1, c2]
-        for _ in range(b):
-            c0, c1, c2 = c1, c2, (t * c2 - s * c1 + d * c0) % p
-            seq.append(c2)
-        return seq
-
-    # x^2 coordinates of alpha^0, alpha^1 and alpha^2.
-    baby = run(0, ctx.primitive[2], field_mul(ctx, ctx.primitive, ctx.primitive)[2])
-    states = np.array([baby[0:b], baby[1 : b + 1], baby[2 : b + 2]], dtype=np.int64)
-    jump = [run(*e)[b : b + 3] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    rows = [(1, 0, 0)]
+    baby = [(1, 0, 0)]
+    for _ in range(b):
+        baby.append(field_mul(ctx, baby[-1], ctx.primitive))
+    giant = [(1, 0, 0)]
     for _ in range(-(-n // b) - 1):
-        u = rows[-1]
-        rows.append(tuple((u[0] * x + u[1] * y + u[2] * z) % p for x, y, z in jump))
-    return (np.array(rows, dtype=np.int64) @ states % p).ravel()[:n]
+        giant.append(field_mul(ctx, giant[-1], baby[b]))
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    q = np.array([[field_mul(ctx, e, f)[2] for f in units] for e in units], dtype=np.int64)
+    gq = np.array(giant, dtype=np.int64) @ q % p
+    return (gq @ np.array(baby[:b], dtype=np.int64).T % p).ravel()[:n]
 
 
 @lru_cache(maxsize=32)

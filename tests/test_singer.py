@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -40,6 +41,41 @@ class TestFieldCtx:
             u = (1, 2 % p, 1)
             assert field_mul(ctx, u, (1, 0, 0)) == u
             assert field_mul(ctx, u, (0, 0, 0)) == (0, 0, 0)
+
+    @staticmethod
+    def reference_mul(modulus, p, u, v):
+        # Degree-4 schoolbook product, then long division by the monic
+        # modulus (c, b, a, 1), top degree first.
+        w = [0] * 5
+        for i in range(3):
+            for j in range(3):
+                w[i + j] += u[i] * v[j]
+        for d in (4, 3):
+            q = w[d]
+            for k in range(4):
+                w[d - 3 + k] -= q * modulus[k]
+        assert w[3] == w[4] == 0
+        return tuple(x % p for x in w[:3])
+
+    def test_whole_multiplication_table(self):
+        for p in (2, 3, 5):
+            ctx = field_ctx_build(p)
+            triples = [(c0, c1, c2) for c0 in range(p) for c1 in range(p) for c2 in range(p)]
+            for u in triples:
+                for v in triples:
+                    got = field_mul(ctx, u, v)
+                    assert got == self.reference_mul(ctx.modulus, p, u, v), (p, u, v)
+                    assert got == field_mul(ctx, v, u), (p, u, v)
+
+    def test_random_products_at_p997(self):
+        p, rng = 997, random.Random(997)
+        ctx = field_ctx_build(p)
+        for _ in range(2000):
+            u = tuple(rng.randrange(p) for _ in range(3))
+            v = tuple(rng.randrange(p) for _ in range(3))
+            got = field_mul(ctx, u, v)
+            assert got == self.reference_mul(ctx.modulus, p, u, v), (u, v)
+            assert got == field_mul(ctx, v, u), (u, v)
 
     def test_modulus_has_no_root(self):
         for p in (2, 3, 5, 7):
