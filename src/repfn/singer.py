@@ -175,11 +175,12 @@ def _x2_coordinates(ctx: FieldCtx, n: int) -> np.ndarray:
 
     Baby steps alpha^j for j <= B = isqrt(n - 1) + 1 are field_mul products;
     those with j < B are the rows of S, and alpha^B steps the giant steps
-    alpha^(kB) for k < K = ceil(n/B), the rows of G.  The x^2 coordinate of g*s is the bilinear form g Q s^T, with Q[a][b] the
-    x^2 coordinate of x^(a+b), so c_{kB+j} is entry (k, j) of
-    (G @ Q % p) @ S^T % p.  Every entry of G, Q and S lies in [0, p), so each
-    entry of either int64 product is at most 3(p - 1)^2 < 2^63 for any p
-    whose n fits in memory, and both products are exact.
+    alpha^(kB) for k < K = ceil(n/B), the rows of G.  The x^2 coordinate of
+    g*s is the bilinear form g Q s^T, with Q[a][b] the x^2 coordinate of
+    x^(a+b), so c_{kB+j} is entry (k, j) of (G @ Q % p) @ S^T % p.  Every
+    entry of G, Q and S lies in [0, p), and G @ Q is reduced mod p before the
+    second product, so each entry of either int64 product is at most
+    3(p - 1)^2 < 2^63 for any p whose n fits in memory: both are exact.
     """
     p = ctx.p
     b = isqrt(n - 1) + 1
