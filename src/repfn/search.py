@@ -16,7 +16,8 @@ non-unit; 0 is fixed by translation and an element with a unit difference
 to a member is never included.  UNSAT needs both cases drained.  The
 heuristic path is _local_search, a seeded local search on two counters
 (members and representation counts), run `threads` times in turn with the
-best find passed from run to run.  Each run is one loop that holds its
+best find passed from run to run, the first run's best being B_m, a basis of
+at most 2*ceil(sqrt(m)) - 1 members.  Each run is one loop that holds its
 state in locals; a rejected move leaves it as it is and every element is
 drawn from getrandbits.  Its counts are at most |A|, since R_A(g) counts
 members a with g - a in A, so each run builds its own _Slots at the width
@@ -38,7 +39,7 @@ from math import gcd, isqrt
 from typing import Iterable
 
 from .bounds import ceil_sqrt
-from .groups import Group, GroupSubset, VerificationError
+from .groups import Group, GroupSubset, VerificationError, _group_zeros
 from .profiles import rep_profile_naive
 from .singer import DEFAULT_PRIME_BOUND, is_prime, singer_set
 
@@ -544,6 +545,30 @@ def _local_search(
     return best
 
 
+def _sqrt_basis(m: int, r: int) -> tuple[tuple[int, int, int, int], tuple[int, ...]]:
+    """(objective, members) of B_m = [0, s) | {0, s, 2s, ...} below m, for
+    s = ceil(sqrt(m)), in _local_search's objective
+    (uncovered, max count, excess over r, |A|).
+
+    B_m is a basis of Z_m: every 0 <= g < m is (g mod s) + floor(g/s)*s,
+    the first term in [0, s) and the second a multiple of s below m.  It
+    has |B_m| <= s + ceil(m/s) - 1 <= 2s - 1 members, 0 being in both
+    parts, and its cap is at most |B_m|, since in R(g) = #{a in B_m :
+    g - a in B_m} each a pairs with at most one b.  Its mask is built by two
+    slice assignments, so a modulus too large to load fails at once, and its
+    counts come from the pair-enumeration profile, about 4m pairs."""
+    group = Group.cyclic(m)
+    s = ceil_sqrt(m)
+    mask = _group_zeros(group, bool)
+    mask[:s] = True
+    mask[::s] = True
+    subset = GroupSubset(group, mask)
+    profile = rep_profile_naive(subset)
+    peak, counts = profile.max_rep, profile.array
+    excess = int((counts[counts > r] - r).sum()) if peak > r else 0
+    return (0, peak, excess, subset.card), tuple(subset.elements())
+
+
 def heuristic_upper_bound(
     m: int,
     r: int,
@@ -556,11 +581,13 @@ def heuristic_upper_bound(
 
     Runs one local search `threads` times in turn, each run proposing
     `moves` moves from Random(f"{seed}/{w}") for w = 0, 1, ..., so the
-    outcome is a function of (m, r, moves, seed, threads) alone.  The first
-    find of the least objective wins, and the full group stands in when no
-    find is at least as good, so a verified certificate (possibly the
-    trivial one with max count m) is always returned; the status is SAT
-    when its cap meets r and EXHAUSTED otherwise.  UNSAT is never claimed.
+    outcome is a function of (m, r, moves, seed, threads) alone.  The runs
+    start from B_m of _sqrt_basis, and a find replaces the best only with a
+    lesser objective, so the first find of the least objective below B_m's
+    wins and B_m stands in when there is none.  A verified certificate with
+    cap at most |B_m| <= 2*ceil(sqrt(m)) - 1 is always returned; the status
+    is SAT when its cap meets r and EXHAUSTED otherwise.  UNSAT is never
+    claimed.
     """
     _check_args(m, r, moves, "move")
     if threads < 1:
@@ -568,9 +595,7 @@ def heuristic_upper_bound(
     pool = _seed_pool(m)
     notes = ["restart seed pool: random draws" + ("" if len(pool) == 1 else " plus the perfect difference set")]
 
-    # best starts as the full group, whose objective (R(g) = m at every g)
-    # no other set has, so a find replaces it iff its objective is less.
-    best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
+    best = _sqrt_basis(m, r)
     for w in range(threads):
         best = _local_search(m, r, pool, moves, random.Random(f"{seed}/{w}"), best)
     obj, elements = best

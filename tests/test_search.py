@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import tracemalloc
+from math import isqrt
 
 import pytest
 
@@ -630,11 +631,13 @@ class TestHeuristic:
         assert out.certificate.verified
         assert out.nodes == kw["moves"] * kw.get("threads", 1)
 
-    # The sha256 of 2,388 outcomes, one line each, recorded before the local
-    # search became one function over one slot layout per run.  The grid
-    # holds the Singer seed pools of m = 7, 13, 31, 57, 133 and 183, and
-    # about half its runs widen their slots.
-    GRID_DIGEST = "a897040e8f6b3f0f9b6e2af6b7ec61427941daf55cc0ffb4fe6592a4c36ee5eb"
+    # The sha256 of 2,388 outcomes, one line each.  The grid holds the
+    # Singer seed pools of m = 7, 13, 31, 57, 133 and 183, and about half
+    # its runs widen their slots.  Recorded when B_m replaced the full group
+    # as the starting best: the 702 outcomes that changed (662 at moves = 1)
+    # are B_m itself, each where the full-group start had kept an objective
+    # not below B_m's; none of the 1,626 outcomes below B_m's changed.
+    GRID_DIGEST = "b1cc09b17b9fa1b7ddf5277c75f7cad5785d8ce013bce278ed919aa2d8748c2d"
 
     def test_outcomes_over_a_grid_are_pinned(self):
         digest = hashlib.sha256()
@@ -653,11 +656,12 @@ class TestHeuristic:
         assert digest.hexdigest() == self.GRID_DIGEST
 
     def test_best_objective_matches_its_members(self):
-        # After two runs the recorded objective is the one pair enumeration
-        # gives for the recorded members.
+        # After two runs from B_m, as heuristic_upper_bound starts them, the
+        # recorded objective is the one pair enumeration gives for the
+        # recorded members.
         for m, r, seed in [(30, 4, 0), (57, 57, 1), (100, 8, 2), (240, 12, 3), (120, 6, 4)]:
             pool = search._seed_pool(m)
-            best = ((0, m, m * max(0, m - r), m), tuple(range(m)))
+            best = search._sqrt_basis(m, r)
             for w in range(2):
                 best = _local_search(m, r, pool, 1000, random.Random(f"{seed}/{w}"), best)
             obj, members = best
@@ -752,18 +756,43 @@ class TestHeuristic:
         assert out.certificate is not None
         assert out.certificate.verified
 
-    def test_full_group_fallback_always_certifies(self):
+    def test_impossible_target_still_certifies(self):
         # impossible target: certificate still present and verified
         out = self.run(9, 1)
         assert out.status is SearchStatus.EXHAUSTED
         assert out.certificate.verified
         assert out.certificate.claimed_r > 1
 
-    def test_full_group_wins_when_no_worker_covers(self):
+    def test_sqrt_basis_wins_when_no_run_covers(self):
         # With seed 0, one move from a 10-element draw leaves Z_50 uncovered,
-        # so the full group's closed-form objective wins and must re-verify.
+        # so B_50 = [0, 8) | {0, 8, ..., 48} wins and must re-verify.
         out = self.run(50, 4, moves=1)
         assert out.status is SearchStatus.EXHAUSTED
-        assert out.certificate.elements == tuple(range(50))
-        assert out.certificate.claimed_r == 50
+        assert out.certificate.elements == (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 40, 48)
+        assert out.certificate.claimed_r == 13
         assert out.certificate.verified
+
+    def test_sqrt_basis_covers_within_its_bound(self):
+        # For every m <= 1000, B_m is [0, s) | {0, s, 2s, ...} below m with
+        # s = ceil(sqrt(m)), covers Z_m, and has cap <= |B_m| <=
+        # 2*ceil(sqrt(m)) - 1, all by a plain pair count.
+        for m in range(1, 1001):
+            s = isqrt(m)
+            s += s * s < m
+            obj, members = search._sqrt_basis(m, 4)
+            assert members == tuple(sorted({*range(s), *range(0, m, s)})), m
+            counts = [0] * m
+            for a in members:
+                for b in members:
+                    counts[(a + b) % m] += 1
+            assert min(counts) >= 1, m
+            assert max(counts) <= len(members) <= 2 * s - 1, m
+            excess = sum(c - 4 for c in counts if c > 4)
+            assert obj == (0, max(counts), excess, len(members)), m
+        # With one node per probe, the bracket's one heuristic move covers
+        # nothing, so its upper end is B_4000: 126 members, re-checked by
+        # about 16k pairs where the whole group would take 16M.
+        res = ruzsa_number(4000, node_budget=1)
+        assert not res.exact and res.certificate.verified
+        assert res.certificate.elements == search._sqrt_basis(4000, 4000)[1]
+        assert res.lo <= res.hi <= 2 * search.ceil_sqrt(4000) - 1

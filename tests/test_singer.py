@@ -177,18 +177,6 @@ class TestSingerSet:
 
 
 class TestWalk:
-    def test_recurrence_walk_matches_field_multiplication(self):
-        # The reference walk multiplies by the primitive element every step.
-        for p in (2, 3, 5, 7, 11, 13, 31, 47):
-            ctx = field_ctx_build(p)
-            n = p * p + p + 1
-            want, u = [], (1, 0, 0)
-            for i in range(n):
-                if u[2] == 0:
-                    want.append(i)
-                u = field_mul(ctx, u, ctx.primitive)
-            assert singer_set(p).elements == want
-
     def test_built_once_per_prime(self):
         assert singer_set(17) is singer_set(17)
 
