@@ -17,6 +17,12 @@ starts with gc.freeze(), so neither the command's own collections nor the
 one at interpreter shutdown walk the objects that importing numpy and
 repfn left alive.  A caller that keeps running after `main` returns should
 call gc.unfreeze().
+
+One subparser is built per run: the one that the first word of argv names,
+or all six when that word names none (--help, --version, an empty argv or
+an unknown command), so usage, help and error texts are those of the whole
+parser.  A body is encoded in full before anything is written: nothing is
+written unless the whole body encodes.
 """
 
 from __future__ import annotations
@@ -69,18 +75,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="repfn", description="exact representation-function toolkit")
-    parser.add_argument("--version", action="version", version=f"repfn {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("singer", help="perfect difference set in Z_{p^2+p+1}")
+def _singer_arguments(p: _Parser) -> None:
     p.add_argument("--p", type=int, required=True, help="prime p")
     p.add_argument("--text", dest="as_text", action="store_true",
                    help="emit the plain-text set format, not JSON")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
-    p = sub.add_parser("construct", help="extremal subsets from difference sets")
+
+def _construct_arguments(p: _Parser) -> None:
     p.add_argument("--theorem", required=True, choices=("11b", "12b", "13b"),
                    help="which construction family")
     p.add_argument("--p", type=int, required=True, help="prime p")
@@ -88,19 +90,17 @@ def build_parser() -> _Parser:
                    help="shift parameter (11b only); omit for the full shift scan")
     p.add_argument("--out", default="-")
 
-    for name, blurb in (
-        ("spectrum", "representation-count histogram of a set"),
-        ("diff-profile", "difference representation counts of a set"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        p.add_argument("--in", dest="inp", default="-",
-                       help="input set file (JSON or text), '-' for stdin")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--cross-check", dest="cross_check", action="store_true",
-                       help="rerun the engine that was not picked and compare")
-        p.add_argument("--out", default="-")
 
-    p = sub.add_parser("verify", help="machine-check the inequality suites")
+def _profile_arguments(p: _Parser) -> None:
+    p.add_argument("--in", dest="inp", default="-",
+                   help="input set file (JSON or text), '-' for stdin")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--cross-check", dest="cross_check", action="store_true",
+                   help="rerun the engine that was not picked and compare")
+    p.add_argument("--out", default="-")
+
+
+def _verify_arguments(p: _Parser) -> None:
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -108,7 +108,8 @@ def build_parser() -> _Parser:
                    help="largest random group order")
     p.add_argument("--out", default="-")
 
-    p = sub.add_parser("ruzsa", help="basis search / least max representation count")
+
+def _ruzsa_arguments(p: _Parser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, default=None,
                    help="cap to decide at; omit to search for the least cap")
@@ -121,6 +122,34 @@ def build_parser() -> _Parser:
                    help="number of heuristic runs, made in turn (default 1)")
     p.add_argument("--out", default="-")
 
+
+# Each subcommand in usage order: its help line and the function that adds
+# its arguments.
+_COMMANDS = {
+    "singer": ("perfect difference set in Z_{p^2+p+1}", _singer_arguments),
+    "construct": ("extremal subsets from difference sets", _construct_arguments),
+    "spectrum": ("representation-count histogram of a set", _profile_arguments),
+    "diff-profile": ("difference representation counts of a set", _profile_arguments),
+    "verify": ("machine-check the inequality suites", _verify_arguments),
+    "ruzsa": ("basis search / least max representation count", _ruzsa_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The repfn parser, with every subparser, or with only that of command.
+
+    A parser built for one command parses that command's argv as the whole
+    parser does: its top-level usage line still names all six commands.
+    The whole parser alone can report a missing or unknown command."""
+    parser = _Parser(prog="repfn", description="exact representation-function toolkit")
+    parser.add_argument("--version", action="version", version=f"repfn {__version__}")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name, (blurb, add_arguments) in _COMMANDS.items():
+        if command is None or name == command:
+            add_arguments(sub.add_parser(name, help=blurb))
     return parser
 
 
@@ -138,19 +167,21 @@ def _int_array_text(arr: np.ndarray, sep: str) -> str:
     return repr(arr.tolist())[1:-1].replace(", ", sep)
 
 
-def _json_text(value: Any) -> str:
+def _json_runs(value: Any) -> list[str]:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, in one
-    pass, except that a Fraction is written as {"den", "num"}, an Enum as
-    its value and a 1-D integer ndarray as the list of its values.  A dict
-    key that is not a str is refused, and so is any value that is not a str,
-    int, bool, None, list, tuple, dict, Fraction, Enum or 1-D integer
-    ndarray, floats and float arrays included.
+    pass and cut into runs whose join is that text, except that a Fraction
+    is written as {"den", "num"}, an Enum as its value and a 1-D integer
+    ndarray as the list of its values.  A dict key that is not a str is
+    refused, and so is any value that is not a str, int, bool, None, list,
+    tuple, dict, Fraction, Enum or 1-D integer ndarray, floats and float
+    arrays included.
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
     subclasses (a namedtuple, an int or str Enum) reach it at the end.  A
     dict writes its str, int, bool, None and Fraction values in place, with
-    no call per value."""
+    no call per value.  The text of an integer ndarray, such as a profile's
+    counts, is a run of its own and is never copied into a longer one."""
     chunks: list[str] = []
     emit = chunks.append
     # Runs of chunks already joined: a long list of small records (a verify
@@ -245,7 +276,11 @@ def _json_text(value: Any) -> str:
                 emit("[]")
                 return
             inner = pad + "  "
-            emit("[" + inner + _int_array_text(value, "," + inner) + pad + "]")
+            emit("[" + inner)
+            done.append("".join(chunks))
+            chunks.clear()
+            done.append(_int_array_text(value, "," + inner))
+            emit(pad + "]")
         elif isinstance(value, str):
             emit(quote(value))
         elif isinstance(value, int):
@@ -259,7 +294,13 @@ def _json_text(value: Any) -> str:
 
     encode(value, "\n")
     done.append("".join(chunks))
-    return "".join(done)
+    return done
+
+
+def _json_text(value: Any) -> str:
+    """The join of _json_runs(value): json.dumps(value, indent=2,
+    sort_keys=True) as that function describes it."""
+    return "".join(_json_runs(value))
 
 
 def _manifest(args: argparse.Namespace, t0: float) -> dict:
@@ -275,15 +316,22 @@ def _manifest(args: argparse.Namespace, t0: float) -> dict:
 
 
 def _emit(body: dict | str, out_path: str) -> None:
+    """Write body, ended by one newline, to out_path or to stdout for '-'.
+
+    A JSON body is encoded into runs (_json_runs) before anything is opened
+    or written, so nothing is written unless the whole body encodes; the
+    runs and the newline are then written one after another, never joined
+    into one copy of the body."""
     if isinstance(body, str):
-        text = body if body.endswith("\n") else body + "\n"
+        runs = [body] if body.endswith("\n") else [body, "\n"]
     else:
-        text = _json_text(body) + "\n"
+        runs = _json_runs(body)
+        runs.append("\n")
     if out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(runs)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(runs)
 
 
 def _load_subset(path: str):
@@ -533,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
     huge m) anywhere in the command exits 71 with one line on stderr, and a
     set too large to load exits 66."""
     gc.freeze()
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the subparser that the first word names is built.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _run(args)
     except (MemoryError, OverflowError) as exc:

@@ -16,7 +16,13 @@ coordinates in lanes of log2(m_i) bits, and a sum is one lane-wise add
 with each lane's carry out dropped, ((a & L) + (b & L)) ^ ((a ^ b) & H),
 H the top bit of each lane and L the bits below it.  Every other group
 adds coordinates and ravels the sums with mode="wrap", which reduces each
-coordinate mod m_i.
+coordinate mod m_i.  Pairs are taken in chunks of max(_CHUNK, order) // |B|
+rows of A against all of B, so a chunk's index block is at most
+max(_CHUNK, order) int64s, as is the bincount over the group.  The first
+chunk's bincount is the count array and later chunks add into it: at most
+a few arrays of 8 * max(_CHUNK, order) bytes are alive at once (one per axis
+as well, for the per-axis sums of a chunk), and a sparse set in a large
+group, such as a Singer set, is counted in one or two chunks.
 
 The fast engine takes one of two routes.
 
@@ -34,9 +40,11 @@ The fast engine takes one of two routes.
   decimal.Decimal multiply in a context with prec=MAX_PREC and Inexact,
   Rounded and InvalidOperation trapped: the result is the exact integer
   product or an exception, and libmpdec multiplies large operands by a
-  number-theoretic transform.  The slots are read back in one numpy pass,
-  a check that they sum to |A| |B| catches any carry, and each axis is
-  folded mod m_i.
+  number-theoretic transform.  Each operand's text runs only up to its
+  highest occupied slot, and an empty operand is 0.  The product's digits
+  are read back by Horner's rule over the D digit columns, one in-place
+  int64 multiply-add per column into the slot array, a check that the slots
+  sum to |A| |B| catches any carry, and each axis is folded mod m_i.
 
 A RepProfile stores its counts once, as the engine's read-only int64 array,
 which every reader uses; the tuple counts is made only when it is asked for.
@@ -44,6 +52,7 @@ which every reader uses; the tuple counts is made only when it is asked for.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
@@ -89,35 +98,54 @@ def _lane_masks(group: Group) -> tuple[int, int] | None:
 
 
 def rep_profile_naive(a: GroupSubset, b: GroupSubset | None = None) -> "RepProfile":
-    """Exact R_{A,B} by enumerating all |A|*|B| pairs (vectorized in chunks)."""
+    """Exact R_{A,B} by enumerating all |A|*|B| pairs (vectorized in chunks).
+
+    A chunk is max(_CHUNK, order) // |B| rows of A against all of B, so one
+    chunk covers every pair of a sparse set in a large group.  The first
+    chunk's bincount is the count array and the others add into it."""
     if b is None:
         b = a
     if b.group != a.group:
         raise GroupMismatchError("profile of subsets of different groups")
     group = a.group
-    counts = np.zeros(group.order, dtype=np.int64)
+    counts = None
     ea, eb = np.flatnonzero(a.mask), np.flatnonzero(b.mask)
-    if ea.size and eb.size:
-        step = max(1, _CHUNK // eb.size)
-        if (masks := _lane_masks(group)) is not None:
-            # Lane-wise add: in a lane of b bits the low parts are each below
-            # 2^(b-1), so their sum may carry into the lane's top bit but never
-            # out of the lane, and the XOR adds the top bits mod 2.
-            low, high = masks
-            la, ha, lb, hb = ea & low, ea & high, eb & low, eb & high
-            for lo in range(0, ea.size, step):
-                hi = lo + step
-                block = (la[lo:hi, None] + lb[None, :]) ^ (ha[lo:hi, None] ^ hb[None, :])
-                counts += np.bincount(block.ravel(), minlength=group.order)
+    for block in _pair_sums(group, ea, eb):
+        part = np.bincount(block.ravel(), minlength=group.order)
+        if counts is None:
+            counts = part
         else:
-            shape = group.shape
-            ca = np.unravel_index(ea, shape)
-            cb = np.unravel_index(eb, shape)
-            for lo in range(0, ea.size, step):
-                sums = [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)]
-                flat = np.ravel_multi_index(sums, shape, mode="wrap")
-                counts += np.bincount(flat.ravel(), minlength=group.order)
+            counts += part
+    if counts is None:
+        counts = np.zeros(group.order, dtype=np.int64)
     return RepProfile(group, counts)
+
+
+def _pair_sums(group: Group, ea: np.ndarray, eb: np.ndarray) -> Iterator[np.ndarray]:
+    """The flat indices of a + b for a in ea, b in eb, as 2-D blocks of
+    max(_CHUNK, order) // |B| rows (at least one) each."""
+    if not (ea.size and eb.size):
+        return
+    step = max(1, max(_CHUNK, group.order) // eb.size)
+    if (masks := _lane_masks(group)) is not None:
+        # Lane-wise add: in a lane of b bits the low parts are each below
+        # 2^(b-1), so their sum may carry into the lane's top bit but never
+        # out of the lane, and the XOR adds the top bits mod 2.
+        low, high = masks
+        la, ha, lb, hb = ea & low, ea & high, eb & low, eb & high
+        for lo in range(0, ea.size, step):
+            hi = lo + step
+            yield (la[lo:hi, None] + lb[None, :]) ^ (ha[lo:hi, None] ^ hb[None, :])
+    else:
+        shape = group.shape
+        ca = np.unravel_index(ea, shape)
+        cb = np.unravel_index(eb, shape)
+        for lo in range(0, ea.size, step):
+            # The per-axis sums are freed once the block is made.
+            yield np.ravel_multi_index(
+                [xa[lo : lo + step, None] + xb[None, :] for xa, xb in zip(ca, cb)],
+                shape, mode="wrap",
+            )
 
 
 def _slot_digits(a: GroupSubset, b: GroupSubset) -> int:
@@ -148,7 +176,7 @@ def _choose_engine(a: GroupSubset, b: GroupSubset) -> str:
     group = a.group
     pair_cost = 0
     if a.card and b.card:
-        chunks = -(-a.card // max(1, _CHUNK // b.card))
+        chunks = -(-a.card // max(1, max(_CHUNK, group.order) // b.card))
         factors = len(group.shape) if _lane_masks(group) is None else 1
         pair_cost = a.card * b.card * factors * _PAIR_NS
         pair_cost += chunks * group.order * _BINCOUNT_SLOT_NS
@@ -176,20 +204,32 @@ _ZERO, _ONE = ord("0"), ord("1")
 def _decimal_product(pos_a: np.ndarray, pos_b: np.ndarray, total: int, digits: int) -> np.ndarray:
     """Slots of the product of two packed indicators, lowest first, by one
     Decimal multiply in _EXACT; slot j is the digits of weight 10**(digits*j)
-    up to 10**(digits*j + digits - 1)."""
+    up to 10**(digits*j + digits - 1).  Each operand is written only up to
+    its highest occupied slot, and the product's slots are read back by
+    Horner's rule over their digits into one int64 array of total slots."""
 
     def pack(pos: np.ndarray) -> Decimal:
-        text = np.full(total * digits, _ZERO, dtype=np.uint8)
-        text[(total - pos) * digits - 1] = _ONE  # most significant slot first
+        if not pos.size:
+            return Decimal(0)
+        top = int(pos.max()) + 1
+        text = np.full(top * digits, _ZERO, dtype=np.uint8)
+        text[(top - pos) * digits - 1] = _ONE  # most significant slot first
         return _EXACT.create_decimal(text.tobytes().decode("ascii"))
 
     pa = pack(pos_a)
     text = str(_EXACT.multiply(pa, pa if pos_b is pos_a else pack(pos_b)))
     if len(text) > total * digits:
         raise VerificationError("packed product overflows its slots")
-    raw = np.frombuffer(text.rjust(total * digits, "0").encode("ascii"), dtype=np.uint8)
-    place = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
-    return ((raw.reshape(total, digits) - _ZERO).astype(np.int64) @ place)[::-1]
+    used = -(-len(text) // digits)
+    cols = np.frombuffer(text.rjust(used * digits, "0").encode("ascii"), dtype=np.uint8)
+    cols = (cols - _ZERO).reshape(used, digits)
+    slots = np.zeros(total, dtype=np.int64)
+    head = slots[used - 1 :: -1]  # the used slots, most significant first
+    head[:] = cols[:, 0]
+    for j in range(1, digits):
+        head *= 10
+        head += cols[:, j]
+    return slots
 
 
 def _convolve_packed(a: GroupSubset, b: GroupSubset) -> np.ndarray:
@@ -271,8 +311,9 @@ def rep_profile(
     the cheaper runs.  Pair enumeration costs |A|*|B| times the number of
     cyclic factors above order 1, or times one when every order is a power
     of two (the lane-wise add of flat indices), plus a pass over the group
-    per chunk of pairs.  The fast engine costs, on Z_2^k, k butterfly stages over the
-    2^k entries plus a fixed cost per stage; elsewhere, the decimal
+    per chunk of max(_CHUNK, order) // |B| rows of A.  The fast engine
+    costs, on Z_2^k, k butterfly stages over the 2^k entries plus a fixed
+    cost per stage; elsewhere, the decimal
     product: N log2 N for the N = prod(2*m_i - 1) * D packed digits plus a
     fixed cost per call.  Sparse sets such as Singer sets therefore
     enumerate pairs; dense sets take the fast engine.  cross_check reruns

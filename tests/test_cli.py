@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import io
@@ -7,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import OrderedDict, namedtuple
 from decimal import Decimal
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repfn import profiles, singer
+from repfn import cli, profiles, singer
 from repfn.cli import _HANDLERS, _json_text, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import Group, GroupSubset, read_subset, subset_from_text
@@ -670,6 +672,26 @@ class TestErrorPaths:
         assert "repfn" in capsys.readouterr().out
 
 
+def test_emit_peak_memory_on_the_p401_diff_profile(tmp_path):
+    # The counts' text is written as a run of its own, never joined with the
+    # rest of the body or copied to add the newline: 2.48 MiB at the peak
+    # for a 1.08 MiB body.  One joined text plus a copy with "\n" peaked at
+    # 4.31 MiB.
+    a = read_subset(Path(__file__).resolve().parent.parent / "perfbench" / "singer401.json")
+    counts = profiles.rep_diff_profile(a).array
+    body = {"orders": [a.group.order], "card": a.card, "counts": counts}
+    out = tmp_path / "d.json"
+    tracemalloc.start()
+    try:
+        cli._emit(body, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == json.dumps({**body, "counts": counts.tolist()}, indent=2,
+                                         sort_keys=True) + "\n"
+    assert peak < 2.5 * 8 * a.group.order, peak
+
+
 class TestSerialization:
     def test_int_lists_copied_and_floats_refused(self):
         counts = tuple(range(1000))
@@ -849,16 +871,14 @@ def test_python_dash_m_entry_point():
     assert proc.stdout == "orders 7\n0\n1\n3\n"
 
 
-def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
-    # every repfn command in the README's command-line block, pipelines
-    # split on |, parses with the current flags and runs in a fresh cwd: a
-    # repfn after | reads the output of the stage before it, each command
-    # exits with the code of its "# exit N" comment (0 without one), and
-    # "# a,b" lines under a command are its CSV output
+def readme_commands():
+    """Every repfn command in the README's command-line block, pipelines
+    split on |, as (argv, reads the previous output, exit code of its
+    "# exit N" comment or 0, the "# a,b" CSV lines under it)."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = []  # (argv, reads the previous output, exit code, CSV lines)
+    commands = []
     for line in block.splitlines():
         if re.fullmatch(r"# \w+,\d+", line):
             commands[-1][3].append(line[2:])
@@ -872,6 +892,15 @@ def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
                 commands.append((words[1:cut], piped, int(want[1]) if want else 0, []))
             words = words[cut + 1:]
             piped = True
+    return commands
+
+
+def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
+    # every README command parses with the current flags and runs in a fresh
+    # cwd: a repfn after | reads the output of the stage before it, each
+    # command exits with the code of its "# exit N" comment (0 without one),
+    # and "# a,b" lines under a command are its CSV output
+    commands = readme_commands()
     assert {argv[0] for argv, *_ in commands} == set(_HANDLERS)
     monkeypatch.chdir(tmp_path)
     out = ""
@@ -890,3 +919,82 @@ def test_readme_commands_parse(capsys, monkeypatch, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
+
+
+def outcome(argv, capsys):
+    """(exit code, stdout with wall_time_us zeroed, stderr) of main(argv),
+    whether it returns or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, re.sub(r'"wall_time_us": \d+', '"wall_time_us": 0', out), err
+
+
+def subcommands(parser):
+    """The names of the subparsers that parser was built with."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+class TestOneSubparser:
+    """main builds only the subparser its first word names, and answers
+    every argv exactly as the parser with all six does."""
+
+    ARGVS = (
+        ["--help"],
+        ["--version"],
+        [],
+        ["nope"],
+        ["singer", "--p", "3", "--bogus"],
+        ["singer", "--help"],
+        ["construct", "--theorem", "99b", "--p", "3"],
+        ["ruzsa"],
+        ["verify", "--suite", "nope"],
+        ["spectrum", "--format", "xml"],
+        ["--", "singer", "--p", "2"],
+    )
+
+    @staticmethod
+    def use_whole_parser(monkeypatch):
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: shlex.join(argv) or "empty")
+    def test_matches_whole_parser(self, argv, capsys, monkeypatch):
+        one = outcome(argv, capsys)
+        self.use_whole_parser(monkeypatch)
+        assert outcome(argv, capsys) == one
+
+    def test_readme_commands_match_whole_parser(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        for run in ("one", "whole"):
+            if run == "whole":
+                self.use_whole_parser(monkeypatch)
+            (tmp_path / run).mkdir()
+            monkeypatch.chdir(tmp_path / run)
+            out, got = "", []
+            for argv, piped, _, _ in readme_commands():
+                if piped:
+                    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(out.encode())))
+                got.append(outcome(argv, capsys))
+                out = got[-1][1]
+            seen.append(got)
+        assert seen[0] == seen[1]
+
+    def test_builds_only_the_named_subparser(self, capsys, monkeypatch):
+        built = []
+        whole = cli.build_parser
+
+        def spy(command=None):
+            parser = whole(command)
+            built.append(subcommands(parser))
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        monkeypatch.setattr("sys.argv", ["repfn", "singer", "--p", "2", "--text"])
+        assert main() == 0
+        assert capsys.readouterr().out == "orders 7\n0\n1\n3\n"
+        outcome(["nope"], capsys)
+        assert built == [["singer"], list(_HANDLERS)]

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repfn.groups import (
     InvalidElementError,
     UnsupportedGroupError,
     VerificationError,
+    read_subset,
 )
 from repfn.profiles import (
     RepProfile,
@@ -63,6 +66,22 @@ class TestNaive:
         # Z_2 x Z_2, A = {(0,0),(1,1)}: every pair sums inside {(0,0),(1,1)}
         a = subset([2, 2], [0, 3])
         assert rep_profile_naive(a).counts == (2, 0, 0, 2)
+
+
+def test_naive_peak_memory_on_the_p401_singer_set():
+    # One chunk of 401 rows covers 161202 of the 161604 pairs, and its
+    # bincount is the count array itself: 2.48 MiB at the peak, about two
+    # arrays of 8 * order bytes.  Chunks of 163 rows added into a separate
+    # zeroed accumulator peaked at 3.47 MiB.
+    a = read_subset(Path(__file__).resolve().parent.parent / "perfbench" / "singer401.json")
+    for b in (a, a.negate()):
+        tracemalloc.start()
+        try:
+            rep_profile_naive(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * a.group.order, peak
 
 
 class TestFast:
@@ -327,6 +346,31 @@ class TestExactTransforms:
                 except VerificationError:
                     continue
                 assert counts == rep_profile_naive(a, b).counts
+
+    def test_empty_operand(self):
+        # An empty operand packs to 0; every slot of its product is 0.
+        g = Group((6, 7))
+        a, empty = _sample((6, 7), 9), GroupSubset.empty(g)
+        for x, y in ((empty, a), (a, empty), (empty, empty)):
+            assert rep_profile_fast(x, y) == rep_profile_naive(x, y)
+        slots = profiles._decimal_product(np.array([], np.int64), np.array([3, 40]), 11 * 13, 1)
+        assert slots.dtype == np.int64 and slots.tolist() == [0] * (11 * 13)
+
+    def test_operands_far_below_the_top_slot(self):
+        # In Z_50 x Z_60 (radices 99 x 119, 11781 slots) a set whose first
+        # coordinates are 0 and 1 occupies only slots below 238, so the
+        # product's text is far shorter than the slots it is read into.
+        g = Group((50, 60))
+        low = GroupSubset.from_elements(g, [x * 60 + y for x in range(2) for y in (0, 1, 7, 30)])
+        one = GroupSubset.from_elements(g, [5])
+        for x, y in ((low, low), (low, one), (one, low), (low, low.negate())):
+            assert rep_profile_fast(x, y) == rep_profile_naive(x, y)
+        pos_a, pos_b = np.array([0, 2, 5, 9]), np.array([1, 3, 4])
+        want = np.convolve(np.bincount(pos_a), np.bincount(pos_b))
+        for digits in (1, 3):
+            slots = profiles._decimal_product(pos_a, pos_b, 1000, digits)
+            assert slots[: want.size].tolist() == want.tolist()
+            assert not slots[want.size :].any()
 
     def test_hadamard_is_exact_modulo_the_word(self):
         # The butterflies are ring operations, so in uint8 every entry is the
