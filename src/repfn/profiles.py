@@ -42,9 +42,10 @@ The fast engine takes one of two routes.
   product or an exception, and libmpdec multiplies large operands by a
   number-theoretic transform.  Each operand's text runs only up to its
   highest occupied slot, and an empty operand is 0.  The product's digits
-  are read back by Horner's rule over the D digit columns, one in-place
-  int64 multiply-add per column into the slot array, a check that the slots
-  sum to |A| |B| catches any carry, and each axis is folded mod m_i.
+  are read back by Horner's rule over the D digit columns, in place in the
+  one int64 slot array with no (slots x D) int64 temporary; a check that
+  the slots sum to |A| |B| catches any carry, and each axis is folded mod
+  m_i.
 
 A RepProfile stores its counts once, as the engine's read-only int64 array,
 which every reader uses; the tuple counts is made only when it is asked for.
