@@ -23,6 +23,13 @@ or all six when that word names none (--help, --version, an empty argv or
 an unknown command), so usage, help and error texts are those of the whole
 parser.  A body is encoded in full before anything is written: nothing is
 written unless the whole body encodes.
+
+The verify body's "reports", thousands of dicts with the same eleven keys,
+is written without building them.  _report_rows fills one %-template per
+row, made once from the sorted keys, with texts each encoded once: a case's
+label, orders and card once per case, and each distinct claim id, note,
+status and extra once, in memos keyed by value and type.  _json_runs
+writes that _Fragment as it stands, at the indent it reaches it at.
 """
 
 from __future__ import annotations
@@ -34,15 +41,15 @@ import time
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .bounds import SUITE_NAMES, CheckStatus, run_verification_suite
+from .bounds import SUITE_NAMES, CheckStatus, SuiteCase, run_verification_suite
 from .constructions import half_period_doubling, shift_family_report, shifted_doubling, sidon_set
 from .groups import VerificationError, parse_subset, read_subset
-from .profiles import rep_diff_profile, rep_profile
+from .profiles import rep_diff_profile, rep_profile, sparse_spectrum
 from .search import (
     DEFAULT_MOVES,
     DEFAULT_NODE_BUDGET,
@@ -167,14 +174,33 @@ def _int_array_text(arr: np.ndarray, sep: str) -> str:
     return repr(arr.tolist())[1:-1].replace(", ", sep)
 
 
-def _json_runs(value: Any) -> list[str]:
+def _fraction_text(value: Fraction, pad: str) -> str:
+    """A Fraction as the dict {"den", "num"} that starts on the line of pad."""
+    inner = pad + "  "
+    return ("{" + inner + '"den": ' + int.__repr__(value.denominator) + "," + inner
+            + '"num": ' + int.__repr__(value.numerator) + pad + "}")
+
+
+class _Fragment:
+    """A value whose text runs(pad) gives, for a value that starts on the
+    line of pad: _json_runs writes those runs as they stand."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Callable[[str], list[str]]) -> None:
+        self.runs = runs
+
+
+def _json_runs(value: Any, pad: str = "\n") -> list[str]:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, in one
     pass and cut into runs whose join is that text, except that a Fraction
-    is written as {"den", "num"}, an Enum as its value and a 1-D integer
-    ndarray as the list of its values.  A dict key that is not a str is
-    refused, and so is any value that is not a str, int, bool, None, list,
-    tuple, dict, Fraction, Enum or 1-D integer ndarray, floats and float
-    arrays included.
+    is written as {"den", "num"}, an Enum as its value, a 1-D integer
+    ndarray as the list of its values and a _Fragment as its runs.  pad is
+    the newline and indent of the line the value starts on, so a value can
+    be written at any depth of a larger text.  A dict key that is not a str
+    is refused, and so is any value that is not a str, int, bool, None,
+    list, tuple, dict, Fraction, Enum, _Fragment or 1-D integer ndarray,
+    floats and float arrays included.
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
@@ -184,20 +210,15 @@ def _json_runs(value: Any) -> list[str]:
     counts, is a run of its own and is never copied into a longer one."""
     chunks: list[str] = []
     emit = chunks.append
-    # Runs of chunks already joined: a long list of small records (a verify
-    # body's reports) never holds all its small pieces at once.
+    # Runs of chunks already joined: a long list of small records never
+    # holds all its small pieces at once.
     done: list[str] = []
     quote = encode_basestring_ascii
     int_text = int.__repr__
     # For each (pad, key tuple) met in this call, the keys in sorted order,
-    # each with the text that precedes its value: a verify body's thousands
-    # of reports share one entry.
+    # each with the text that precedes its value: a list of dicts with the
+    # same keys shares one entry.
     layouts: dict[tuple[str, tuple], list[tuple[str, str]]] = {}
-
-    def fraction_text(value: Fraction, pad: str) -> str:
-        inner = pad + "  "
-        return ("{" + inner + '"den": ' + int_text(value.denominator) + "," + inner
-                + '"num": ' + int_text(value.numerator) + pad + "}")
 
     def encode(value: Any, pad: str) -> None:
         # pad is the newline and indent of the line the value starts on.
@@ -229,7 +250,7 @@ def _json_runs(value: Any) -> list[str]:
                 elif v is None:
                     emit(prefix + "null")
                 elif tv is Fraction:
-                    emit(prefix + fraction_text(v, inner))
+                    emit(prefix + _fraction_text(v, inner))
                 else:
                     emit(prefix)
                     encode(v, inner)
@@ -263,8 +284,12 @@ def _json_runs(value: Any) -> list[str]:
             emit("true")
         elif value is False:
             emit("false")
+        elif t is _Fragment:
+            done.append("".join(chunks))
+            chunks.clear()
+            done.extend(value.runs(pad))
         elif isinstance(value, Fraction):
-            emit(fraction_text(value, pad))
+            emit(_fraction_text(value, pad))
         elif isinstance(value, Enum):
             encode(value.value, pad)
         elif t is np.ndarray:
@@ -292,7 +317,7 @@ def _json_runs(value: Any) -> list[str]:
         else:
             raise TypeError(f"refusing inexact serialization of {t.__name__}")
 
-    encode(value, "\n")
+    encode(value, pad)
     done.append("".join(chunks))
     return done
 
@@ -417,8 +442,13 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
-    profile = rep_profile(subset, cross_check=args.cross_check)
-    spec = profile.spectrum()
+    if args.cross_check or subset.card ** 2 >= subset.group.order:
+        profile = rep_profile(subset, cross_check=args.cross_check)
+        spec, mass = profile.spectrum(), profile.mass()
+    else:
+        # Fewer pairs than group elements: the histogram comes from the
+        # distinct pair sums, with no count per element.
+        spec, mass = sparse_spectrum(subset), subset.card ** 2
     if args.format == "csv":
         lines = [f"{i},{spec.histogram[i]}" for i in spec.support()]
         lines.append(f"max_rep,{spec.max_rep}")
@@ -428,7 +458,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
         "card": subset.card,
         "histogram": {str(i): spec.histogram[i] for i in spec.support()},
         "max_rep": spec.max_rep,
-        "mass": profile.mass(),
+        "mass": mass,
     }
     return body, EX_OK
 
@@ -476,28 +506,103 @@ def _cmd_diff_profile(args: argparse.Namespace) -> tuple[dict | str, int]:
     return body, EX_OK
 
 
+# The fields of a verify report in sorted order: the order of the slots of
+# its row template.
+_REPORT_FIELDS = (
+    "card", "case", "claim_id", "extra", "holds", "lhs", "note", "orders", "rhs", "slack",
+    "status",
+)
+
+# Types whose equal values of the same type always have the same text.
+_PLAIN_TYPES = frozenset((str, int, bool, type(None), Fraction))
+
+
+def _report_rows(cases: Sequence[SuiteCase]) -> _Fragment:
+    """The verify body's "reports": one dict per report of each case, with
+    the case's label, orders and card, written as a _Fragment.
+
+    No dict is built.  Each row is one %-template with a slot per field,
+    made once per body from the sorted field names at the pad the list is
+    written at, and filled with texts that are each encoded once: a case's
+    label, orders and card once for all its reports, a claim id, note and
+    status once per distinct triple, and an extra once per distinct dict.
+    The memos are keyed by each value together with its type, so 1, True
+    and Fraction(1) never share a text; a note or extra holding a value
+    that is not a str, int, bool, None or Fraction is encoded each time.
+    An int lhs, rhs or slack goes into its slot as it is, where %s writes
+    int.__repr__.  Every other text is _json_runs's own: the str quoting,
+    _fraction_text, or _json_runs itself at the pad of a report field."""
+
+    def runs(pad: str) -> list[str]:
+        if not any(case.reports for case in cases):
+            return ["[]"]
+        inner = pad + "  "
+        field = inner + "  "
+        quote = encode_basestring_ascii
+        # Every row starts with its separator; the first row's opens the list.
+        row = ("," + inner + "{" + ",".join(field + quote(k) + ": %s" for k in _REPORT_FIELDS)
+               + inner + "}")
+
+        def text(value: Any) -> str:
+            t = type(value)
+            if t is str:
+                return quote(value)
+            if t is int:
+                return int.__repr__(value)
+            if t is Fraction:
+                return _fraction_text(value, field)
+            if value is None:
+                return "null"
+            return "".join(_json_runs(value, field))
+
+        def claim_texts(claim_id: Any, status: Any, note: Any) -> tuple[str, str, str, str]:
+            return (text(claim_id.value), "true" if status is CheckStatus.HOLDS else "false",
+                    text(note), text(status.value))
+
+        claims: dict[tuple, tuple[str, str, str, str]] = {}
+        extras: dict[tuple, str] = {}
+        out: list[str] = []
+        rows: list[str] = []
+        for case in cases:
+            card, label, orders = text(case.card), text(case.label), text(list(case.orders))
+            for claim_id, lhs, rhs, status, slack, note, extra in case.reports:
+                if type(note) in _PLAIN_TYPES:
+                    key = (claim_id, type(claim_id), status, type(status), note, type(note))
+                    claim = claims.get(key) or claims.setdefault(
+                        key, claim_texts(claim_id, status, note))
+                else:
+                    claim = claim_texts(claim_id, status, note)
+                types = tuple(map(type, extra.values())) if type(extra) is dict else None
+                if types is not None and _PLAIN_TYPES.issuperset(types):
+                    key = (*extra.items(), types)
+                    extra_text = extras.get(key) or extras.setdefault(key, text(extra))
+                else:
+                    extra_text = text(extra)
+                claim_text, holds, note_text, status_text = claim
+                rows.append(row % (
+                    card, label, claim_text, extra_text, holds,
+                    lhs if type(lhs) is int else text(lhs), note_text, orders,
+                    rhs if type(rhs) is int else text(rhs),
+                    slack if type(slack) is int else text(slack), status_text,
+                ))
+            if len(rows) >= 256:
+                out.append("".join(rows))
+                rows.clear()
+        out.append("".join(rows) + pad + "]")
+        out[0] = "[" + out[0][1:]
+        return out
+
+    return _Fragment(runs)
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
+    """The suite's counts and reports.  "reports" is _report_rows's
+    _Fragment: one row template per body, each label, orders list, card,
+    claim id, note, status and extra encoded once, in memos keyed by value
+    and type.  The text is that of the list of report dicts, byte for byte."""
     if args.max_m < 2:
         raise ValueError("--max-m must be at least 2")
     result = run_verification_suite(args.suite, args.trials, args.seed, args.max_m)
-    reports = []
-    for case in result.cases:
-        # One label, card and orders list per case, shared by its reports.
-        label, orders, card = case.label, list(case.orders), case.card
-        for claim_id, lhs, rhs, status, slack, note, extra in case.reports:
-            reports.append({
-                "case": label,
-                "orders": orders,
-                "card": card,
-                "claim_id": claim_id.value,
-                "lhs": lhs,
-                "rhs": rhs,
-                "status": status.value,
-                "holds": status is CheckStatus.HOLDS,
-                "slack": slack,
-                "note": note,
-                "extra": extra,
-            })
     body = {
         "suite": result.suite,
         "trials": result.trials,
@@ -508,7 +613,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict | str, int]:
             "fails": result.failed,
             "not_applicable": result.not_applicable,
         },
-        "reports": reports,
+        "reports": _report_rows(result.cases),
     }
     return body, EX_OK if result.ok else EX_FAIL
 

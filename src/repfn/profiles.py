@@ -428,3 +428,22 @@ class RepSpectrum:
 def spectrum(a: GroupSubset, b: GroupSubset | None = None) -> RepSpectrum:
     return rep_profile(a, b).spectrum()
 
+
+def sparse_spectrum(a: GroupSubset) -> RepSpectrum:
+    """rep_profile(a).spectrum(), histogram key order included, from the
+    |A|^2 pair sums alone, with no array as long as the group: R(g) is the
+    multiplicity of g among the sums, and S_0 is the order less the number
+    of distinct sums.  Where |A|^2 is below the order, the sums are fewer
+    than the group's elements."""
+    ea = np.flatnonzero(a.mask)
+    blocks = [block.ravel() for block in _pair_sums(a.group, ea, ea)]
+    sums, counts = np.unique(np.concatenate(blocks) if blocks else ea, return_counts=True)
+    hist = np.bincount(counts, minlength=1).tolist()
+    hist[0] = a.group.order - sums.size
+    # Over g = 0, 1, ... the counts show in the order of the sorted sums,
+    # with 0 first at the least g that is not a sum.  The sums are distinct
+    # and ascending, so sums[i] == i holds for a prefix, and g is its length.
+    if hist[0]:
+        counts = np.insert(counts, np.count_nonzero(sums == np.arange(sums.size)), 0)
+    return RepSpectrum({i: hist[i] for i in dict.fromkeys(counts.tolist())}, len(hist) - 1)
+

@@ -3,7 +3,9 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -20,7 +22,15 @@ import numpy as np
 import pytest
 
 from repfn import cli, profiles, singer
-from repfn.cli import _HANDLERS, _json_text, main
+from repfn.bounds import (
+    SUITE_NAMES,
+    BoundReport,
+    CheckStatus,
+    ClaimId,
+    SuiteCase,
+    run_verification_suite,
+)
+from repfn.cli import _HANDLERS, _json_text, _report_rows, main
 from repfn.constructions import shifted_doubling
 from repfn.groups import Group, GroupSubset, read_subset, subset_from_text
 
@@ -300,6 +310,52 @@ class TestPipelines:
         assert bodies[0] == bodies[1]
 
 
+class TestSparseSpectrum:
+    """spectrum without --cross-check takes a set with fewer pairs than
+    group elements from its distinct pair sums, not from a profile."""
+
+    GROUPS = ((1000,), (2,) * 10, (4, 8, 16), (3, 5, 7, 11), (1, 97, 1, 6), (2, 2, 9, 25))
+
+    def test_body_matches_the_profile_route(self, monkeypatch, tmp_path):
+        rng = random.Random(23)
+        profiled = []
+        monkeypatch.setattr(cli, "rep_profile", lambda *a, **k: profiled.append(k) or (
+            profiles.rep_profile(*a, **k)))
+        setfile = tmp_path / "set.json"
+        for orders in self.GROUPS:
+            group = Group(orders)
+            for size in (0, 1, 2, 3, math.isqrt(group.order - 1)):
+                a = GroupSubset.from_elements(group, rng.sample(range(group.order), size))
+                setfile.write_text(json.dumps(a.to_json_dict()))
+                for fmt in ("json", "csv"):
+                    bodies = []
+                    for cross_check in (False, True):
+                        args = argparse.Namespace(inp=str(setfile), format=fmt,
+                                                  cross_check=cross_check)
+                        body, code = cli._cmd_spectrum(args)
+                        assert code == 0
+                        bodies.append(body if fmt == "csv" else _json_text(body))
+                    assert bodies[0] == bodies[1], (orders, a.elements(), fmt)
+                    # Only the --cross-check run built a profile.
+                    assert profiled == [{"cross_check": True}]
+                    profiled.clear()
+
+    def test_peak_memory_at_z2_20(self, capsys, tmp_path):
+        # The profile route's count array alone is 8 MiB at Z_2^20; the set's
+        # mask is 1 MiB.
+        setfile = tmp_path / "z2_20.txt"
+        setfile.write_text("orders " + " ".join(["2"] * 20) + "\n0\n77\n")
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--in", str(setfile)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["histogram"] == {"0": 2**20 - 2, "2": 2}
+        assert peak < 2 * 2**20, peak
+
+
 class TestVerify:
     def test_clean_run_exits_zero(self, capsys):
         code, body = run_json(["verify", "--trials", "10", "--seed", "7"], capsys)
@@ -387,6 +443,94 @@ class TestVerify:
             line for line in out.splitlines(keepends=True) if "wall_time_us" not in line
         )
         assert hashlib.sha256(kept.encode()).hexdigest() == self.PINNED_BODIES[flags]
+
+
+class TestReportRows:
+    """The verify body's reports, written as rows of one template, against
+    the list of one dict per report that they stand for."""
+
+    @staticmethod
+    def report_dicts(cases):
+        return [
+            {
+                "case": case.label,
+                "orders": list(case.orders),
+                "card": case.card,
+                "claim_id": r.claim_id.value,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "status": r.status.value,
+                "holds": r.status is CheckStatus.HOLDS,
+                "slack": r.slack,
+                "note": r.note,
+                "extra": r.extra,
+            }
+            for case in cases
+            for r in case.reports
+        ]
+
+    @pytest.mark.parametrize("max_m", (2, 128, 2048))
+    @pytest.mark.parametrize("trials", (0, 3, 50))
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_body_matches_one_dict_per_report(self, monkeypatch, suite, trials, max_m):
+        results = []
+        monkeypatch.setattr(cli, "run_verification_suite", lambda *a: results.append(
+            run_verification_suite(*a)) or results[-1])
+        for seed in (0, 5, 11):
+            args = argparse.Namespace(suite=suite, trials=trials, seed=seed, max_m=max_m)
+            body, code = cli._cmd_verify(args)
+            assert code == (0 if results[-1].ok else 1)
+            dicts = self.report_dicts(results[-1].cases)
+            assert _json_text(body) == _json_text({**body, "reports": dicts})
+            assert _json_text(body["reports"]) == _json_text(dicts)
+
+    NOTES = ('50% of "m" \\ %s\ttab \u00e9', "%s", "%(x)s %%", "", "\u2211 \U0001d53d \u2028")
+    LABELS = ('100% "sure" \\ %s\t', "gr\u00fcn %d", "%")
+    VALUES = (1, True, Fraction(1), Fraction(-3, 4), 0, False, -(2**70))
+
+    def hand_built_cases(self):
+        extras = ({"k": 1}, {"k": True}, {"k": Fraction(1)}, {"k": Fraction(-3, 4)},
+                  {"k": None, "a": "%s"}, {})
+        statuses = tuple(CheckStatus)
+        claim_ids = (ClaimId.QUADRATIC, ClaimId.S0_LOWER)
+        cases = []
+        for c, label in enumerate(self.LABELS):
+            reports = []
+            for i in range(24):
+                value = self.VALUES[(i + c) % len(self.VALUES)]
+                reports.append(BoundReport(
+                    claim_ids[i % 2], value, self.VALUES[i % 5], statuses[i % 3],
+                    None if i % 4 == 3 else value, self.NOTES[i % len(self.NOTES)],
+                    # A fresh dict each time: equal extras share one memo entry.
+                    dict(extras[i % len(extras)]),
+                ))
+            cases.append(SuiteCase(label, (c + 2, 3), c, tuple(reports)))
+            # A case with no reports writes no row.
+            cases.append(SuiteCase(label + " none", (5,), 0, ()))
+        return cases
+
+    def test_rows_keep_types_and_escapes_apart(self):
+        cases = self.hand_built_cases()
+        plain = TestSerialization.plain(self.report_dicts(cases))
+        assert _json_text(_report_rows(cases)) == json.dumps(plain, indent=2, sort_keys=True)
+        assert _json_text({"reports": _report_rows(cases), "z": [_report_rows(cases[:1])]}) == (
+            json.dumps({"reports": plain, "z": [plain[:24]]}, indent=2, sort_keys=True))
+
+    def test_no_reports(self):
+        for cases in ([], [SuiteCase("a", (2,), 1, ())]):
+            assert _json_text(_report_rows(cases)) == "[]"
+            assert _json_text({"reports": _report_rows(cases)}) == json.dumps(
+                {"reports": []}, indent=2)
+
+    @pytest.mark.parametrize("extra", ({"k": 1.5}, {1: 0}, {"k": [Decimal(1)]}), ids=repr)
+    def test_refuses_what_the_encoder_refuses(self, extra):
+        report = BoundReport(ClaimId.QUADRATIC, 1, 1, CheckStatus.HOLDS, 0, "", extra)
+        for extras in ([extra], [{"k": 1}, extra], [extra, extra]):
+            cases = [SuiteCase("a", (2,), 1, tuple(report._replace(extra=e) for e in extras))]
+            with pytest.raises(TypeError):
+                _json_text(_report_rows(cases))
+            with pytest.raises(TypeError):
+                _json_text(self.report_dicts(cases))
 
 
 class TestRuzsa:

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from repfn.profiles import (
     rep_profile,
     rep_profile_fast,
     rep_profile_naive,
+    sparse_spectrum,
     spectrum,
 )
 from repfn.singer import singer_set
@@ -506,6 +508,46 @@ class TestSpectrum:
         spec = spectrum(a)
         assert sum(spec.histogram.values()) == 21
         assert sum(i * n for i, n in spec.histogram.items()) == 36
+
+
+class TestSparseSpectrum:
+    """sparse_spectrum is the profile's spectrum, histogram key order
+    included, built from the pair sums alone."""
+
+    def test_matches_the_profile_spectrum(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                orders = (rng.randint(1, 400),)
+            else:
+                orders = tuple(rng.choice((1, 2, 2, 3, 4, 5, 7, 8, 16))
+                               for _ in range(rng.randint(1, 4)))
+            group = Group(orders)
+            size = rng.randint(0, isqrt(group.order - 1))
+            a = GroupSubset.from_elements(group, rng.sample(range(group.order), size))
+            got, want = sparse_spectrum(a), rep_profile(a).spectrum()
+            assert list(got.histogram.items()) == list(want.histogram.items()), (orders, size)
+            assert got.max_rep == want.max_rep
+
+    def test_dense_sets_too(self):
+        # Where every element is a sum, S_0 = 0 is left out, as in the profile.
+        for orders, elems in (((7,), [0, 1, 3]), ((5,), range(5)), ((2, 4), [0, 1, 2, 5, 7])):
+            a = subset(orders, list(elems))
+            assert list(sparse_spectrum(a).histogram.items()) == list(
+                rep_profile(a).spectrum().histogram.items())
+
+    def test_peak_memory_at_z2_20(self):
+        a = subset([2] * 20, [0, 5, 77, 1000, 2**19 + 3])
+        tracemalloc.start()
+        try:
+            spec = sparse_spectrum(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a + a = 0 for every a, and the 10 other sums are distinct.
+        assert spec.histogram == {0: 2**20 - 11, 5: 1, 2: 10}
+        # The profile's count array would be 8 MiB.
+        assert peak < 64 * 1024, peak
 
 
 class TestArrayPath:
