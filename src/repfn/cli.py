@@ -38,6 +38,7 @@ import argparse
 import gc
 import sys
 import time
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -49,7 +50,7 @@ from . import __version__
 from .bounds import SUITE_NAMES, CheckStatus, SuiteCase, run_verification_suite
 from .constructions import half_period_doubling, shift_family_report, shifted_doubling, sidon_set
 from .groups import VerificationError, parse_subset, read_subset
-from .profiles import rep_diff_profile, rep_profile, sparse_spectrum
+from .profiles import rep_diff_profile, rep_profile, spectrum
 from .search import (
     DEFAULT_MOVES,
     DEFAULT_NODE_BUDGET,
@@ -195,12 +196,13 @@ def _json_runs(value: Any, pad: str = "\n") -> list[str]:
     """The text json.dumps(value, indent=2, sort_keys=True) gives, in one
     pass and cut into runs whose join is that text, except that a Fraction
     is written as {"den", "num"}, an Enum as its value, a 1-D integer
-    ndarray as the list of its values and a _Fragment as its runs.  pad is
-    the newline and indent of the line the value starts on, so a value can
-    be written at any depth of a larger text.  A dict key that is not a str
-    is refused, and so is any value that is not a str, int, bool, None,
-    list, tuple, dict, Fraction, Enum, _Fragment or 1-D integer ndarray,
-    floats and float arrays included.
+    ndarray as the list of its values, any other Mapping (a read-only
+    MappingProxyType, say) as the dict it holds and a _Fragment as its
+    runs.  pad is the newline and indent of the line the value starts on,
+    so a value can be written at any depth of a larger text.  A dict key
+    that is not a str is refused, and so is any value that is not a str,
+    int, bool, None, list, tuple, Mapping, Fraction, Enum, _Fragment or 1-D
+    integer ndarray, floats and float arrays included.
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
@@ -310,7 +312,7 @@ def _json_runs(value: Any, pad: str = "\n") -> list[str]:
             emit(quote(value))
         elif isinstance(value, int):
             emit(int_text(value))
-        elif isinstance(value, dict):
+        elif isinstance(value, Mapping):
             encode(dict(value), pad)
         elif isinstance(value, (list, tuple)):
             encode(list(value), pad)
@@ -442,13 +444,12 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict | str, int]:
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
-    if args.cross_check or subset.card ** 2 >= subset.group.order:
-        profile = rep_profile(subset, cross_check=args.cross_check)
+    if args.cross_check:
+        profile = rep_profile(subset, cross_check=True)
         spec, mass = profile.spectrum(), profile.mass()
     else:
-        # Fewer pairs than group elements: the histogram comes from the
-        # distinct pair sums, with no count per element.
-        spec, mass = sparse_spectrum(subset), subset.card ** 2
+        # The mass of R_{A,A} is |A|^2.
+        spec, mass = spectrum(subset), subset.card ** 2
     if args.format == "csv":
         lines = [f"{i},{spec.histogram[i]}" for i in spec.support()]
         lines.append(f"max_rep,{spec.max_rep}")

@@ -426,6 +426,11 @@ class RepSpectrum:
 
 
 def spectrum(a: GroupSubset, b: GroupSubset | None = None) -> RepSpectrum:
+    """rep_profile(a, b).spectrum().  With b None and |A|^2 below the
+    order, the histogram comes from the pair sums (sparse_spectrum), with
+    no count per group element."""
+    if b is None and a.card**2 < a.group.order:
+        return sparse_spectrum(a)
     return rep_profile(a, b).spectrum()
 
 

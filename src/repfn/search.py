@@ -1,15 +1,16 @@
 """Search for additive bases of Z_m with a small maximum representation count.
 
 Both paths keep their counters in _Slots, the one slot layout of this
-module: every count in a fixed-width slot of one int, tested by whole-word
-arithmetic and updated by one flip rule: toggling e in a 0/1 slot set S,
-S' = S ^ bit(e), changes S's ordered pair counts by rot(S + S', e).  No
-search subclasses it; each builds its own.  The exact path is
-_exact_search, one function over one layout: a depth-first branch and bound
-over subsets of Z_m on four counters (members, their representation counts,
-available elements and their pair counts), with a lazy
-coverage-infeasibility prune; it can prove UNSAT.  It splits the space by
-differences.  Case U: some difference b - a in A is a unit u, and
+module: every count in a fixed-width slot of one int, packed once from an
+array (_set_arrays gives a set's indicator and pair counts), tested by
+whole-word arithmetic and updated by one flip rule: toggling e in a 0/1
+slot set S, S' = S ^ bit(e), changes S's ordered pair counts by
+rot(S + S', e).  No search subclasses it; each builds its own.  The exact
+path is _exact_search, one function over one layout: a depth-first branch
+and bound over subsets of Z_m on four counters (members, their
+representation counts, available elements and their pair counts), with a
+lazy coverage-infeasibility prune; it can prove UNSAT.  It splits the space
+by differences.  Case U: some difference b - a in A is a unit u, and
 x -> u^-1(x - a) maps A onto a set containing {0, 1} with the same
 spectrum, so {0, 1} is fixed.  Case N: every difference in A is a
 non-unit; 0 is fixed by translation and an element with a unit difference
@@ -19,11 +20,11 @@ heuristic path is _local_search, a seeded local search on two counters
 best find passed from run to run, the first run's best being B_m, a basis of
 at most 2*ceil(sqrt(m)) - 1 members.  Each run is one loop that holds its
 state in locals; a rejected move leaves it as it is and every element is
-drawn from getrandbits.  Its counts are at most |A|, since R_A(g) counts
-members a with g - a in A, so each run builds its own _Slots at the width
-its sets need, not the width m needs, and packs again at twice the cap
-once |A| is at the cap and a move would add an element.  It only ever
-claims verified upper bounds.  Every SAT or heuristic result carries a
+drawn from getrandbits.  One move changes each count by at most 2, so each
+restart packs its draw at the least width whose cap is at least the draw's
+max count + 2, not the width m needs, and the run packs again one width up
+when an accepted move leaves its max count + 2 above the cap.  It only
+ever claims verified upper bounds.  Every SAT or heuristic result carries a
 certificate re-checked through the pair-enumeration profile, never through
 the search's own counters.  No clock enters a search: each outcome is a
 function of its arguments alone, and work is counted in nodes or moves.
@@ -37,6 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
 from typing import Iterable
+
+import numpy as np
 
 from .bounds import ceil_sqrt
 from .groups import Group, GroupSubset, VerificationError, _group_zeros
@@ -98,23 +101,31 @@ class SearchOutcome:
 class _Slots:
     """Counts over Z_m packed in one int, the one slot layout of this
     module.  No search subclasses it: the exact search builds one at the
-    width m needs, and each local-search run one at the width its sets
-    need.  Slot g holds the count at g in
-    w = (bound + 2).bit_length() + 1 bits, bound the largest count the
-    caller stores; cap = 2^(w-1) - 3 is the largest bound of that width.
-    No count (at most cap) or add-and-mask threshold (at most cap + 1)
-    reaches a slot's top bit, so no carry crosses slots and every test on
-    all of Z_m is one add and one mask.  With rot(X, e) moving slot x to
-    x + e mod m, one flip rule updates the ordered pair counts of a set S
-    (0/1 slots) when e goes in or out: with S' = S ^ bit(e), they change by
-    exactly rot(S + S', e), added when e goes in and subtracted when it
-    comes out.  For e not in S, S + S' = 2S + bit(e), whose rotation by e
-    is the pairs (e, s) and (s, e) for s in S plus (e, e) at 2e; for e in
-    S, S and S' swap roles."""
+    width m needs, and the local search one at the width each restart's
+    counts need.  Slot g holds the count at g in w = width(bound) bits,
+    bound the largest count the caller stores; cap = 2^(w-1) - 3 is the
+    largest bound of that width.  No count (at most cap) or add-and-mask
+    threshold (at most cap + 1) reaches a slot's top bit, so no carry
+    crosses slots and every test on all of Z_m is one add and one mask.
+    With rot(X, e) moving slot x to x + e mod m, one flip rule updates the
+    ordered pair counts of a set S (0/1 slots) when e goes in or out: with
+    S' = S ^ bit(e), they change by exactly rot(S + S', e), added when e
+    goes in and subtracted when it comes out.  For e not in S,
+    S + S' = 2S + bit(e), whose rotation by e is the pairs (e, s) and
+    (s, e) for s in S plus (e, e) at 2e; for e in S, S and S' swap roles.
+    So one flip changes each count by at most 2: slot g of rot(S + S', e)
+    is 2 when g - e is in S and not e, 1 at g = 2e, and 0 elsewhere.  A
+    layout is filled from arrays by pack_array, never by one flip per
+    element."""
+
+    @staticmethod
+    def width(bound: int) -> int:
+        """The least slot width whose cap is at least bound."""
+        return (bound + 2).bit_length() + 1
 
     def __init__(self, m: int, bound: int):
         self.m = m
-        w = self.w = (bound + 2).bit_length() + 1
+        w = self.w = self.width(bound)
         self.cap = (1 << (w - 1)) - 3
         self.full = (1 << (w * m)) - 1
         ones = self.ones = self.full // ((1 << w) - 1)
@@ -134,13 +145,23 @@ class _Slots:
         return S2, self.rot(S + S2, e)
 
     def pack(self, elements: Iterable[int]) -> tuple[int, int]:
-        """(A, R) for a set: its indicator and its pair counts, built by the
-        flip rule one element at a time."""
-        A = R = 0
-        for e in elements:
-            A, D = self.flip(A, e)
-            R += D
-        return A, R
+        """(A, R) for a set: its indicator and its pair counts, each packed
+        from its _set_arrays array by pack_array."""
+        indicator, counts = _set_arrays(self.m, elements)
+        return self.pack_array(indicator), self.pack_array(counts)
+
+    def pack_array(self, X: np.ndarray) -> int:
+        """The int whose slot g holds X[g], for an integer array X of m
+        values in [0, 2^w): the low w bits of each value, cut from its
+        little-endian bytes by np.unpackbits, laid end to end by
+        np.packbits and read as one little-endian int.  It costs O(w·m),
+        where one flip per member of a set costs |A| rotations of a
+        w·m-bit int."""
+        m, w = self.m, self.w
+        nbytes = 1 << max(0, (w - 1).bit_length() - 3)
+        planes = np.unpackbits(X.astype(f"<u{nbytes}").view(np.uint8).reshape(m, nbytes),
+                               axis=1, count=w, bitorder="little")
+        return int.from_bytes(np.packbits(planes, bitorder="little").tobytes(), "little")
 
     def max_rep(self, X: int, guess: int) -> int:
         """The largest slot of X by "some slot > t" tests, stepping from
@@ -169,6 +190,18 @@ class _Slots:
     def decode(self, X: int) -> tuple[int, ...]:
         w, mask = self.w, (1 << self.w) - 1
         return tuple((X >> (w * g)) & mask for g in range(self.m))
+
+
+def _set_arrays(m: int, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(indicator, counts) of a set of Z_m as arrays of length m: a uint8
+    0/1 per element, and R(g) = #{(a, b) in A^2 : a + b = g}, one bincount
+    of the |A|^2 pair sums, each a + b < 2m reduced by one subtraction."""
+    a = np.fromiter(members, np.intp)
+    indicator = np.zeros(m, np.uint8)
+    indicator[a] = 1
+    sums = np.add.outer(a, a)
+    sums[sums >= m] -= m
+    return indicator, np.bincount(sums.ravel(), minlength=m)
 
 
 def _exact_search(
@@ -430,118 +463,127 @@ def _local_search(
     for moves that leave no more elements uncovered than the current
     objective; once nothing is uncovered, that test is one mask and compare.
 
-    A and R are packed at the width the run's sets need, not the width m
-    needs.  Every count is at most |A|, since R_A(g) = #{a in A : g - a in
-    A}, and |A| stays near sqrt(2m), so the run starts at the _Slots width
-    for its largest restart seed and widens only when it must: when |A| is
-    at the layout's cap and a move puts an element in without taking one
-    out, A and R are packed again from the members, for a bound of twice
-    the cap, before the move is made.  Swaps keep |A| and every seed fits
-    the starting width, so no count outgrows its slot, and the widening
-    draws nothing from the rng.  The excess term is taken only when the max
-    count exceeds r, so there r < max count <= |A| <= cap."""
+    A restart builds its state from arrays: _set_arrays gives its draw's
+    indicator and pair counts (one bincount of |A|^2 sums), the restart's
+    objective is read from the counts, and _Slots.pack_array makes A and
+    R, so a restart costs O(|A|^2 + w·m).  Its layout has the least width
+    whose cap is at least the draw's max count + 2, and the layout before
+    it is kept when that width is the same.  No count outgrows its slot: a
+    move's take subtracts at most 2 from each count and its put adds at
+    most 2 (the flip rule of _Slots), so every candidate's counts are at
+    most the current max + 2 <= cap, the intermediate ones after a take
+    included.  The run widens when an accepted move leaves its max + 2
+    above the cap, and at no other time: A and R are packed again from the
+    members at the least width that fits the new max + 2, one width up, and
+    the widening draws nothing from the rng.  The excess term is taken only
+    when the max count exceeds r, so there r < max count <= cap.  Restarts
+    are the outer loop, over blocks of _RESTART_EVERY moves, so a move
+    tests neither its step nor the width."""
     km = m.bit_length()
     size = max(1, min(m, ceil_sqrt(2 * m)))
-    lay = _Slots(m, max([size, *(len(b) for b in pool if b is not None)]))
-    w, full, ones, top, cover_add, cap = lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap
-    wm = w * m
     random_, getrandbits = rng.random, rng.getrandbits
-    for step in range(moves):
-        if step % _RESTART_EVERY == 0:
-            base = pool[step // _RESTART_EVERY % len(pool)]
-            if base is None:
-                base = rng.sample(range(m), size)
-            A, R = lay.pack(base)
-            flags = bytearray(m)
-            for e in base:
-                flags[e] = 1
-            members = sorted(base)
-            card = len(members)
-            peak = lay.max_rep(R, 0)
-            cur = (m - ((R + cover_add) & top).bit_count(), peak,
-                   lay.excess(R, r) if peak > r else 0, card)
-            if cur < best[0]:
-                best = (cur, tuple(members))
-        roll = random_()
-        # A swap takes out_e out and puts in_e in; add and remove do
-        # one each.
-        if card == 0:
-            take, put = False, True
-        elif card == m:
-            take, put = True, False
-        elif cur[0]:
-            # add below 0.6, swap below 0.9, else remove
-            take, put = roll >= 0.6, roll < 0.9
-        else:
-            # remove below 0.4, swap below 0.9, else add
-            take, put = roll < 0.9, roll >= 0.4
-        if card == cap and put and not take:
-            # An add past the cap: widen for the rest of the run.
-            lay = _Slots(m, 2 * cap)
-            w, full, ones, top, cover_add, cap = lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap
-            wm = w * m
-            A, R = lay.pack(members)
-        # Draws as rng.choice(members) and rng.randrange(m) make them:
-        # getrandbits(n.bit_length()) until the value is below n.
-        A2, R2, card2 = A, R, card
-        if take:
-            k = card.bit_length()
-            i = getrandbits(k)
-            while i >= card:
-                i = getrandbits(k)
-            out_e = members[i]
-            # The flip rule, inlined: take out_e out of A2.
-            we = w * out_e
-            A1, A2 = A2, A2 ^ (1 << we)
-            T = A1 + A2
-            R2 -= ((T << we) | (T >> (wm - we))) & full
-            card2 -= 1
-        if put:
-            while True:
-                in_e = getrandbits(km)
-                while in_e >= m:
-                    in_e = getrandbits(km)
-                if not flags[in_e]:
-                    break
-            # The flip rule, inlined: put in_e into A2.
-            we = w * in_e
-            A1, A2 = A2, A2 ^ (1 << we)
-            T = A1 + A2
-            R2 += ((T << we) | (T >> (wm - we))) & full
-            card2 += 1
-        # Slot g of C is R2[g] + 2^(w-1) - 1, whose top bit is set iff g
-        # is covered.
-        C = R2 + cover_add
-        if cur[0]:
-            uncovered = m - (C & top).bit_count()
-            if uncovered > cur[0]:
-                continue
-        elif C & top == top:
-            uncovered = 0
-        else:
-            continue
-        # _Slots.max_rep, inlined on C: one move changes each slot by at
-        # most 2, so the current max is a near guess.
-        peak = cur[1]
-        Y = C - ones * peak
-        while Y & top:
-            Y -= ones
-            peak += 1
-        while peak and not (Y + ones) & top:
-            Y += ones
-            peak -= 1
-        cand = (uncovered, peak, lay.excess(R2, r) if peak > r else 0, card2)
-        if cand > cur:
-            continue
-        A, R, card, cur = A2, R2, card2, cand
-        if take:
-            del members[bisect_left(members, out_e)]
-            flags[out_e] = 0
-        if put:
-            insort(members, in_e)
-            flags[in_e] = 1
+    lay = None
+    for first in range(0, moves, _RESTART_EVERY):
+        base = pool[first // _RESTART_EVERY % len(pool)]
+        if base is None:
+            base = rng.sample(range(m), size)
+        members = sorted(base)
+        card = len(members)
+        indicator, counts = _set_arrays(m, members)
+        flags = bytearray(indicator)
+        peak = int(counts.max())
+        cur = (m - int(np.count_nonzero(counts)), peak,
+               int((counts[counts > r] - r).sum()) if peak > r else 0, card)
         if cur < best[0]:
             best = (cur, tuple(members))
+        if lay is None or lay.w != _Slots.width(peak + 2):
+            lay = _Slots(m, peak + 2)
+        A, R = lay.pack_array(indicator), lay.pack_array(counts)
+        w, full, ones, top, cover_add, limit = (
+            lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap - 2)
+        wm = w * m
+        for _ in range(min(_RESTART_EVERY, moves - first)):
+            roll = random_()
+            # A swap takes out_e out and puts in_e in; add and remove do
+            # one each.
+            if card == 0:
+                take, put = False, True
+            elif card == m:
+                take, put = True, False
+            elif cur[0]:
+                # add below 0.6, swap below 0.9, else remove
+                take, put = roll >= 0.6, roll < 0.9
+            else:
+                # remove below 0.4, swap below 0.9, else add
+                take, put = roll < 0.9, roll >= 0.4
+            # Draws as rng.choice(members) and rng.randrange(m) make them:
+            # getrandbits(n.bit_length()) until the value is below n.
+            A2, R2, card2 = A, R, card
+            if take:
+                k = card.bit_length()
+                i = getrandbits(k)
+                while i >= card:
+                    i = getrandbits(k)
+                out_e = members[i]
+                # The flip rule, inlined: take out_e out of A2.
+                we = w * out_e
+                A1, A2 = A2, A2 ^ (1 << we)
+                T = A1 + A2
+                R2 -= ((T << we) | (T >> (wm - we))) & full
+                card2 -= 1
+            if put:
+                while True:
+                    in_e = getrandbits(km)
+                    while in_e >= m:
+                        in_e = getrandbits(km)
+                    if not flags[in_e]:
+                        break
+                # The flip rule, inlined: put in_e into A2.
+                we = w * in_e
+                A1, A2 = A2, A2 ^ (1 << we)
+                T = A1 + A2
+                R2 += ((T << we) | (T >> (wm - we))) & full
+                card2 += 1
+            # Slot g of C is R2[g] + 2^(w-1) - 1, whose top bit is set iff g
+            # is covered.
+            C = R2 + cover_add
+            if cur[0]:
+                uncovered = m - (C & top).bit_count()
+                if uncovered > cur[0]:
+                    continue
+            elif C & top == top:
+                uncovered = 0
+            else:
+                continue
+            # _Slots.max_rep, inlined on C: one move changes each slot by at
+            # most 2, so the current max is a near guess.
+            peak = cur[1]
+            Y = C - ones * peak
+            while Y & top:
+                Y -= ones
+                peak += 1
+            while peak and not (Y + ones) & top:
+                Y += ones
+                peak -= 1
+            cand = (uncovered, peak, lay.excess(R2, r) if peak > r else 0, card2)
+            if cand > cur:
+                continue
+            A, R, card, cur = A2, R2, card2, cand
+            if take:
+                del members[bisect_left(members, out_e)]
+                flags[out_e] = 0
+            if put:
+                insort(members, in_e)
+                flags[in_e] = 1
+            if peak > limit:
+                # The next move could outgrow a slot: widen.
+                lay = _Slots(m, peak + 2)
+                A, R = lay.pack(members)
+                w, full, ones, top, cover_add, limit = (
+                    lay.w, lay.full, lay.ones, lay.top, lay.cover_add, lay.cap - 2)
+                wm = w * m
+            if cur < best[0]:
+                best = (cur, tuple(members))
     return best
 
 

@@ -17,6 +17,7 @@ from decimal import Decimal
 from enum import Enum, IntEnum
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -521,6 +522,20 @@ class TestReportRows:
             assert _json_text(_report_rows(cases)) == "[]"
             assert _json_text({"reports": _report_rows(cases)}) == json.dumps(
                 {"reports": []}, indent=2)
+
+    def test_default_extra_is_written_as_the_dict_it_holds(self):
+        # A report built by hand keeps the shared read-only default extra;
+        # a read-only mapping with keys is written as its dict too.
+        default = BoundReport(ClaimId.QUADRATIC, 3, Fraction(5, 2), CheckStatus.HOLDS,
+                              Fraction(1, 2), "by hand")
+        assert type(default.extra) is MappingProxyType
+        held = default._replace(extra=MappingProxyType({"b": [1, 2], "a": Fraction(-1, 3)}))
+        cases = [SuiteCase("a", (7,), 2, (default, held, default))]
+        dicts = [{**d, "extra": dict(d["extra"])} for d in self.report_dicts(cases)]
+        expected = json.dumps(TestSerialization.plain(dicts), indent=2, sort_keys=True)
+        assert _json_text(_report_rows(cases)) == expected
+        assert _json_text({"reports": _report_rows(cases)}) == json.dumps(
+            {"reports": TestSerialization.plain(dicts)}, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("extra", ({"k": 1.5}, {1: 0}, {"k": [Decimal(1)]}), ids=repr)
     def test_refuses_what_the_encoder_refuses(self, extra):

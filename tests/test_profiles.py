@@ -550,6 +550,45 @@ class TestSparseSpectrum:
         assert peak < 64 * 1024, peak
 
 
+class TestLibrarySpectrum:
+    """spectrum(a) takes the pair-sum route when |A|^2 is below the order,
+    as the spectrum command does."""
+
+    def test_sparse_sets_match_the_profile_spectrum(self, monkeypatch):
+        rng = random.Random(31)
+        cases = []
+        for _ in range(200):
+            if rng.random() < 0.5:
+                orders = (rng.randint(2, 3000),)
+            else:
+                orders = tuple(rng.choice((2, 2, 3, 4, 5, 7, 8, 16))
+                               for _ in range(rng.randint(1, 5)))
+            group = Group(orders)
+            size = rng.randint(0, isqrt(group.order - 1))
+            a = GroupSubset.from_elements(group, rng.sample(range(group.order), size))
+            cases.append((a, rep_profile(a).spectrum()))
+        # No profile is built on the way.
+        monkeypatch.setattr(profiles, "rep_profile", None)
+        for a, want in cases:
+            got = spectrum(a)
+            assert list(got.histogram.items()) == list(want.histogram.items()), a.group.orders
+            assert got.max_rep == want.max_rep
+
+    def test_one_element_of_z2_28(self):
+        # The profile route's count array alone would be 2 GiB.
+        a = subset([2] * 28, [0])
+        assert a.card == 1
+        tracemalloc.start()
+        try:
+            spec = spectrum(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(spec.histogram.items()) == [(1, 1), (0, 2**28 - 1)]
+        assert spec.max_rep == 1
+        assert peak < 1 << 20, peak
+
+
 class TestArrayPath:
     """The histogram, max_rep, mass and level sets come from the profile's
     int64 array; walks of the counts tuple are the reference."""

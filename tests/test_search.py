@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from repfn import search
@@ -448,6 +449,33 @@ class TestSlots:
             assert slots.decode(R) == expected
             assert slots.decode(A) == tuple(int(x in members) for x in range(m))
 
+    def test_array_pack_matches_the_flip_rule(self):
+        # pack builds (A, R) from arrays; the reference packs the same set
+        # by the flip rule, one element at a time, at every width from the
+        # least whose cap holds its counts up to 12.  Intervals give large
+        # counts, random draws small ones.
+        rng = random.Random(54)
+        for trial in range(30):
+            m = rng.randint(1, 2000)
+            k = rng.randint(0, min(m, 90))
+            members = list(range(k)) if trial % 3 == 0 else rng.sample(range(m), k)
+            counts = [0] * m
+            for a in members:
+                for b in members:
+                    counts[(a + b) % m] += 1
+            for w in range(_Slots(m, max(counts)).w, 13):
+                slots = _Slots(m, (1 << (w - 1)) - 3)
+                assert slots.w == w
+                A = R = 0
+                for e in members:
+                    A, D = slots.flip(A, e)
+                    R += D
+                assert slots.decode(R) == tuple(counts)
+                assert slots.pack(members) == (A, R), (m, w)
+                # pack_array takes any value below 2^w, top bit included.
+                X = [rng.randrange(1 << w) for _ in range(m)]
+                assert slots.pack_array(np.array(X)) == sum(x << (w * g) for g, x in enumerate(X))
+
     def test_excess_matches_a_list_for_every_r_up_to_cap(self):
         rng = random.Random(44)
         for _ in range(60):
@@ -671,24 +699,40 @@ class TestHeuristic:
             assert obj == (counts.count(0), max(counts), excess, len(members)), (m, r, seed)
 
     def test_a_run_widens_its_slots_and_keeps_its_counts(self, monkeypatch):
-        # A run at m = 240 starts at the width for its 22-element seeds, and
-        # with seed 11 its best set outgrows that width's cap.  The layouts
-        # the run builds are recorded, since the counts of these sets stay
-        # far below |A| and would fit the starting width.
-        m, r = 240, 240
-        start = _Slots(m, search.ceil_sqrt(2 * m))
-        widths = []
+        # A run at m = 240 with seed 11.  Every layout the run packs is
+        # recorded with the set it packs: a restart packs its draw, and a
+        # widening the members after the accepted move that needed it.
+        # Each is at the least width whose cap fits the set's max count + 2,
+        # and its packed counts are the pair-enumeration counts.
+        m, r, moves = 240, 240, 3000
+        packs, widenings = [], []
 
         class Recorded(_Slots):
-            def __init__(self, m, bound):
-                super().__init__(m, bound)
-                widths.append(self.w)
+            def pack(self, elements):
+                widenings.append(self.w)
+                return super().pack(elements)
+
+            def pack_array(self, X):
+                packed = super().pack_array(X)
+                packs.append((self, X.copy(), packed))
+                return packed
 
         monkeypatch.setattr(search, "_Slots", Recorded)
         full = ((0, m, 0, m), tuple(range(m)))
-        obj, members = _local_search(m, r, search._seed_pool(m), 3000, random.Random("11/0"), full)
-        assert widths == [start.w, start.w + 1]
-        assert len(members) > start.cap
+        obj, members = _local_search(m, r, search._seed_pool(m), moves, random.Random("11/0"), full)
+        # Each pack is an indicator, then the counts of the same set.
+        assert len(packs) % 2 == 0
+        for (lay, indicator, A), (same, _, R) in zip(packs[::2], packs[1::2]):
+            assert lay is same
+            drawn = [x for x in range(m) if indicator[x]]
+            assert lay.decode(A) == tuple(int(x) for x in indicator)
+            counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), drawn)).counts
+            assert lay.decode(R) == counts
+            # The cap fits max + 2, and the cap one width narrower does not.
+            assert (1 << (lay.w - 2)) - 3 < max(counts) + 2 <= lay.cap
+        restarts = len(packs) // 2 - len(widenings)
+        assert restarts == -(-moves // search._RESTART_EVERY)
+        assert widenings
         counts = rep_profile_naive(GroupSubset.from_elements(Group.cyclic(m), members)).counts
         excess = sum(c - r for c in counts if c > r)
         assert obj == (counts.count(0), max(counts), excess, len(members))
