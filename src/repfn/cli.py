@@ -206,10 +206,9 @@ def _json_runs(value: Any, pad: str = "\n") -> list[str]:
 
     Values are dispatched on their exact type first, so the plain dicts,
     lists, strs and ints that make up every body skip the isinstance chain;
-    subclasses (a namedtuple, an int or str Enum) reach it at the end.  A
-    dict writes its str, int, bool, None and Fraction values in place, with
-    no call per value.  The text of an integer ndarray, such as a profile's
-    counts, is a run of its own and is never copied into a longer one."""
+    subclasses (a namedtuple, an int or str Enum) reach it at the end.  The
+    text of an integer ndarray, such as a profile's counts, is a run of its
+    own and is never copied into a longer one."""
     chunks: list[str] = []
     emit = chunks.append
     # Runs of chunks already joined: a long list of small records never
@@ -217,10 +216,6 @@ def _json_runs(value: Any, pad: str = "\n") -> list[str]:
     done: list[str] = []
     quote = encode_basestring_ascii
     int_text = int.__repr__
-    # For each (pad, key tuple) met in this call, the keys in sorted order,
-    # each with the text that precedes its value: a list of dicts with the
-    # same keys shares one entry.
-    layouts: dict[tuple[str, tuple], list[tuple[str, str]]] = {}
 
     def encode(value: Any, pad: str) -> None:
         # pad is the newline and indent of the line the value starts on.
@@ -229,33 +224,13 @@ def _json_runs(value: Any, pad: str = "\n") -> list[str]:
             if not value:
                 emit("{}")
                 return
-            keys = tuple(value)
             inner = pad + "  "
-            layout = layouts.get((pad, keys))
-            if layout is None:
-                # quote raises TypeError on a key that is not a str.
-                layout = layouts[pad, keys] = [
-                    (k, ("," if i else "{") + inner + quote(k) + ": ")
-                    for i, k in enumerate(sorted(keys))
-                ]
-            for k, prefix in layout:
-                v = value[k]
-                tv = type(v)
-                if tv is str:
-                    emit(prefix + quote(v))
-                elif tv is int:
-                    emit(prefix + int_text(v))
-                elif v is True:
-                    emit(prefix + "true")
-                elif v is False:
-                    emit(prefix + "false")
-                elif v is None:
-                    emit(prefix + "null")
-                elif tv is Fraction:
-                    emit(prefix + _fraction_text(v, inner))
-                else:
-                    emit(prefix)
-                    encode(v, inner)
+            sep = "{" + inner
+            # quote raises TypeError on a key that is not a str.
+            for k in sorted(value):
+                emit(sep + quote(k) + ": ")
+                sep = "," + inner
+                encode(value[k], inner)
             emit(pad + "}")
         elif t is list or t is tuple:
             if not value:
@@ -445,11 +420,9 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict | str, int]:
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
     subset = _load_subset(args.inp)
     if args.cross_check:
-        profile = rep_profile(subset, cross_check=True)
-        spec, mass = profile.spectrum(), profile.mass()
+        spec = rep_profile(subset, cross_check=True).spectrum()
     else:
-        # The mass of R_{A,A} is |A|^2.
-        spec, mass = spectrum(subset), subset.card ** 2
+        spec = spectrum(subset)
     if args.format == "csv":
         lines = [f"{i},{spec.histogram[i]}" for i in spec.support()]
         lines.append(f"max_rep,{spec.max_rep}")
@@ -459,7 +432,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict | str, int]:
         "card": subset.card,
         "histogram": {str(i): spec.histogram[i] for i in spec.support()},
         "max_rep": spec.max_rep,
-        "mass": mass,
+        # The mass of R_{A,A} is |A|^2, whichever engine ran.
+        "mass": subset.card ** 2,
     }
     return body, EX_OK
 

@@ -90,7 +90,12 @@ class Group:
         return range(self.order)
 
     def decode(self, index: int) -> tuple[int, ...]:
-        """Flat index -> coordinate tuple (row-major, last coordinate fastest)."""
+        """Flat index -> coordinate tuple (row-major, last coordinate fastest).
+
+        decode, encode, add and neg are public reference arithmetic, one
+        element at a time: nothing in repfn calls them, since its engines
+        work on whole arrays, and the tests check those array routes
+        against them."""
         index = self.check_element(index)
         coords = []
         for mi in reversed(self.orders):
@@ -99,7 +104,8 @@ class Group:
         return tuple(reversed(coords))
 
     def encode(self, coords: Sequence[int]) -> int:
-        """Coordinate tuple -> flat index; inverse of decode."""
+        """Coordinate tuple -> flat index; inverse of decode.  Reference
+        arithmetic, as decode says."""
         if len(coords) != len(self.orders):
             raise InvalidElementError(
                 f"expected {len(self.orders)} coordinates, got {len(coords)}"
@@ -113,7 +119,8 @@ class Group:
         return index
 
     def add(self, x: int, y: int) -> int:
-        """Coordinate-wise sum mod each factor, as a flat index."""
+        """Coordinate-wise sum mod each factor, as a flat index.  Reference
+        arithmetic, as decode says."""
         if self.is_cyclic:
             return (self.check_element(x) + self.check_element(y)) % self.orders[0]
         cx = self.decode(x)
@@ -121,6 +128,8 @@ class Group:
         return self.encode([(a + b) % mi for a, b, mi in zip(cx, cy, self.orders)])
 
     def neg(self, x: int) -> int:
+        """Coordinate-wise negation mod each factor, as a flat index.
+        Reference arithmetic, as decode says."""
         if self.is_cyclic:
             return (-self.check_element(x)) % self.orders[0]
         return self.encode([(-c) % mi for c, mi in zip(self.decode(x), self.orders)])

@@ -133,14 +133,17 @@ class _Slots:
         self.cover_add = ones * ((1 << (w - 1)) - 1)
 
     def rot(self, X: int, e: int) -> int:
-        """X with slot x moved to slot x + e mod m, for 0 <= e < m."""
+        """X with slot x moved to slot x + e mod m, for 0 <= e < m.  Like
+        flip and max_rep, a reference that no search calls: the searches'
+        hot loops inline the same steps, and TestSlots and TestCounts check
+        these methods against plain lists and pair enumeration."""
         w = self.w
         return ((X << (w * e)) | (X >> (w * (self.m - e)))) & self.full
 
     def flip(self, S: int, e: int) -> tuple[int, int]:
         """(S', rot(S + S', e)) for S' = S ^ bit(e): S with e toggled and
-        the change of its pair counts by the flip rule.  The searches'
-        hot loops inline these lines."""
+        the change of its pair counts by the flip rule.  A reference that
+        no search calls: the searches' hot loops inline these lines."""
         S2 = S ^ (1 << (self.w * e))
         return S2, self.rot(S + S2, e)
 
@@ -166,7 +169,9 @@ class _Slots:
     def max_rep(self, X: int, guess: int) -> int:
         """The largest slot of X by "some slot > t" tests, stepping from
         guess, so a near guess costs a test or two.  Slot g of Y is
-        X[g] + 2^(w-1) - 1 - t, whose top bit is set iff X[g] > t."""
+        X[g] + 2^(w-1) - 1 - t, whose top bit is set iff X[g] > t.  A
+        reference that no search calls: a restart takes its max from the
+        count array, and the move loop inlines these steps."""
         ones, top, t = self.ones, self.top, guess
         Y = X + self.cover_add - ones * t
         while Y & top:
